@@ -48,7 +48,6 @@ from .losses import (
     hard_negative_weights,
     reassemble_anchor_partial,
     supcon_loss_grad,
-    weight_table_csv,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import (

@@ -31,6 +31,7 @@ MAGIC = b"DCTAUCKP"
 FORMAT_VERSION = 1
 
 _SECTIONS = ("encoder", "projection", "classifier")
+_HEADER = struct.Struct("<8sII")  # magic, format version, manifest length
 
 
 def sidecar_path(path) -> str:
@@ -56,9 +57,7 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, seed: int) -> N
 
     manifest_bytes = json.dumps({"blocks": manifest}).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(manifest_bytes)))
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(manifest_bytes)))
         fh.write(manifest_bytes)
         for block in blocks:
             fh.write(block)
@@ -79,13 +78,14 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None, int | None]:
     Config and seed come from the sidecar and are None if it is absent.
     """
     with open(path, "rb") as fh:
-        header = fh.read(len(MAGIC))
-        if header != MAGIC:
+        header = fh.read(_HEADER.size)
+        if header[: len(MAGIC)] != MAGIC:
             raise InvalidArgumentError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        if len(header) < _HEADER.size:
+            raise InvalidArgumentError(f"{path}: checkpoint header truncated")
+        _, version, manifest_len = _HEADER.unpack(header)
         if version != FORMAT_VERSION:
             raise InvalidArgumentError(f"{path}: unsupported checkpoint version {version}")
-        (manifest_len,) = struct.unpack("<I", fh.read(4))
         try:
             manifest = json.loads(fh.read(manifest_len).decode("utf-8"))["blocks"]
         except (ValueError, KeyError) as exc:
@@ -117,16 +117,14 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None, int | None]:
 
     params = ModelParams(build("encoder"), build("projection"), build("classifier"))
 
-    cfg = None
-    seed = None
     try:
         with open(sidecar_path(path), "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
         raw = dict(sidecar.get("config", {}))
         if "hidden" in raw:
             raw["hidden"] = tuple(raw["hidden"])
-        cfg = TrainConfig(**raw)
-        seed = int(sidecar["seed"])
+        return params, TrainConfig(**raw), int(sidecar["seed"])
     except FileNotFoundError:
-        pass
-    return params, cfg, seed
+        return params, None, None
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise InvalidArgumentError(f"{sidecar_path(path)}: corrupt sidecar ({exc})") from exc

@@ -1,40 +1,39 @@
 """Supervised and dual contrastive losses with analytic gradients.
 
-All three losses share one core. Given a set of anchor embeddings with
-integer labels, an optional set of cross embeddings, and a match label
-per cross row, each anchor i with positive set P(i) (same-label anchors,
-itself excluded) contributes
+Every loss is one masked softmax over the stacked rows x = [z; u]: known
+embeddings z with their labels, then universum embeddings u with pseudo
+labels (targeted class + K). Row i, with anchor weight w_i and positive
+set P(i) (the other rows with its stacked label), contributes
 
-    (-1/|P(i)|) * sum_{p in P(i)} log[ exp(a_i.a_p/tau) / S_i ]
+    w_i * (-1/|P(i)|) * sum_{p in P(i)} log[ exp(x_i.x_p/tau) / S_i ]
 
-where S_i sums exp(a_i.a_k/tau) over every other anchor plus
-exp(a_i.c_j/tau) over every cross row j whose match label equals the
-anchor's label. Anchors with empty P(i) are skipped and counted.
+where S_i sums exp(x_i.x_k/tau) over every other row k on the same side
+(known or universum) as i or targeting the same class. Anchors with
+empty P(i) are skipped and counted. From the one Gram matrix x x^T/tau
+with softmax W and row-normalized positive mask P, the gradient is
+(M + M^T) x / tau for M = diag(w)(W - P). The losses differ only in w:
 
-The three public losses are instances of this core:
+* supcon: no universum rows, every weight 1.
+* dual-contrastive total (the training loss): 1 for known anchors and
+  gamma for universum anchors (0 with include_universum_term off), so
+  each universum row repels exactly the class it targets.
+* known and universum terms: the total with the other side's weights 0,
+  kept as oracle entry points for verify, tests and demos.
 
-* supcon: no cross rows at all.
-* dual-contrastive known term: known embeddings anchor; universum rows
-  enter matched denominators only (each universum row repels exactly the
-  class it targets).
-* dual-contrastive universum term: roles swapped; universum rows anchor
-  and same-pseudo-label rows are positives, with the targeted class's
-  known rows joining the denominator.
+Log-sum-exp uses max subtraction, and since every loss shares this code
+the known term with zero universum rows is bitwise identical to supcon.
 
-Log-sum-exp uses max subtraction. Because every loss runs through the
-same code path, the known term with zero universum rows is bitwise
-identical to supcon on the same inputs.
-
-The gradient decomposition splits each anchor's own partial gradient
-into an attractive positive term and two repulsive softmax-weighted
-sums (over known rows and over matched universum rows). It is computed
-from plainly exponentiated weights, independent of the stabilized path,
-so reassembly against the core's anchor partial is a real check.
+GradientDecomposition is an oracle that the training path never builds;
+only dc_known_loss_grad computes it. It splits each known anchor's own
+partial gradient into an attractive positive term and two repulsive
+softmax-weighted sums (over known rows and over matched universum rows)
+from plain exponentials, independent of the stabilized path, so
+reassembly against the core's anchor partial is a real check. Those
+plain exponentials overflow at small temperatures.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,20 +102,19 @@ class GradientDecomposition:
     tau_exp: np.ndarray
     normalizer: np.ndarray
     anchor_partial: np.ndarray
-    positive_mask: np.ndarray
-    valid: np.ndarray
     temperature: float
 
 
 @dataclass(frozen=True)
 class _CoreResult:
+    """Core output over all stacked rows; inactive anchors hold zeros."""
+
     value: float
     per_anchor: np.ndarray
-    grad_anchor: np.ndarray
-    grad_cross: np.ndarray
+    grad: np.ndarray
     anchor_partial: np.ndarray
     pos_mask: np.ndarray
-    match_mask: np.ndarray
+    den_mask: np.ndarray
     valid: np.ndarray
     skipped: int
 
@@ -132,65 +130,67 @@ def _check_rows(name: str, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _contrastive_core(
-    anchors: np.ndarray,
-    anchor_labels: np.ndarray,
-    cross: np.ndarray,
-    cross_match: np.ndarray,
+def _stacked_core(
+    x: np.ndarray,
+    labels: np.ndarray,
+    targets: np.ndarray,
+    n_known: int,
+    weight: np.ndarray,
     tau: float,
 ) -> _CoreResult:
-    """Shared loss/gradient evaluation; see the module docstring."""
-    n = anchors.shape[0]
-    if n < 2:
+    """One masked softmax over the stacked rows; see the module docstring.
+
+    Rows before n_known are known, the rest universum. Rows with zero
+    weight do not anchor but still enter other anchors' softmaxes.
+    """
+    n = x.shape[0]
+    active = weight > 0
+    if np.count_nonzero(active) < 2:
         raise InvalidArgumentError("need at least 2 anchor rows")
 
-    sims_aa = (anchors @ anchors.T) / tau
-    sims_ac = (anchors @ cross.T) / tau
-
-    eye = np.eye(n, dtype=bool)
-    pos_mask = (anchor_labels[:, None] == anchor_labels[None, :]) & ~eye
+    off_diag = ~np.eye(n, dtype=bool)
+    side = np.arange(n) >= n_known
+    den_mask = (side[:, None] == side[None, :]) | (targets[:, None] == targets[None, :])
+    den_mask &= off_diag
+    pos_mask = (labels[:, None] == labels[None, :]) & off_diag
     pos_count = pos_mask.sum(axis=1)
-    valid = pos_count > 0
+    valid = (pos_count > 0) & active
     if not valid.any():
         raise DegenerateBatchError("every anchor lacks positives")
 
-    match_mask = anchor_labels[:, None] == cross_match[None, :]
-    combined = np.concatenate(
-        [np.where(eye, -np.inf, sims_aa), np.where(match_mask, sims_ac, -np.inf)],
-        axis=1,
-    )
-    mx = combined.max(axis=1)
-    expv = np.exp(combined - mx[:, None])
-    denom = expv.sum(axis=1)
+    sims = x @ x.T
+    sims /= tau
+    # rows that anchor nothing get an all-zero softmax row and a unit
+    # denominator, so their log stays finite
+    w = np.where(den_mask & valid[:, None], sims, -np.inf)
+    mx = np.where(valid, w.max(axis=1), 0.0)
+    w -= mx[:, None]
+    np.exp(w, out=w)
+    denom = w.sum(axis=1)
+    denom[~valid] = 1.0
     log_s = mx + np.log(denom)
 
-    weights = expv / denom[:, None]
-    weights[~valid] = 0.0
-    w_aa = weights[:, :n]
-    w_ac = weights[:, n:]
-
-    pos_sim = np.where(pos_mask, sims_aa, 0.0).sum(axis=1)
+    pos_sim = np.where(pos_mask, sims, 0.0).sum(axis=1)
     per_anchor = np.where(valid, log_s - pos_sim / np.maximum(pos_count, 1), 0.0)
-    value = float(per_anchor.sum())
+    value = float((weight * per_anchor).sum())
     if not np.isfinite(value):
         raise NumericError("contrastive loss is non-finite")
 
-    pn = np.where(valid[:, None], pos_mask / np.maximum(pos_count, 1)[:, None], 0.0)
-    wmp = w_aa - pn
-    anchor_partial = (wmp @ anchors + w_ac @ cross) / tau
-    grad_anchor = anchor_partial + (wmp.T @ anchors) / tau
-    grad_cross = (w_ac.T @ anchors) / tau
+    w /= denom[:, None]
+    w -= pos_mask * (valid / np.maximum(pos_count, 1))[:, None]
+    w *= weight[:, None]
+    anchor_partial = (w @ x) / tau
+    grad = anchor_partial + (w.T @ x) / tau
 
     return _CoreResult(
         value=value,
         per_anchor=per_anchor,
-        grad_anchor=grad_anchor,
-        grad_cross=grad_cross,
+        grad=grad,
         anchor_partial=anchor_partial,
         pos_mask=pos_mask,
-        match_mask=match_mask,
+        den_mask=den_mask,
         valid=valid,
-        skipped=int(n - valid.sum()),
+        skipped=int(np.count_nonzero(active & (pos_count == 0))),
     )
 
 
@@ -220,6 +220,8 @@ def _infer_num_known(
             raise InvalidArgumentError(
                 "universum labels must equal a known label plus the class count"
             )
+        if labels.max() > num_known:
+            raise InvalidArgumentError("known labels must not exceed the class count")
     return num_known
 
 
@@ -229,22 +231,28 @@ def supcon_loss_grad(z: np.ndarray, labels, cfg: LossConfig) -> LossResult:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (z.shape[0],):
         raise InvalidArgumentError("labels must align with embedding rows")
-    core = _contrastive_core(
-        z, labels, np.zeros((0, z.shape[1])), np.zeros(0, dtype=np.int64), cfg.temperature
-    )
-    return LossResult(core.value, core.grad_anchor, None, core.skipped, core.per_anchor)
+    core = _stacked_core(z, labels, labels, len(z), np.ones(len(z)), cfg.temperature)
+    return LossResult(core.value, core.grad, None, core.skipped, core.per_anchor)
 
 
-def _check_pair(z, labels, u, u_labels):
+def _dc_core(z, labels, u, u_labels, num_known, tau, known_weight, universum_weight):
+    """Check the inputs once and run the core over [z; u] with these weights."""
     z = _check_rows("z", z)
     u = _check_rows("u", u)
-    if z.shape[0] and u.shape[0] and z.shape[1] != u.shape[1]:
+    if z.shape[1] != u.shape[1]:
         raise InvalidArgumentError("z and u must share the embedding dimension")
     labels = np.asarray(labels, dtype=np.int64)
     u_labels = np.asarray(u_labels, dtype=np.int64)
     if labels.shape != (z.shape[0],) or u_labels.shape != (u.shape[0],):
         raise InvalidArgumentError("labels must align with embedding rows")
-    return z, labels, u, u_labels
+    k = _infer_num_known(labels, u_labels, num_known)
+
+    nz = z.shape[0]
+    x = np.concatenate([z, u])
+    weight = np.repeat([known_weight, universum_weight], [nz, u.shape[0]])
+    targets = np.concatenate([labels, u_labels - k])
+    core = _stacked_core(x, np.concatenate([labels, u_labels]), targets, nz, weight, tau)
+    return core, x, nz
 
 
 def dc_known_loss_grad(
@@ -262,15 +270,11 @@ def dc_known_loss_grad(
     targeting the anchor's class. With zero universum rows the result is
     bitwise identical to supcon_loss_grad.
     """
-    z, labels, u, u_labels = _check_pair(z, labels, u, u_labels)
-    k = _infer_num_known(labels, u_labels, num_known)
-
-    core = _contrastive_core(z, labels, u, u_labels - k, cfg.temperature)
-    decomp = _decompose(z, u, core, cfg.temperature)
+    core, x, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 1.0, 0.0)
     result = LossResult(
-        core.value, core.grad_anchor, core.grad_cross, core.skipped, core.per_anchor
+        core.value, core.grad[:nz], core.grad[nz:], core.skipped, core.per_anchor[:nz]
     )
-    return result, decomp
+    return result, _decompose(x, nz, core, cfg.temperature)
 
 
 def dc_universum_loss_grad(
@@ -287,12 +291,9 @@ def dc_universum_loss_grad(
     label; the denominator spans the other universum rows plus the known
     rows of the anchor's targeted class.
     """
-    z, labels, u, u_labels = _check_pair(z, labels, u, u_labels)
-    k = _infer_num_known(labels, u_labels, num_known)
-
-    core = _contrastive_core(u, u_labels, z, labels + k, cfg.temperature)
+    core, _, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 0.0, 1.0)
     return LossResult(
-        core.value, core.grad_cross, core.grad_anchor, core.skipped, core.per_anchor
+        core.value, core.grad[:nz], core.grad[nz:], core.skipped, core.per_anchor[nz:]
     )
 
 
@@ -309,41 +310,33 @@ def dc_total_loss_grad(
     With include_universum_term off only the known term is evaluated
     (universum rows still receive gradient through its denominators).
     """
-    known, _ = dc_known_loss_grad(z, labels, u, u_labels, cfg, num_known)
-    if not cfg.include_universum_term:
-        return known
-    dual = dc_universum_loss_grad(u, u_labels, z, labels, cfg, num_known)
-    return LossResult(
-        value=known.value + cfg.gamma * dual.value,
-        grad_z=known.grad_z + cfg.gamma * dual.grad_z,
-        grad_u=known.grad_u + cfg.gamma * dual.grad_u,
-        skipped_anchors=known.skipped_anchors + dual.skipped_anchors,
-        per_anchor=None,
-    )
+    gamma = cfg.gamma if cfg.include_universum_term else 0.0
+    core, _, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 1.0, gamma)
+    per_anchor = None if gamma else core.per_anchor[:nz]
+    return LossResult(core.value, core.grad[:nz], core.grad[nz:], core.skipped, per_anchor)
 
 
-def _decompose(
-    z: np.ndarray, u: np.ndarray, core: _CoreResult, tau: float
-) -> GradientDecomposition:
-    """Three-part split of each anchor's own partial gradient.
+def _decompose(x: np.ndarray, nz: int, core: _CoreResult, tau: float) -> GradientDecomposition:
+    """Three-part split of each known anchor's own partial gradient.
 
     Built from plain (unstabilized) exponentials so that reassembly
     against core.anchor_partial crosses two arithmetic paths.
     """
+    z, u = x[:nz], x[nz:]
+    pos_mask = core.pos_mask[:nz, :nz]
+    valid = core.valid[:nz]
     known_exp = np.exp((z @ z.T) / tau)
     np.fill_diagonal(known_exp, 0.0)
-    tau_exp = np.where(core.match_mask, np.exp((z @ u.T) / tau), 0.0)
+    tau_exp = np.where(core.den_mask[:nz, nz:], np.exp((z @ u.T) / tau), 0.0)
     normalizer = known_exp.sum(axis=1) + tau_exp.sum(axis=1)
 
-    pos_count = core.pos_mask.sum(axis=1)
-    pn = np.where(
-        core.valid[:, None], core.pos_mask / np.maximum(pos_count, 1)[:, None], 0.0
-    )
+    pos_count = pos_mask.sum(axis=1)
+    pn = np.where(valid[:, None], pos_mask / np.maximum(pos_count, 1)[:, None], 0.0)
     pos_term = pn @ z
     g_nk = -(known_exp / normalizer[:, None]) @ z
     g_tau = -(tau_exp / normalizer[:, None]) @ u
-    g_nk[~core.valid] = 0.0
-    g_tau[~core.valid] = 0.0
+    g_nk[~valid] = 0.0
+    g_tau[~valid] = 0.0
 
     return GradientDecomposition(
         pos_term=pos_term,
@@ -352,9 +345,7 @@ def _decompose(
         known_exp=known_exp,
         tau_exp=tau_exp,
         normalizer=normalizer,
-        anchor_partial=core.anchor_partial,
-        positive_mask=core.pos_mask,
-        valid=core.valid,
+        anchor_partial=core.anchor_partial[:nz],
         temperature=tau,
     )
 
@@ -378,27 +369,3 @@ def hard_negative_weights(
     """
     s = decomp.normalizer[:, None]
     return decomp.known_exp / s, decomp.tau_exp / s
-
-
-def weight_table_csv(decomp: GradientDecomposition, path) -> None:
-    """Dump per-anchor repulsion weights for offline inspection.
-
-    Columns: anchor row, partner kind (known/universum), partner row,
-    weight, and whether the partner shares the anchor's label.
-    """
-    known_w, tau_w = hard_negative_weights(decomp)
-    n, m = tau_w.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["anchor", "kind", "partner", "weight", "is_positive"])
-        for i in range(n):
-            for k in range(n):
-                if k == i:
-                    continue
-                writer.writerow(
-                    [i, "known", k, repr(float(known_w[i, k])), int(decomp.positive_mask[i, k])]
-                )
-            for j in range(m):
-                if decomp.tau_exp[i, j] == 0.0:
-                    continue
-                writer.writerow([i, "universum", j, repr(float(tau_w[i, j])), 0])

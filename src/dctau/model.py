@@ -390,21 +390,16 @@ def _loss_step(params: ModelParams, view: Batch, num_known: int, cfg: TrainConfi
         return res.value, res.grad_z / view.size, trace
 
     ub = make_universum(view, num_known, cfg.lam, rng)
-    if cfg.pseudo_scheme == K_PLUS_ONE:
-        ub = assign_pseudo_labels(ub, K_PLUS_ONE)
-    inputs = np.vstack([view.features, ub.features])
-    z_all, trace = embed(params, inputs)
+    z_all, trace = embed(params, np.vstack([view.features, ub.features]))
     nb = view.size
     if cfg.pseudo_scheme == K_PLUS_ONE:
         # one collapsed pseudo class: the batch and its universum rows are
         # a single supervised-contrastive problem over K+1 labels
-        labels_all = np.concatenate([view.labels, ub.labels])
-        res = supcon_loss_grad(z_all, labels_all, loss_cfg)
-        d_z_all = res.grad_z
-    else:
-        res = dc_total_loss_grad(z_all[:nb], view.labels, z_all[nb:], ub.labels, loss_cfg)
-        d_z_all = np.vstack([res.grad_z, res.grad_u])
-    return res.value, d_z_all / nb, trace
+        ub = assign_pseudo_labels(ub, K_PLUS_ONE)
+        res = supcon_loss_grad(z_all, np.concatenate([view.labels, ub.labels]), loss_cfg)
+        return res.value, res.grad_z / nb, trace
+    res = dc_total_loss_grad(z_all[:nb], view.labels, z_all[nb:], ub.labels, loss_cfg)
+    return res.value, np.vstack([res.grad_z, res.grad_u]) / nb, trace
 
 
 def train_contrastive(

@@ -14,7 +14,7 @@ from dctau.cli import (
     THRESHOLDS_FILE,
     main,
 )
-from dctau.checkpoint import load_checkpoint
+from dctau.checkpoint import MAGIC, load_checkpoint
 
 _FAST = [
     "--set", "class_count=5", "--set", "per_class=16", "--set", "dim=4",
@@ -191,6 +191,24 @@ def test_missing_files_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 4
     capsys.readouterr()
+
+
+def test_eval_truncated_checkpoint_header_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / CHECKPOINT_FILE
+    ckpt.write_bytes(MAGIC + b"\x01\x00")  # shorter than the 16-byte header
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert "header truncated" in capsys.readouterr().err
+
+
+def test_eval_malformed_sidecar_exits_2(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert _run(["train", "--out", str(run_dir), "--seed", "5", "--quiet", *_FAST]) == 0
+    ckpt = run_dir / CHECKPOINT_FILE
+    (run_dir / f"{CHECKPOINT_FILE}.json").write_text('{"seed": 5, "config": {', encoding="utf-8")
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert "corrupt sidecar" in capsys.readouterr().err
 
 
 def test_missing_subcommand_raises_systemexit():

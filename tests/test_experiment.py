@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -199,3 +200,15 @@ def test_resume_from_checkpoint_changes_start(tmp_path):
     resumed, _, _, _ = run_experiment(resumed_cfg)
     fresh, _, _, _ = run_experiment(cfg)
     assert not np.array_equal(resumed.projection[0].weight, fresh.projection[0].weight)
+
+
+@pytest.mark.parametrize("dual_term", [True, False])
+def test_tiny_temperature_run_raises_no_numeric_warning(dual_term):
+    # exp(z.z/tau) overflows at tau=1e-3; the training loss must stay on
+    # the max-subtracted path and never build the plain-exponential oracle
+    cfg = _tiny_cfg(temperature=1e-3, include_universum_term=dual_term)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, report, histories = run_experiment(cfg)
+    assert all(np.isfinite(histories["contrastive"]))
+    assert 0.0 <= report.auroc <= 1.0

@@ -20,7 +20,6 @@ from dctau.losses import (
     hard_negative_weights,
     reassemble_anchor_partial,
     supcon_loss_grad,
-    weight_table_csv,
 )
 
 _FD_H = 1e-5
@@ -244,6 +243,9 @@ def test_input_validation():
     # pseudo labels must target real classes even with explicit num_known
     with pytest.raises(InvalidArgumentError):
         dc_known_loss_grad(z, labels, u[:2], np.array([8, 9]), cfg, num_known=3)
+    # a known label above K would share a stacked label with a pseudo label
+    with pytest.raises(InvalidArgumentError):
+        dc_known_loss_grad(z, labels, u[:2], np.array([3, 4]), cfg, num_known=2)
 
 
 def test_unaligned_universum_with_explicit_num_known():
@@ -302,27 +304,3 @@ def test_harder_negatives_get_larger_weights():
     assert ratio == pytest.approx(math.exp(2.0), rel=1e-12)
     # the matched universum row is orthogonal too, so it ties the easy one
     assert tau_w[0, 0] == pytest.approx(known_w[0, 2], rel=1e-12)
-
-
-def test_weight_table_csv(tmp_path):
-    cfg = LossConfig(temperature=0.5)
-    rng = np.random.default_rng(2)
-    z = _unit_rows(rng, 4, 3)
-    labels = np.array([1, 1, 2, 2])
-    u = _unit_rows(rng, 4, 3)
-    u_labels = labels + 2
-    _, decomp = dc_known_loss_grad(z, labels, u, u_labels, cfg)
-    path = tmp_path / "weights.csv"
-    weight_table_csv(decomp, path)
-
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "anchor,kind,partner,weight,is_positive"
-    rows = [ln.split(",") for ln in lines[1:]]
-    # every anchor lists 3 known partners and its 2 matched universum rows
-    for anchor in range(4):
-        mine = [r for r in rows if r[0] == str(anchor)]
-        assert len([r for r in mine if r[1] == "known"]) == 3
-        assert len([r for r in mine if r[1] == "universum"]) == 2
-        assert sum(float(r[3]) for r in mine) == pytest.approx(1.0, abs=1e-12)
-    # positives are flagged: each anchor has exactly one same-label partner
-    assert sum(int(r[4]) for r in rows) == 4

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import dctau.losses
 from dctau.config import TrainConfig
 from dctau.data import Dataset, OpenSplit
 from dctau.errors import InvalidArgumentError, NumericError
@@ -317,6 +318,16 @@ def test_train_contrastive_scheme_variants_run():
     cfg = _tiny_cfg(contrastive_epochs=2, two_views=True)
     _, history = train_contrastive(split, cfg, np.random.default_rng(1))
     assert len(history) == 2 and all(np.isfinite(h) for h in history)
+
+
+def test_training_never_builds_the_gradient_decomposition(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the gradient decomposition is an oracle, not a training step")
+
+    monkeypatch.setattr(dctau.losses, "_decompose", forbidden)
+    cfg = _tiny_cfg(contrastive_epochs=1, pseudo_scheme="k_plus_k")
+    _, history = train_contrastive(_easy_split(), cfg, np.random.default_rng(2))
+    assert len(history) == 1 and np.isfinite(history[0])
 
 
 def test_train_contrastive_initial_params_resume():
