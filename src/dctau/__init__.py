@@ -4,18 +4,16 @@ dense network trained in two steps, percentile-threshold rejection, and
 open-set metrics. Pure numpy; every randomized path is seed-driven.
 """
 
-from .config import CONFIG_DOC, TrainConfig, load_config, serialize_config
+from .config import CONFIG_DOC, TrainConfig, serialize_config
 from .data import (
     UNKNOWN_LABEL,
     Batch,
     Dataset,
     OpenSplit,
     augment_gaussian,
-    blob_centers,
     epoch_batches,
     generate_blobs,
     read_dataset_csv,
-    sample_batch,
     split_open_set,
     write_dataset_csv,
 )
@@ -52,7 +50,6 @@ from .losses import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import (
     CurvePoint,
-    ScoredSample,
     auroc,
     closed_accuracy,
     macro_f1,
@@ -68,7 +65,6 @@ from .model import (
     Schedule,
     backprop_classifier,
     backprop_embedding,
-    classify,
     cross_entropy_loss_grad,
     embed,
     forward_classifier,
@@ -87,13 +83,7 @@ from .openset import (
     predict_open_many,
     write_thresholds_csv,
 )
-from .universum import (
-    MixupPair,
-    UniversumBatch,
-    assign_pseudo_labels,
-    make_mixup_baseline,
-    make_universum,
-)
+from .universum import make_universum
 from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -32,6 +33,19 @@ FORMAT_VERSION = 1
 
 _SECTIONS = ("encoder", "projection", "classifier")
 _HEADER = struct.Struct("<8sII")  # magic, format version, manifest length
+
+
+def _valid_entry(entry) -> bool:
+    """One manifest block: a known section and kind, a layer index, a shape."""
+    return (
+        isinstance(entry, dict)
+        and entry.get("section") in _SECTIONS
+        and entry.get("kind") in ("weight", "bias")
+        and type(entry.get("layer")) is int
+        and entry["layer"] >= 0
+        and isinstance(entry.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in entry["shape"])
+    )
 
 
 def sidecar_path(path) -> str:
@@ -88,15 +102,17 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None, int | None]:
             raise InvalidArgumentError(f"{path}: unsupported checkpoint version {version}")
         try:
             manifest = json.loads(fh.read(manifest_len).decode("utf-8"))["blocks"]
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise InvalidArgumentError(f"{path}: corrupt checkpoint manifest") from exc
         payload = fh.read()
+    if not isinstance(manifest, list) or not all(_valid_entry(e) for e in manifest):
+        raise InvalidArgumentError(f"{path}: corrupt checkpoint manifest")
 
     sections: dict[str, dict[int, dict[str, np.ndarray]]] = {s: {} for s in _SECTIONS}
     offset = 0
     for entry in manifest:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(payload):
             raise InvalidArgumentError(f"{path}: checkpoint payload truncated")
@@ -106,16 +122,27 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None, int | None]:
     if offset != len(payload):
         raise InvalidArgumentError(f"{path}: trailing bytes in checkpoint payload")
 
-    def build(section: str) -> tuple[DenseLayer, ...]:
+    def build(section: str, fan_in: int | None) -> tuple[DenseLayer, ...]:
         layers = sections[section]
+        if not layers and section != "encoder":
+            raise InvalidArgumentError(f"{path}: checkpoint has no {section} layers")
         out = []
         for idx in range(len(layers)):
             if idx not in layers or set(layers[idx]) != {"weight", "bias"}:
                 raise InvalidArgumentError(f"{path}: incomplete {section} layer {idx}")
-            out.append(DenseLayer(layers[idx]["weight"], layers[idx]["bias"]))
+            weight, bias = layers[idx]["weight"], layers[idx]["bias"]
+            if weight.ndim != 2 or bias.shape != weight.shape[1:] or (
+                fan_in is not None and weight.shape[0] != fan_in
+            ):
+                raise InvalidArgumentError(f"{path}: mismatched shapes in {section} layer {idx}")
+            out.append(DenseLayer(weight, bias))
+            fan_in = weight.shape[1]
         return tuple(out)
 
-    params = ModelParams(build("encoder"), build("projection"), build("classifier"))
+    encoder = build("encoder", None)
+    encoder_dim = encoder[-1].weight.shape[1] if encoder else None
+    projection = build("projection", encoder_dim)
+    params = ModelParams(encoder, projection, build("classifier", projection[0].weight.shape[0]))
 
     try:
         with open(sidecar_path(path), "r", encoding="utf-8") as fh:

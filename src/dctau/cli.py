@@ -31,6 +31,7 @@ from .errors import (
     UnsatisfiableBatchError,
 )
 from .experiment import (
+    SWEEP_FIELDS,
     SWEEP_KEYS,
     evaluate_params,
     make_split,
@@ -204,18 +205,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_list(raw: str, key: str) -> list:
+    """Comma-separated values, each typed as the config field ``key``."""
+    return [coerce_value(key, part.strip()) for part in raw.split(",") if part.strip()]
+
+
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _echo_config(cfg, args)
-    values = None
-    if args.values:
-        parts = [v.strip() for v in args.values.split(",") if v.strip()]
-        if not parts:
-            raise ConfigError("--values must list at least one value")
-        values = parts if args.sweep == "scheme" else [float(v) for v in parts]
-    seeds = None
-    if args.seeds:
-        seeds = [int(s.strip()) for s in args.seeds.split(",") if s.strip()]
+    values = _parse_list(args.values, SWEEP_FIELDS[args.sweep]) if args.values else None
+    seeds = _parse_list(args.seeds, "seed") if args.seeds else None
     rows = run_sweep(cfg, args.sweep, values=values, seeds=seeds)
     table_path = os.path.join(args.out, f"sweep_{args.sweep}.csv")
     write_sweep_csv(rows, table_path)

@@ -183,26 +183,6 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def load_config(path=None, overrides: dict | None = None) -> TrainConfig:
-    """Defaults, overlaid with file values, overlaid with overrides."""
-    values: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                values.update(parse_config_text(fh.read()))
-        except OSError:
-            raise
-    if overrides:
-        for key, val in overrides.items():
-            if key not in _FIELDS:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = coerce_value(key, val) if isinstance(val, str) else val
-    try:
-        return TrainConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def serialize_config(cfg: TrainConfig) -> str:
     """Emit every key in declaration order; parse(serialize(c)) == c."""
     lines = []
@@ -217,6 +197,3 @@ def serialize_config(cfg: TrainConfig) -> str:
         lines.append(f"{f.name} = {rendered}")
     return "\n".join(lines) + "\n"
 
-
-def config_from_text(text: str) -> TrainConfig:
-    return TrainConfig(**parse_config_text(text))

@@ -1,4 +1,4 @@
-"""Synthetic datasets, open-set splits, batch sampling, and augmentation.
+"""Synthetic datasets, open-set splits, epoch batching, and augmentation.
 
 Desk-scale experiments run on Gaussian blob datasets: each class is an
 isotropic Gaussian around a seeded random center, so class overlap is
@@ -13,7 +13,6 @@ seed / generator passed in.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import InvalidArgumentError, UnsatisfiableBatchError
 UNKNOWN_LABEL = 0
 
 _EPOCH_RESHUFFLE_LIMIT = 50
-_BATCH_RETRY_LIMIT = 50
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class OpenSplit:
 
 @dataclass(frozen=True)
 class Batch:
-    """A sampled training batch."""
+    """One training batch."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -115,8 +113,7 @@ def generate_blobs(class_count: int, per_class: int, dim: int, spread: float, se
     """Draw ``per_class`` points per class from isotropic Gaussians.
 
     Class centers are standard-normal vectors drawn first from the seeded
-    generator, so identical arguments reproduce bit-identical datasets and
-    ``blob_centers`` can recover the centers independently.
+    generator, so identical arguments reproduce bit-identical datasets.
     """
     if class_count < 2 or per_class < 1 or dim < 2:
         raise InvalidArgumentError("need class_count >= 2, per_class >= 1, dim >= 2")
@@ -129,12 +126,6 @@ def generate_blobs(class_count: int, per_class: int, dim: int, spread: float, se
         feats = feats + rng.normal(0.0, spread, size=feats.shape)
     labels = np.repeat(np.arange(1, class_count + 1), per_class)
     return Dataset(feats, labels, class_count)
-
-
-def blob_centers(class_count: int, dim: int, seed: int) -> np.ndarray:
-    """The class centers ``generate_blobs`` uses for these arguments."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((class_count, dim))
 
 
 def split_open_set(ds: Dataset, known_ids, test_fraction: float, seed: int) -> OpenSplit:
@@ -178,26 +169,6 @@ def split_open_set(ds: Dataset, known_ids, test_fraction: float, seed: int) -> O
         ds.features[unk_idx], np.full(unk_idx.size, UNKNOWN_LABEL), 0
     )
     return OpenSplit(train, test_known, test_unknown, tuple(known))
-
-
-def sample_batch(train: Dataset, batch_size: int, rng: np.random.Generator) -> Batch:
-    """Draw one batch uniformly without replacement.
-
-    Redraws (bounded) until the batch holds at least two distinct classes,
-    as contrastive losses require.
-    """
-    if batch_size < 2:
-        raise InvalidArgumentError("batch_size must be >= 2")
-    if batch_size > train.n_rows:
-        raise InvalidArgumentError("batch_size exceeds the dataset size")
-    for _ in range(_BATCH_RETRY_LIMIT):
-        idx = rng.permutation(train.n_rows)[:batch_size]
-        labels = train.labels[idx]
-        if np.unique(labels).size >= 2:
-            return Batch(train.features[idx], labels)
-    raise UnsatisfiableBatchError(
-        f"could not draw a batch with >= 2 classes in {_BATCH_RETRY_LIMIT} attempts"
-    )
 
 
 def epoch_batches(train: Dataset, batch_size: int, rng: np.random.Generator) -> list[Batch]:
@@ -245,26 +216,34 @@ def write_dataset_csv(ds: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Read a dataset written by ``write_dataset_csv``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "label":
-            raise InvalidArgumentError(f"{path}: expected a trailing 'label' column")
-        rows = [r for r in reader if r]
-    feats = np.array([[float(v) for v in r[:-1]] for r in rows], dtype=np.float64)
-    labels = np.array([int(r[-1]) for r in rows], dtype=np.int64)
-    if feats.size == 0:
-        feats = feats.reshape(0, len(header) - 1)
+    """Read a dataset written by ``write_dataset_csv``.
+
+    A malformed file (empty, not UTF-8, a row whose cell count differs
+    from the header, a non-numeric cell) raises InvalidArgumentError
+    naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidArgumentError(f"{path}: unreadable CSV ({exc})") from exc
+    if not rows or not rows[0] or rows[0][-1] != "label":
+        raise InvalidArgumentError(f"{path}: expected a header with a trailing 'label' column")
+    width = len(rows[0])
+    body = []
+    for number, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise InvalidArgumentError(
+                f"{path}: row {number} has {len(row)} cells, the header has {width}"
+            )
+        body.append(row)
+    try:
+        feats = np.array([[float(v) for v in r[:-1]] for r in body], dtype=np.float64)
+        labels = np.array([int(r[-1]) for r in body], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{path}: non-numeric cell ({exc})") from exc
+    feats = feats.reshape(len(body), width - 1)
     class_count = 0 if np.all(labels == UNKNOWN_LABEL) else int(labels.max())
     return Dataset(feats, labels, class_count)
-
-
-def dataset_csv_text(ds: Dataset) -> str:
-    """The exact CSV text ``write_dataset_csv`` would produce."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"f{j}" for j in range(ds.dim)] + ["label"])
-    for row, label in zip(ds.features, ds.labels):
-        writer.writerow([repr(float(v)) for v in row] + [int(label)])
-    return buf.getvalue()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .config import TrainConfig
+from .config import PSEUDO_SCHEMES, TrainConfig
 from .data import (
     UNKNOWN_LABEL,
     Dataset,
@@ -31,20 +31,20 @@ from .metrics import auroc, closed_accuracy, macro_f1, oscr
 from .model import ModelParams, posteriors, train_classifier, train_contrastive
 from .openset import ThresholdTable, fit_thresholds, predict_open_many
 
-SWEEP_KEYS = ("lambda", "gamma", "scheme", "percentile")
-
-DEFAULT_GRIDS = {
-    "lambda": (0.1, 0.3, 0.5, 0.7, 0.9),
-    "gamma": (0.0, 0.5, 1.0, 2.0),
-    "scheme": ("k_plus_k", "k_plus_one", "none"),
-    "percentile": (1.0, 2.0, 5.0, 10.0, 20.0),
-}
-
-_SWEEP_FIELD = {
+# sweep key -> the TrainConfig field it sets
+SWEEP_FIELDS = {
     "lambda": "lam",
     "gamma": "gamma",
     "scheme": "pseudo_scheme",
     "percentile": "percentile",
+}
+SWEEP_KEYS = tuple(SWEEP_FIELDS)
+
+DEFAULT_GRIDS = {
+    "lambda": (0.1, 0.3, 0.5, 0.7, 0.9),
+    "gamma": (0.0, 0.5, 1.0, 2.0),
+    "scheme": PSEUDO_SCHEMES,
+    "percentile": (1.0, 2.0, 5.0, 10.0, 20.0),
 }
 
 TRAIN_CSV = "train.csv"
@@ -156,9 +156,12 @@ def load_split(data_dir) -> OpenSplit:
     original = tuple(range(1, k + 1))
     manifest_path = os.path.join(data_dir, MANIFEST_JSON)
     if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        original = tuple(int(c) for c in manifest.get("original_known_ids", original))
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+            original = tuple(int(c) for c in manifest.get("original_known_ids", original))
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise InvalidArgumentError(f"{manifest_path}: corrupt split manifest ({exc})") from exc
     return OpenSplit(train, test_known, test_unknown, original)
 
 
@@ -241,7 +244,9 @@ def run_sweep(
     if not values:
         raise ConfigError("sweep values must be non-empty")
     seeds = tuple(seeds) if seeds is not None else (cfg.seed,)
-    field = _SWEEP_FIELD[key]
+    if not seeds:
+        raise ConfigError("sweep seeds must be non-empty")
+    field = SWEEP_FIELDS[key]
 
     rows = []
     if key == "percentile":

@@ -27,16 +27,6 @@ from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
-class ScoredSample:
-    """One evaluated row: its confidence and where it came from."""
-
-    confidence: float
-    is_known: bool
-    true_label: int
-    predicted_label: int
-
-
-@dataclass(frozen=True)
 class CurvePoint:
     """Correct-classification and false-positive rates at one cutoff."""
 

@@ -29,9 +29,13 @@ from .config import TrainConfig
 from .data import Batch, OpenSplit, augment_gaussian, epoch_batches
 from .errors import InvalidArgumentError, NumericError
 from .losses import LossConfig, dc_total_loss_grad, supcon_loss_grad
-from .universum import K_PLUS_ONE, assign_pseudo_labels, make_universum
+from .universum import make_universum
 
 _NORM_FLOOR = 1e-12
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+_SGD_MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -228,11 +232,6 @@ def forward_classifier(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndar
     return logits, trace
 
 
-def classify(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    logits, _ = forward_classifier(params, inputs)
-    return logits
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -243,7 +242,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def posteriors(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Class posterior matrix; rows sum to 1."""
-    return softmax(classify(params, inputs))
+    # index the result so the forward trace is freed before the softmax
+    return softmax(forward_classifier(params, inputs)[0])
 
 
 def cross_entropy_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -284,18 +284,13 @@ def backprop_encoder(params: ModelParams, trace: ForwardTrace, d_enc_out: np.nda
 
 @dataclass(frozen=True)
 class Schedule:
-    """Cosine decay with optional linear warmup; or a constant rate."""
+    """Cosine decay with optional linear warmup."""
 
     base_lr: float = 1e-3
     warmup_epochs: int = 0
     total_epochs: int = 1
-    kind: str = "cosine"
 
     def lr_at(self, epoch: int) -> float:
-        if self.kind == "constant":
-            return self.base_lr
-        if self.kind != "cosine":
-            raise InvalidArgumentError(f"unknown schedule kind {self.kind!r}")
         if self.warmup_epochs > 0 and epoch < self.warmup_epochs:
             return self.base_lr * (epoch + 1) / self.warmup_epochs
         span = max(1, self.total_epochs - self.warmup_epochs)
@@ -315,10 +310,6 @@ class OptimizerState:
     algorithm: str = "adam"
     schedule: Schedule = field(default_factory=Schedule)
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    momentum: float = 0.9
     step_count: int = 0
     m: list | None = None
     v: list | None = None
@@ -348,13 +339,13 @@ def optimizer_step(
     out = []
     for i, (p, g) in enumerate(zip(arrays, grads)):
         if state.algorithm == "adam":
-            state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-            state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
-            m_hat = state.m[i] / (1 - state.beta1**t)
-            v_hat = state.v[i] / (1 - state.beta2**t)
-            step = m_hat / (np.sqrt(v_hat) + state.eps)
+            state.m[i] = _ADAM_BETA1 * state.m[i] + (1 - _ADAM_BETA1) * g
+            state.v[i] = _ADAM_BETA2 * state.v[i] + (1 - _ADAM_BETA2) * g * g
+            m_hat = state.m[i] / (1 - _ADAM_BETA1**t)
+            v_hat = state.v[i] / (1 - _ADAM_BETA2**t)
+            step = m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         else:
-            state.m[i] = state.momentum * state.m[i] + g
+            state.m[i] = _SGD_MOMENTUM * state.m[i] + g
             step = state.m[i]
         out.append(p - lr * step - lr * state.weight_decay * p)
     return out, state
@@ -389,16 +380,18 @@ def _loss_step(params: ModelParams, view: Batch, num_known: int, cfg: TrainConfi
         res = supcon_loss_grad(z, view.labels, loss_cfg)
         return res.value, res.grad_z / view.size, trace
 
-    ub = make_universum(view, num_known, cfg.lam, rng)
-    z_all, trace = embed(params, np.vstack([view.features, ub.features]))
+    u = make_universum(view, cfg.lam, rng)
+    z_all, trace = embed(params, np.vstack([view.features, u]))
     nb = view.size
-    if cfg.pseudo_scheme == K_PLUS_ONE:
+    if cfg.pseudo_scheme == "k_plus_one":
         # one collapsed pseudo class: the batch and its universum rows are
         # a single supervised-contrastive problem over K+1 labels
-        ub = assign_pseudo_labels(ub, K_PLUS_ONE)
-        res = supcon_loss_grad(z_all, np.concatenate([view.labels, ub.labels]), loss_cfg)
+        u_labels = np.full(nb, num_known + 1, dtype=np.int64)
+        res = supcon_loss_grad(z_all, np.concatenate([view.labels, u_labels]), loss_cfg)
         return res.value, res.grad_z / nb, trace
-    res = dc_total_loss_grad(z_all[:nb], view.labels, z_all[nb:], ub.labels, loss_cfg)
+    # k_plus_k: row r targets class y_r and carries pseudo label y_r + K
+    u_labels = view.labels + num_known
+    res = dc_total_loss_grad(z_all[:nb], view.labels, z_all[nb:], u_labels, loss_cfg)
     return res.value, np.vstack([res.grad_z, res.grad_u]) / nb, trace
 
 

@@ -1,4 +1,4 @@
-"""Target-aware universum construction and pseudo-labeling.
+"""Target-aware universum construction.
 
 For every anchor x_i in a batch, the universum row is a convex blend of
 the anchor with the mean of one randomly drawn instance from each other
@@ -8,70 +8,27 @@ class present in the batch:
 
 Because lam weights the anchor more than any single donor row, each
 universum row stays near its targeted class: it is a hard negative for
-class y_i specifically, hence "target-aware". Under the default k-plus-k
-scheme the row carries pseudo label y_i + K, giving K synthetic classes
-alongside the K known ones; k-plus-one collapses them all to K + 1.
-
-Plain pairwise mixup (Beta-sampled blend of two rows from different
-classes) is provided only as a baseline.
+class y_i specifically, hence "target-aware". The trainer labels the
+rows: under the default k-plus-k scheme row i carries pseudo label
+y_i + K, giving K synthetic classes alongside the K known ones;
+k-plus-one collapses them all to K + 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Batch
 from .errors import InsufficientClassesError, InvalidArgumentError
 
-K_PLUS_K = "k_plus_k"
-K_PLUS_ONE = "k_plus_one"
-PSEUDO_LABEL_SCHEMES = (K_PLUS_K, K_PLUS_ONE)
 
-
-@dataclass(frozen=True)
-class UniversumBatch:
-    """Universum rows aligned one-to-one with their source anchors.
-
-    Row r blends anchor r of the source batch; ``labels[r]`` is the
-    pseudo label (``source_labels[r] + num_known`` under k-plus-k).
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    num_known: int
-    lam: float
-    source_labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        object.__setattr__(self, "source_labels", np.asarray(self.source_labels, dtype=np.int64))
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.source_labels.shape != (n,):
-            raise InvalidArgumentError("universum labels must align with feature rows")
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class MixupPair:
-    """Pairwise-mixup rows under a single shared pseudo class."""
-
-    features: np.ndarray
-    pseudo_label: int
-
-
-def make_universum(batch: Batch, num_known: int, lam: float, rng: np.random.Generator) -> UniversumBatch:
+def make_universum(batch: Batch, lam: float, rng: np.random.Generator) -> np.ndarray:
     """Build one universum row per anchor row of ``batch``.
 
     For each anchor, one donor instance is drawn uniformly from every
     *other* class present in the batch (fresh draws per anchor), the
     donors are averaged, and the row is lam*anchor + (1-lam)*average.
-    Pseudo labels follow the k-plus-k scheme: anchor label + num_known.
+    Returns the (rows, dim) blended features; row r blends anchor r.
     """
     if not 0.0 <= lam <= 1.0:
         raise InvalidArgumentError("lam must lie in [0, 1]")
@@ -90,52 +47,4 @@ def make_universum(batch: Batch, num_known: int, lam: float, rng: np.random.Gene
             donors.append(batch.features[idx[rng.integers(idx.size)]])
         avg = np.mean(donors, axis=0)
         feats[i] = lam * batch.features[i] + (1.0 - lam) * avg
-
-    return UniversumBatch(
-        features=feats,
-        labels=batch.labels + num_known,
-        num_known=num_known,
-        lam=lam,
-        source_labels=batch.labels.copy(),
-    )
-
-
-def make_mixup_baseline(
-    batch: Batch,
-    alpha: float,
-    rng: np.random.Generator,
-    pseudo_label: int = 1,
-    fixed_lambda: float | None = None,
-) -> MixupPair:
-    """Pairwise mixup across classes with Beta(alpha, alpha) coefficients.
-
-    One synthetic row per batch row: each anchor is paired with a row
-    drawn uniformly from the other classes. ``fixed_lambda`` pins the
-    blend coefficient for deterministic checks.
-    """
-    if alpha <= 0:
-        raise InvalidArgumentError("alpha must be > 0")
-    present = batch.present_classes
-    if present.size < 2:
-        raise InsufficientClassesError("mixup needs >= 2 classes in the batch")
-
-    feats = np.empty_like(batch.features)
-    for i in range(batch.size):
-        other = np.flatnonzero(batch.labels != batch.labels[i])
-        j = other[rng.integers(other.size)]
-        lam = fixed_lambda if fixed_lambda is not None else float(rng.beta(alpha, alpha))
-        feats[i] = lam * batch.features[i] + (1.0 - lam) * batch.features[j]
-    return MixupPair(features=feats, pseudo_label=pseudo_label)
-
-
-def assign_pseudo_labels(ub: UniversumBatch, scheme: str) -> UniversumBatch:
-    """Relabel universum rows; idempotent under repeated application.
-
-    k_plus_k restores per-class pseudo labels source + K; k_plus_one
-    collapses every row to the single value K + 1.
-    """
-    if scheme == K_PLUS_K:
-        return replace(ub, labels=ub.source_labels + ub.num_known)
-    if scheme == K_PLUS_ONE:
-        return replace(ub, labels=np.full(ub.size, ub.num_known + 1, dtype=np.int64))
-    raise InvalidArgumentError(f"unknown pseudo-label scheme {scheme!r}")
+    return feats

@@ -262,24 +262,24 @@ def check_hard_negative_situations() -> CheckResult:
 def check_universum_examples() -> CheckResult:
     rng = np.random.default_rng(3)
     batch = Batch(rng.standard_normal((6, 4)), np.array([1, 1, 2, 2, 3, 3]))
-    ub = make_universum(batch, 3, 1.0, np.random.default_rng(0))
-    lam1_ok = np.array_equal(ub.features, batch.features)
+    u1 = make_universum(batch, 1.0, np.random.default_rng(0))
+    lam1_ok = np.array_equal(u1, batch.features)
 
     two = Batch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 2]))
-    ub2 = make_universum(two, 2, 0.5, np.random.default_rng(0))
-    mixup_ok = np.allclose(ub2.features, np.array([[0.5, 0.5], [0.5, 0.5]]))
+    u2 = make_universum(two, 0.5, np.random.default_rng(0))
+    pair_ok = np.allclose(u2, np.array([[0.5, 0.5], [0.5, 0.5]]))
 
     # anchor (1,0) with other-class draws (0,1) and (-1,0) at lam 0.5:
     # average is (-0.5, 0.5), blend gives (0.25, 0.25)
     tri = Batch(
         np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), np.array([1, 2, 3])
     )
-    ub3 = make_universum(tri, 3, 0.5, np.random.default_rng(0))
-    hand_ok = np.allclose(ub3.features[0], np.array([0.25, 0.25]))
+    u3 = make_universum(tri, 0.5, np.random.default_rng(0))
+    hand_ok = np.allclose(u3[0], np.array([0.25, 0.25]))
 
-    ok = bool(lam1_ok and mixup_ok and hand_ok)
+    ok = bool(lam1_ok and pair_ok and hand_ok)
     return CheckResult(
-        "universum_examples", ok, f"lam1={lam1_ok} pair={mixup_ok} hand={hand_ok}"
+        "universum_examples", ok, f"lam1={lam1_ok} pair={pair_ok} hand={hand_ok}"
     )
 
 

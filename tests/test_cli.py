@@ -1,6 +1,7 @@
 """Command-line entry point, exercised in process through main(argv)."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from dctau.cli import (
     THRESHOLDS_FILE,
     main,
 )
-from dctau.checkpoint import MAGIC, load_checkpoint
+from dctau.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from dctau.config import TrainConfig
+from dctau.model import init_params
 
 _FAST = [
     "--set", "class_count=5", "--set", "per_class=16", "--set", "dim=4",
@@ -209,6 +212,124 @@ def test_eval_malformed_sidecar_exits_2(tmp_path, capsys):
     code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
     assert code == 2
     assert "corrupt sidecar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("train.csv", ""),
+        ("test_known.csv", "f0,f1,label\n0.5,oops,1\n"),
+        ("test_unknown.csv", "f0,f1,label\n0.5,0.25,zero\n"),
+        ("train.csv", "f0,f1,label\n0.5,0.25,1\n0.5,2\n"),
+    ],
+    ids=["empty", "feature-cell", "label-cell", "short-row"],
+)
+def test_malformed_split_csv_exits_2(tmp_path, capsys, name, text):
+    data = tmp_path / "data"
+    assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
+    (data / name).write_text(text, encoding="utf-8")
+    code = _run(["generate", "--out", str(tmp_path / "again"), "--quiet",
+                 "--set", f"data_dir={data}"])
+    assert code == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{", "[1, 2]", '{"original_known_ids": 3}'])
+def test_malformed_split_manifest_exits_2(tmp_path, capsys, text):
+    data = tmp_path / "data"
+    assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
+    (data / "manifest.json").write_text(text, encoding="utf-8")
+    code = _run(["generate", "--out", str(tmp_path / "again"), "--quiet",
+                 "--set", f"data_dir={data}"])
+    assert code == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def _rewrite_manifest(path, edit):
+    """Replace the checkpoint's JSON manifest with ``edit(manifest)``."""
+    data = path.read_bytes()
+    (manifest_len,) = struct.unpack_from("<I", data, len(MAGIC) + 4)
+    start = len(MAGIC) + 8
+    manifest = json.loads(data[start : start + manifest_len].decode("utf-8"))
+    new_manifest = json.dumps(edit(manifest)).encode("utf-8")
+    path.write_bytes(
+        data[: len(MAGIC) + 4] + struct.pack("<I", len(new_manifest))
+        + new_manifest + data[start + manifest_len :]
+    )
+
+
+def _set_block(key, value):
+    def edit(manifest):
+        manifest["blocks"][0][key] = value
+        return manifest
+    return edit
+
+
+def _drop_key(key):
+    def edit(manifest):
+        del manifest["blocks"][0][key]
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: {"blocks": 5},
+        lambda m: {"blocks": [1, 2]},
+        lambda m: [m],
+        _set_block("section", "decoder"),
+        _drop_key("layer"),
+        _drop_key("kind"),
+        _drop_key("shape"),
+        _set_block("shape", "4x8"),
+        _set_block("shape", [-4, -8]),
+        _set_block("shape", [8, 4]),  # same byte count, transposed
+    ],
+    ids=["blocks-int", "blocks-of-ints", "top-level-list", "unknown-section",
+         "no-layer", "no-kind", "no-shape", "string-shape", "negative-shape",
+         "transposed-shape"],
+)
+def test_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, edit):
+    ckpt = tmp_path / CHECKPOINT_FILE
+    save_checkpoint(ckpt, init_params(4, (8,), 4, 3, seed=0), TrainConfig(), 0)
+    _rewrite_manifest(ckpt, edit)
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, raw", [("--values", "a,b"), ("--seeds", "x"), ("--seeds", ",")])
+def test_ablate_unparseable_list_exits_2(tmp_path, capsys, flag, raw):
+    code = _run(["ablate", "--sweep", "lambda", flag, raw, "--out", str(tmp_path),
+                 "--quiet", *_FAST])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_truncated_artifacts_never_raise(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
+    assert _run(["train", "--out", str(run), "--quiet", *_FAST,
+                 "--set", f"data_dir={data}"]) == 0
+    ckpt = run / CHECKPOINT_FILE
+    artifacts = [data / name for name in
+                 ("train.csv", "test_known.csv", "test_unknown.csv", "manifest.json")]
+    artifacts += [ckpt, run / f"{CHECKPOINT_FILE}.json"]
+    argv = ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval"), "--quiet"]
+    for path in artifacts:
+        original = path.read_bytes()
+        n = len(original)
+        cuts = {0, 1, n - 1, *np.linspace(2, n - 2, 16).astype(int).tolist()}
+        for cut in sorted(cuts):
+            path.write_bytes(original[:cut])
+            code = _run(argv)
+            assert code in (0, 2), (path.name, cut, code)
+            if path == ckpt:
+                assert code == 2, cut
+        path.write_bytes(original)
+    assert _run(argv) == 0
+    capsys.readouterr()
 
 
 def test_missing_subcommand_raises_systemexit():

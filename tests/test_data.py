@@ -1,4 +1,4 @@
-"""Blob generation, open splits, batching, augmentation, CSV round trips."""
+"""Blob generation, open splits, epoch batching, augmentation, CSV round trips."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,9 @@ from dctau.data import (
     Batch,
     Dataset,
     augment_gaussian,
-    blob_centers,
-    dataset_csv_text,
     epoch_batches,
     generate_blobs,
     read_dataset_csv,
-    sample_batch,
     split_open_set,
     write_dataset_csv,
 )
@@ -34,7 +31,8 @@ def test_blobs_deterministic_and_class_major():
 
 def test_blobs_spread_zero_reproduces_centers():
     ds = generate_blobs(4, 3, 6, 0.0, seed=9)
-    centers = blob_centers(4, 6, seed=9)
+    # the centers are the generator's first draw
+    centers = np.random.default_rng(9).standard_normal((4, 6))
     assert np.array_equal(ds.features, np.repeat(centers, 3, axis=0))
 
 
@@ -100,28 +98,6 @@ def test_split_validation():
         split_open_set(ds, [1, 2], 1.0, seed=0)
 
 
-def test_sample_batch_properties():
-    ds = generate_blobs(4, 20, 3, 0.5, seed=5)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        batch = sample_batch(ds, 8, rng)
-        assert batch.size == 8
-        assert batch.present_classes.size >= 2
-        # rows must come from the dataset (no replacement within a batch)
-        for row in batch.features:
-            assert any(np.array_equal(row, r) for r in ds.features)
-
-
-def test_sample_batch_unsatisfiable():
-    ds = Dataset(np.random.default_rng(0).standard_normal((10, 3)), np.ones(10, dtype=np.int64), 1)
-    with pytest.raises(UnsatisfiableBatchError):
-        sample_batch(ds, 4, np.random.default_rng(0))
-    with pytest.raises(InvalidArgumentError):
-        sample_batch(ds, 1, np.random.default_rng(0))
-    with pytest.raises(InvalidArgumentError):
-        sample_batch(ds, 11, np.random.default_rng(0))
-
-
 def test_epoch_batches_cover_every_row_once():
     feats = np.arange(22, dtype=np.float64).reshape(11, 2)
     labels = np.array([1, 2] * 5 + [1], dtype=np.int64)
@@ -178,7 +154,7 @@ def test_csv_roundtrip_bitwise(tmp_path):
 
     text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "f0,f1,f2,f3,f4,label"
-    assert text == dataset_csv_text(ds)
+    assert text.splitlines()[1] == ",".join(repr(float(v)) for v in ds.features[0]) + ",1"
     assert "\r" not in text
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dctau.losses
+import dctau.model
 from dctau.config import TrainConfig
 from dctau.data import Dataset, OpenSplit
 from dctau.errors import InvalidArgumentError, NumericError
@@ -17,7 +18,6 @@ from dctau.model import (
     backprop_classifier,
     backprop_embedding,
     backprop_encoder,
-    classify,
     cross_entropy_loss_grad,
     embed,
     forward_classifier,
@@ -228,16 +228,13 @@ def test_schedule_warmup_and_cosine():
     assert s.lr_at(14) == pytest.approx(0.0, abs=1e-15)
     assert s.lr_at(99) == pytest.approx(0.0, abs=1e-15)
 
-    const = Schedule(base_lr=0.3, kind="constant")
-    assert const.lr_at(0) == const.lr_at(50) == 0.3
-
-    with pytest.raises(InvalidArgumentError):
-        Schedule(kind="linear").lr_at(0)
+    # a one-epoch schedule with no warmup holds the base rate at epoch 0
+    assert Schedule(base_lr=0.3, total_epochs=1).lr_at(0) == 0.3
 
 
 def test_adam_step_matches_hand_formula():
     lr, wd = 0.01, 0.1
-    state = OptimizerState(schedule=Schedule(lr, 0, 1, kind="constant"), weight_decay=wd)
+    state = OptimizerState(schedule=Schedule(lr, 0, 1), weight_decay=wd)
     p = np.array([1.0, -2.0])
     g = np.array([0.5, 0.25])
 
@@ -259,7 +256,7 @@ def test_adam_step_matches_hand_formula():
 def test_sgd_momentum_and_decoupled_decay():
     lr = 0.1
     state = OptimizerState(
-        algorithm="sgd_momentum", schedule=Schedule(lr, 0, 1, kind="constant"),
+        algorithm="sgd_momentum", schedule=Schedule(lr, 0, 1),
         weight_decay=0.0,
     )
     p = np.array([1.0])
@@ -271,7 +268,7 @@ def test_sgd_momentum_and_decoupled_decay():
 
     # zero gradients leave only the decay term
     decay = OptimizerState(
-        algorithm="sgd_momentum", schedule=Schedule(lr, 0, 1, kind="constant"),
+        algorithm="sgd_momentum", schedule=Schedule(lr, 0, 1),
         weight_decay=0.5,
     )
     (p3,), _ = optimizer_step(decay, [np.array([2.0])], [np.array([0.0])])
@@ -330,6 +327,38 @@ def test_training_never_builds_the_gradient_decomposition(monkeypatch):
     assert len(history) == 1 and np.isfinite(history[0])
 
 
+def test_training_step_pseudo_label_schemes(monkeypatch):
+    calls = {}
+
+    def spy(name, real):
+        def wrapper(*args):
+            calls[name] = args
+            return real(*args)
+        return wrapper
+
+    for name, attr in (("supcon", "supcon_loss_grad"), ("dc_total", "dc_total_loss_grad")):
+        monkeypatch.setattr(dctau.model, attr, spy(name, getattr(dctau.model, attr)))
+    split = _easy_split()
+    k = split.num_known
+
+    # k_plus_k: universum row r carries pseudo label y_r + K in the dual loss
+    train_contrastive(split, _tiny_cfg(contrastive_epochs=1), np.random.default_rng(3))
+    _, labels, u, u_labels, _ = calls.pop("dc_total")
+    assert "supcon" not in calls
+    assert u.shape[0] == labels.size
+    assert np.array_equal(u_labels, labels + k)
+
+    # k_plus_one: supcon sees the batch, then its universum rows all labelled K + 1
+    cfg = _tiny_cfg(contrastive_epochs=1, pseudo_scheme="k_plus_one")
+    train_contrastive(split, cfg, np.random.default_rng(3))
+    z_all, stacked, _ = calls.pop("supcon")
+    assert "dc_total" not in calls
+    nb = stacked.size // 2
+    assert z_all.shape[0] == 2 * nb
+    assert np.all((stacked[:nb] >= 1) & (stacked[:nb] <= k))
+    assert np.all(stacked[nb:] == k + 1)
+
+
 def test_train_contrastive_initial_params_resume():
     split = _easy_split()
     cfg = _tiny_cfg(contrastive_epochs=2)
@@ -365,6 +394,6 @@ def test_trained_probe_separates_easy_blobs():
     rng = np.random.default_rng(0)
     params, _ = train_contrastive(split, cfg, rng)
     params = train_classifier(params, split, cfg, rng)
-    pred = classify(params, split.test_known.features).argmax(axis=1) + 1
+    pred = posteriors(params, split.test_known.features).argmax(axis=1) + 1
     acc = float(np.mean(pred == split.test_known.labels))
     assert acc > 0.9

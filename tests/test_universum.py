@@ -1,18 +1,11 @@
-"""Universum construction, pseudo labels, and the mixup baseline."""
+"""Target-aware universum construction."""
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from dctau.data import Batch
 from dctau.errors import InsufficientClassesError, InvalidArgumentError
-from dctau.universum import (
-    K_PLUS_K,
-    K_PLUS_ONE,
-    assign_pseudo_labels,
-    make_mixup_baseline,
-    make_universum,
-)
+from dctau.universum import make_universum
 
 
 def _class_constant_batch(values, counts):
@@ -33,11 +26,8 @@ def _class_constant_batch(values, counts):
 def test_lambda_one_returns_anchors():
     rng = np.random.default_rng(0)
     batch = Batch(rng.standard_normal((8, 3)), np.array([1, 1, 2, 2, 3, 3, 1, 2]))
-    ub = make_universum(batch, num_known=3, lam=1.0, rng=rng)
-    assert np.array_equal(ub.features, batch.features)
-    assert np.array_equal(ub.labels, batch.labels + 3)
-    assert np.array_equal(ub.source_labels, batch.labels)
-    assert ub.num_known == 3 and ub.lam == 1.0 and ub.size == 8
+    u = make_universum(batch, lam=1.0, rng=rng)
+    assert np.array_equal(u, batch.features)
 
 
 def test_exact_blend_with_class_constant_rows():
@@ -46,13 +36,13 @@ def test_exact_blend_with_class_constant_rows():
     v3 = np.array([-2.0, -2.0])
     batch = _class_constant_batch([v1, v2, v3], [2, 3, 2])
     for lam in (0.0, 0.25, 0.5, 0.9):
-        ub = make_universum(batch, num_known=3, lam=lam, rng=np.random.default_rng(5))
+        u = make_universum(batch, lam=lam, rng=np.random.default_rng(5))
         expected = {
             1: lam * v1 + (1 - lam) * (v2 + v3) / 2,
             2: lam * v2 + (1 - lam) * (v1 + v3) / 2,
             3: lam * v3 + (1 - lam) * (v1 + v2) / 2,
         }
-        for row, src in zip(ub.features, ub.source_labels):
+        for row, src in zip(u, batch.labels):
             assert np.allclose(row, expected[int(src)], atol=1e-15)
 
 
@@ -62,8 +52,8 @@ def test_hand_case_two_donor_classes():
         np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
         np.array([1, 2, 3]),
     )
-    ub = make_universum(batch, num_known=3, lam=0.5, rng=np.random.default_rng(0))
-    assert np.allclose(ub.features[0], [0.25, 0.25])
+    u = make_universum(batch, lam=0.5, rng=np.random.default_rng(0))
+    assert np.allclose(u[0], [0.25, 0.25])
 
 
 def test_donor_means_recoverable():
@@ -74,9 +64,9 @@ def test_donor_means_recoverable():
     labels = np.array([1, 1, 1, 2, 2, 2, 3, 3, 3])
     batch = Batch(feats, labels)
     lam = 0.3
-    ub = make_universum(batch, num_known=3, lam=lam, rng=np.random.default_rng(2))
+    u = make_universum(batch, lam=lam, rng=np.random.default_rng(2))
     for i in range(batch.size):
-        avg = (ub.features[i] - lam * feats[i]) / (1 - lam)
+        avg = (u[i] - lam * feats[i]) / (1 - lam)
         others = [c for c in (1, 2, 3) if c != labels[i]]
         candidates = [
             (feats[j] + feats[k]) / 2
@@ -90,68 +80,10 @@ def test_universum_validation():
     rng = np.random.default_rng(0)
     single = Batch(rng.standard_normal((4, 2)), np.ones(4, dtype=np.int64))
     with pytest.raises(InsufficientClassesError):
-        make_universum(single, num_known=1, lam=0.5, rng=rng)
+        make_universum(single, lam=0.5, rng=rng)
     two = Batch(rng.standard_normal((4, 2)), np.array([1, 1, 2, 2]))
     with pytest.raises(InvalidArgumentError):
-        make_universum(two, num_known=2, lam=-0.1, rng=rng)
+        make_universum(two, lam=-0.1, rng=rng)
     with pytest.raises(InvalidArgumentError):
-        make_universum(two, num_known=2, lam=1.1, rng=rng)
+        make_universum(two, lam=1.1, rng=rng)
 
-
-def test_mixup_fixed_lambda_blends_rows():
-    rng = np.random.default_rng(4)
-    feats = rng.standard_normal((6, 3))
-    labels = np.array([1, 1, 2, 2, 3, 3])
-    batch = Batch(feats, labels)
-    lam = 0.4
-    pair = make_mixup_baseline(batch, alpha=1.0, rng=np.random.default_rng(9),
-                               pseudo_label=7, fixed_lambda=lam)
-    assert pair.pseudo_label == 7
-    for i in range(6):
-        others = np.flatnonzero(labels != labels[i])
-        blends = [lam * feats[i] + (1 - lam) * feats[j] for j in others]
-        assert any(np.allclose(pair.features[i], b, atol=1e-12) for b in blends)
-
-
-def test_mixup_beta_coefficients_uniform_for_alpha_one():
-    # two classes of one distinctive row each: the blend coefficient is
-    # recoverable exactly, and Beta(1, 1) must look uniform
-    batch = Batch(np.array([[0.0], [1.0]]), np.array([1, 2]))
-    rng = np.random.default_rng(123)
-    lams = []
-    for _ in range(400):
-        pair = make_mixup_baseline(batch, alpha=1.0, rng=rng)
-        # row 0 blends anchor 0.0 with donor 1.0: value = 1 - lam
-        lams.append(1.0 - float(pair.features[0, 0]))
-        lams.append(float(pair.features[1, 0]))
-    assert all(0.0 <= l <= 1.0 for l in lams)
-    _, pvalue = stats.kstest(lams, "uniform")
-    assert pvalue > 0.01
-
-
-def test_mixup_validation():
-    batch = Batch(np.zeros((3, 2)), np.array([1, 2, 3]))
-    with pytest.raises(InvalidArgumentError):
-        make_mixup_baseline(batch, alpha=0.0, rng=np.random.default_rng(0))
-    single = Batch(np.zeros((3, 2)), np.ones(3, dtype=np.int64))
-    with pytest.raises(InsufficientClassesError):
-        make_mixup_baseline(single, alpha=1.0, rng=np.random.default_rng(0))
-
-
-def test_assign_pseudo_labels_schemes_and_idempotence():
-    rng = np.random.default_rng(1)
-    batch = Batch(rng.standard_normal((6, 2)), np.array([1, 2, 3, 1, 2, 3]))
-    ub = make_universum(batch, num_known=3, lam=0.5, rng=rng)
-
-    one = assign_pseudo_labels(ub, K_PLUS_ONE)
-    assert np.all(one.labels == 4)
-    assert np.array_equal(one.source_labels, batch.labels)
-
-    again = assign_pseudo_labels(one, K_PLUS_ONE)
-    assert np.all(again.labels == 4)
-
-    back = assign_pseudo_labels(one, K_PLUS_K)
-    assert np.array_equal(back.labels, ub.labels)
-
-    with pytest.raises(InvalidArgumentError):
-        assign_pseudo_labels(ub, "nope")
