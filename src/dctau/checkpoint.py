@@ -12,14 +12,18 @@ Binary layout, all integers little-endian:
               concatenated in manifest order
 
 The sidecar (<path>.json) records the full config and the master seed
-so a checkpoint is reproducible and resumable without guessing.
+so a checkpoint is reproducible and resumable without guessing. Both
+files are written to temporaries in the same directory and renamed into
+place, so an interrupted save never leaves a half-written checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -70,20 +74,34 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, seed: int) -> N
                 blocks.append(arr.astype("<f8").tobytes(order="C"))
 
     manifest_bytes = json.dumps({"blocks": manifest}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(manifest_bytes)))
-        fh.write(manifest_bytes)
-        for block in blocks:
-            fh.write(block)
-
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(manifest_bytes))
     sidecar = {
         "format_version": FORMAT_VERSION,
         "seed": int(seed),
         "config": dataclasses.asdict(cfg),
     }
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar_bytes = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+    # Stage both files beside their targets, then rename each over its
+    # target: a failed write leaves the previous checkpoint and no
+    # temporary file behind.
+    staged = {}
+    try:
+        for target, chunks in (
+            (path, [header, manifest_bytes, *blocks]),
+            (sidecar_path(path), [sidecar_bytes]),
+        ):
+            staged[target] = tmp = f"{target}.tmp{os.getpid()}"
+            with open(tmp, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+    except BaseException:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    for target, tmp in staged.items():
+        os.replace(tmp, target)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None, int | None]:

@@ -100,11 +100,6 @@ class Batch:
             raise InvalidArgumentError("batch features/labels shapes are inconsistent")
 
     @property
-    def present_classes(self) -> np.ndarray:
-        """Sorted distinct labels occurring in the batch."""
-        return np.unique(self.labels)
-
-    @property
     def size(self) -> int:
         return self.features.shape[0]
 

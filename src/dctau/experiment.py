@@ -144,10 +144,16 @@ def save_split(split: OpenSplit, out_dir) -> dict:
 
 
 def load_split(data_dir) -> OpenSplit:
-    """Read the CSVs written by save_split (manifest optional)."""
-    train = read_dataset_csv(os.path.join(data_dir, TRAIN_CSV))
-    test_known = read_dataset_csv(os.path.join(data_dir, TEST_KNOWN_CSV))
-    test_unknown = read_dataset_csv(os.path.join(data_dir, TEST_UNKNOWN_CSV))
+    """Read the CSVs written by save_split (manifest optional).
+
+    When manifest.json is present, the row counts and dim it records
+    must match the CSVs, so a file cut at a row boundary is rejected
+    rather than evaluated on fewer rows.
+    """
+    names = {"train": TRAIN_CSV, "test_known": TEST_KNOWN_CSV, "test_unknown": TEST_UNKNOWN_CSV}
+    paths = {key: os.path.join(data_dir, name) for key, name in names.items()}
+    read = {key: read_dataset_csv(path) for key, path in paths.items()}
+    train, test_known, test_unknown = read.values()
     if train.class_count < 1:
         raise InvalidArgumentError(f"{data_dir}/{TRAIN_CSV} has no known classes")
     k = max(train.class_count, test_known.class_count)
@@ -160,8 +166,20 @@ def load_split(data_dir) -> OpenSplit:
             with open(manifest_path, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
             original = tuple(int(c) for c in manifest.get("original_known_ids", original))
+            rows = manifest.get("rows", {})
+            if not isinstance(rows, dict):
+                raise TypeError("rows is not an object")
         except (ValueError, TypeError, AttributeError) as exc:
             raise InvalidArgumentError(f"{manifest_path}: corrupt split manifest ({exc})") from exc
+        for key, ds in read.items():
+            if key in rows and rows[key] != ds.n_rows:
+                raise InvalidArgumentError(
+                    f"{paths[key]}: {ds.n_rows} rows, but {manifest_path} records {rows[key]!r}"
+                )
+            if "dim" in manifest and manifest["dim"] != ds.dim:
+                raise InvalidArgumentError(
+                    f"{paths[key]}: dim {ds.dim}, but {manifest_path} records {manifest['dim']!r}"
+                )
     return OpenSplit(train, test_known, test_unknown, original)
 
 

@@ -89,12 +89,16 @@ def oscr_curve(
     correct = kp.argmax(axis=1) + 1 == true_labels
     unknown_conf = up.max(axis=1)
 
-    points = []
-    for delta in np.unique(np.concatenate([known_conf, unknown_conf])):
-        ccr = float(np.mean(correct & (known_conf >= delta)))
-        fpr = float(np.mean(unknown_conf >= delta))
-        points.append(CurvePoint(float(delta), ccr, fpr))
-    return points
+    deltas = np.unique(np.concatenate([known_conf, unknown_conf]))
+
+    def rate(conf: np.ndarray, total: int) -> list[float]:
+        """Share of ``total`` rows with a ``conf`` value >= each delta."""
+        ranked = np.sort(conf)
+        return ((ranked.size - np.searchsorted(ranked, deltas, side="left")) / total).tolist()
+
+    ccr = rate(known_conf[correct], known_conf.size)
+    fpr = rate(unknown_conf, unknown_conf.size)
+    return [CurvePoint(*pt) for pt in zip(deltas.tolist(), ccr, fpr)]
 
 
 def oscr(known_posteriors, known_true_labels, unknown_posteriors) -> float:

@@ -29,22 +29,24 @@ def make_universum(batch: Batch, lam: float, rng: np.random.Generator) -> np.nda
     *other* class present in the batch (fresh draws per anchor), the
     donors are averaged, and the row is lam*anchor + (1-lam)*average.
     Returns the (rows, dim) blended features; row r blends anchor r.
+
+    Draw order, the reproducibility contract: one bounded-integer draw
+    per (anchor, other class) pair, anchor-major with the other classes
+    in ascending label order. Each draw picks a position among that
+    class's rows in batch order; a single-row class consumes no entropy.
+    All draws come from one ``rng.integers`` call, which yields the same
+    stream as one scalar call per pair.
     """
     if not 0.0 <= lam <= 1.0:
         raise InvalidArgumentError("lam must lie in [0, 1]")
-    present = batch.present_classes
+    present, cls, counts = np.unique(batch.labels, return_inverse=True, return_counts=True)
     if present.size < 2:
         raise InsufficientClassesError("universum construction needs >= 2 classes in the batch")
 
-    rows_by_class = {int(c): np.flatnonzero(batch.labels == c) for c in present}
-    feats = np.empty_like(batch.features)
-    for i in range(batch.size):
-        donors = []
-        for c in present:
-            if c == batch.labels[i]:
-                continue
-            idx = rows_by_class[int(c)]
-            donors.append(batch.features[idx[rng.integers(idx.size)]])
-        avg = np.mean(donors, axis=0)
-        feats[i] = lam * batch.features[i] + (1.0 - lam) * avg
-    return feats
+    by_class = np.argsort(cls, kind="stable")  # row indices grouped by class
+    starts = np.cumsum(counts) - counts
+    others = np.arange(present.size - 1)
+    donor_cls = others + (others >= cls[:, None])  # (rows, C-1), skips the anchor's class
+    pos = rng.integers(0, counts[donor_cls])
+    avg = batch.features[by_class[starts[donor_cls] + pos]].mean(axis=1)
+    return lam * batch.features + (1.0 - lam) * avg

@@ -1,11 +1,14 @@
 """Binary checkpoint format: roundtrips and corruption handling."""
 
+import itertools
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from dctau import checkpoint
 from dctau.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -134,3 +137,57 @@ def test_empty_encoder_roundtrip(tmp_path):
     loaded, _, _ = load_checkpoint(path)
     assert loaded.encoder == ()
     assert np.array_equal(loaded.projection[0].weight, params.projection[0].weight)
+
+
+class _FailingFile:
+    """Delegates to a real file, except that write number ``fail_at``,
+    counted across every file opened since the last reset, raises."""
+
+    writes = 0
+
+    def __init__(self, fh, fail_at):
+        self._fh, self._fail_at = fh, fail_at
+
+    def write(self, data):
+        _FailingFile.writes += 1
+        if _FailingFile.writes == self._fail_at:
+            raise OSError("disk full")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.bin"
+    params = _params()
+    save_checkpoint(path, params, _cfg(), 17)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    newer = init_params(5, (8, 6), 4, 3, seed=43, classifier_hidden=7)
+
+    # fail each write of the save in turn, until a save has none left to fail
+    for fail_at in itertools.count(1):
+        _FailingFile.writes = 0
+        monkeypatch.setattr(
+            checkpoint, "open", lambda *a, **k: _FailingFile(open(*a, **k), fail_at), raising=False
+        )
+        try:
+            save_checkpoint(path, newer, _cfg(), 18)
+            break
+        except OSError as exc:
+            assert "disk full" in str(exc)
+        assert sorted(os.listdir(tmp_path)) == sorted(before), fail_at
+        assert all((tmp_path / n).read_bytes() == b for n, b in before.items()), fail_at
+        loaded, _, seed = load_checkpoint(path)
+        assert seed == 17 and np.array_equal(loaded.encoder[0].weight, params.encoder[0].weight)
+
+    assert fail_at > 3  # header, manifest, each block and the sidecar each failed once
+    loaded, _, seed = load_checkpoint(path)
+    assert seed == 18 and np.array_equal(loaded.encoder[0].weight, newer.encoder[0].weight)
+    assert sorted(os.listdir(tmp_path)) == sorted(before)

@@ -234,7 +234,9 @@ def test_malformed_split_csv_exits_2(tmp_path, capsys, name, text):
     assert name in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["{", "[1, 2]", '{"original_known_ids": 3}'])
+@pytest.mark.parametrize(
+    "text", ["{", "[1, 2]", '{"original_known_ids": 3}', '{"rows": [1, 2]}', '{"dim": 99}']
+)
 def test_malformed_split_manifest_exits_2(tmp_path, capsys, text):
     data = tmp_path / "data"
     assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
@@ -243,6 +245,19 @@ def test_malformed_split_manifest_exits_2(tmp_path, capsys, text):
                  "--set", f"data_dir={data}"])
     assert code == 2
     assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["train.csv", "test_known.csv", "test_unknown.csv"])
+def test_split_csv_missing_a_row_exits_2(tmp_path, capsys, name):
+    data = tmp_path / "data"
+    assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
+    lines = (data / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    (data / name).write_text("".join(lines[:-1]), encoding="utf-8")
+    code = _run(["generate", "--out", str(tmp_path / "again"), "--quiet",
+                 "--set", f"data_dir={data}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert name in err and "rows" in err
 
 
 def _rewrite_manifest(path, edit):

@@ -130,6 +130,34 @@ def test_oscr_curve_shape_and_extremes():
     assert points[-1].fpr == 0.0 and points[-1].ccr == 0.5
 
 
+def _oscr_curve_loop(known_post, known_true, unknown_post):
+    """One mean per cutoff: the direct reading of the curve's definition."""
+    known_conf = known_post.max(axis=1)
+    correct = known_post.argmax(axis=1) + 1 == known_true
+    unknown_conf = unknown_post.max(axis=1)
+    return [
+        CurvePoint(
+            float(delta),
+            float(np.mean(correct & (known_conf >= delta))),
+            float(np.mean(unknown_conf >= delta)),
+        )
+        for delta in np.unique(np.concatenate([known_conf, unknown_conf]))
+    ]
+
+
+def test_oscr_curve_equals_per_cutoff_loop_exactly():
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n_k, n_u = (int(v) for v in rng.integers(1, 120, 2))
+        k = int(rng.integers(2, 6))
+        kp = rng.dirichlet(np.ones(k), size=n_k)
+        up = rng.dirichlet(np.ones(k) * 0.7, size=n_u)
+        if trial % 2:  # heavy ties within and across the two sets
+            kp, up = np.round(kp, 1), np.round(up, 1)
+        true = rng.integers(1, k + 1, n_k)
+        assert oscr_curve(kp, true, up) == _oscr_curve_loop(kp, true, up), trial
+
+
 def test_oscr_validation():
     kp = np.array([[0.9, 0.1]])
     with pytest.raises(InvalidArgumentError):

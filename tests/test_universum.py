@@ -8,6 +8,23 @@ from dctau.errors import InsufficientClassesError, InvalidArgumentError
 from dctau.universum import make_universum
 
 
+def _reference_universum(batch, lam, rng):
+    """The per-anchor loop that make_universum vectorizes: one scalar
+    draw per (anchor, other class), anchor-major, classes ascending."""
+    present = np.unique(batch.labels)
+    rows_by_class = {int(c): np.flatnonzero(batch.labels == c) for c in present}
+    feats = np.empty_like(batch.features)
+    for i in range(batch.size):
+        donors = []
+        for c in present:
+            if c == batch.labels[i]:
+                continue
+            idx = rows_by_class[int(c)]
+            donors.append(batch.features[idx[rng.integers(idx.size)]])
+        feats[i] = lam * batch.features[i] + (1.0 - lam) * np.mean(donors, axis=0)
+    return feats
+
+
 def _class_constant_batch(values, counts):
     """A batch where every row of class c equals one fixed vector.
 
@@ -87,3 +104,31 @@ def test_universum_validation():
     with pytest.raises(InvalidArgumentError):
         make_universum(two, lam=1.1, rng=rng)
 
+
+
+def _grid_batches():
+    """Seeded batches over sizes, class counts and dims, including two
+    classes, single-row classes, one-dim rows and non-contiguous labels."""
+    gen = np.random.default_rng(2024)
+    for classes in (2, 3, 5, 9, 12):
+        for rows in (classes, classes + 1, 2 * classes + 3, 128):
+            for dim in (1, 2, 7, 64):
+                labels = np.concatenate(
+                    [np.arange(1, classes + 1), gen.integers(1, classes + 1, rows - classes)]
+                )
+                gen.shuffle(labels)
+                yield Batch(gen.standard_normal((rows, dim)), 3 * labels)
+    # one big class next to single-row classes
+    yield Batch(gen.standard_normal((40, 5)), np.r_[np.ones(37, dtype=np.int64), 2, 3, 4])
+
+
+def test_matches_reference_loop_bitwise_with_same_rng_state():
+    for n, batch in enumerate(_grid_batches()):
+        lam = (0.0, 0.3, 0.75, 1.0)[n % 4]
+        rng_ref = np.random.default_rng([7, n])
+        rng_vec = np.random.default_rng([7, n])
+        expected = _reference_universum(batch, lam, rng_ref)
+        got = make_universum(batch, lam, rng_vec)
+        assert got.shape == batch.features.shape
+        assert np.array_equal(got, expected), n
+        assert rng_vec.bit_generator.state == rng_ref.bit_generator.state, n
