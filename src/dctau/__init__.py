@@ -63,7 +63,6 @@ from .model import (
     ModelParams,
     OptimizerState,
     Schedule,
-    backprop_classifier,
     backprop_embedding,
     cross_entropy_loss_grad,
     embed,

@@ -12,7 +12,9 @@ Binary layout, all integers little-endian:
               concatenated in manifest order
 
 The sidecar (<path>.json) records the full config and the master seed
-so a checkpoint is reproducible and resumable without guessing. Both
+so a checkpoint is reproducible and resumable without guessing. A
+sidecar whose config names an unknown key (one a newer version removed,
+say) or holds a value of the wrong type is rejected as corrupt. Both
 files are written to temporaries in the same directory and renamed into
 place, so an interrupted save never leaves a half-written checkpoint.
 """
@@ -153,6 +155,8 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None, int | None]:
                 fan_in is not None and weight.shape[0] != fan_in
             ):
                 raise InvalidArgumentError(f"{path}: mismatched shapes in {section} layer {idx}")
+            if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+                raise InvalidArgumentError(f"{path}: non-finite values in {section} layer {idx}")
             out.append(DenseLayer(weight, bias))
             fan_in = weight.shape[1]
         return tuple(out)
@@ -165,10 +169,11 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None, int | None]:
     try:
         with open(sidecar_path(path), "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        raw = dict(sidecar.get("config", {}))
-        if "hidden" in raw:
-            raw["hidden"] = tuple(raw["hidden"])
-        return params, TrainConfig(**raw), int(sidecar["seed"])
+        cfg = TrainConfig(**sidecar.get("config", {}))
+        seed = sidecar["seed"]
+        if type(seed) is not int:
+            raise TypeError(f"seed: expected int, got {seed!r}")
+        return params, cfg, seed
     except FileNotFoundError:
         return params, None, None
     except (ValueError, TypeError, KeyError, AttributeError) as exc:

@@ -5,8 +5,12 @@ checkpoint), eval (score a checkpoint on a split), ablate (sweep one
 knob into a CSV table), verify (run the numeric oracle suite).
 
 Config precedence: built-in defaults < --config file < flags (--seed
-and repeated --set key=value). The effective config is echoed to
-stdout (unless --quiet) and always written to <out>/effective_config.txt.
+and repeated --set key=value). Every config key is set through --set;
+no subcommand has a flag of its own for one. eval takes the checkpoint
+sidecar's config as its base, and a sidecar that names an unknown key
+or holds a value of the wrong type is rejected. The effective config is
+echoed to stdout (unless --quiet) and always written to
+<out>/effective_config.txt.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 numeric
 failure, 4 I/O failure.
@@ -83,11 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train", help="run both training steps and save a checkpoint")
     _add_common_flags(p)
-    p.add_argument("--epochs-contrastive", type=int, metavar="N",
-                   help="override contrastive_epochs")
-    p.add_argument("--epochs-classifier", type=int, metavar="N",
-                   help="override classifier_epochs")
-    p.add_argument("--resume", metavar="CKPT", help="initialize from this checkpoint")
 
     p = subs.add_parser("eval", help="evaluate a checkpoint on its (or a given) split")
     _add_common_flags(p)
@@ -115,12 +114,6 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
         overrides[key.strip()] = value.strip()
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    if getattr(args, "epochs_contrastive", None) is not None:
-        overrides["contrastive_epochs"] = str(args.epochs_contrastive)
-    if getattr(args, "epochs_classifier", None) is not None:
-        overrides["classifier_epochs"] = str(args.epochs_classifier)
-    if getattr(args, "resume", None):
-        overrides["resume_from"] = args.resume
     return overrides
 
 

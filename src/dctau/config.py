@@ -5,16 +5,22 @@ lines starting with ``#`` are ignored; every other line must be a known
 key. Unknown keys are hard errors so sweep typos fail loudly instead of
 silently running defaults. Precedence (applied by the CLI): built-in
 defaults < file values < command-line flags.
+
+Every value is checked against its field's declared type when a
+``TrainConfig`` is built, so config files, ``--set`` flags, checkpoint
+sidecars and library callers share one typed path: a float field takes
+an int, an int field rejects a bool, and ``hidden`` takes any sequence
+of ints.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
 
-OPTIMIZERS = ("adam", "sgd_momentum")
 PSEUDO_SCHEMES = ("k_plus_k", "k_plus_one", "none")
 
 
@@ -40,27 +46,23 @@ class TrainConfig:
     # model
     hidden: tuple[int, ...] = (64, 64)
     proj_dim: int = 16
-    classifier_hidden: int = 0
     # training
     contrastive_epochs: int = 600
     classifier_epochs: int = 20
     batch_size: int = 128
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
     warmup_epochs: int = 10
     sigma: float = 0.1
-    two_views: bool = False
-    unfreeze_encoder: bool = False
     resume_from: str = ""
     # rejection
     percentile: float = 5.0
-    per_class_thresholds: bool = True
-    thresholds_on_correct_only: bool = True
     # reproducibility
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
         checks = [
             (self.class_count >= 2, "class_count must be >= 2"),
             (self.per_class >= 1, "per_class must be >= 1"),
@@ -76,11 +78,9 @@ class TrainConfig:
             (self.gamma >= 0, "gamma must be >= 0"),
             (all(h >= 1 for h in self.hidden), "hidden widths must be >= 1"),
             (self.proj_dim >= 1, "proj_dim must be >= 1"),
-            (self.classifier_hidden >= 0, "classifier_hidden must be >= 0"),
             (self.contrastive_epochs >= 0, "contrastive_epochs must be >= 0"),
             (self.classifier_epochs >= 0, "classifier_epochs must be >= 0"),
             (self.batch_size >= 2, "batch_size must be >= 2"),
-            (self.optimizer in OPTIMIZERS, f"optimizer must be one of {OPTIMIZERS}"),
             (self.learning_rate > 0, "learning_rate must be > 0"),
             (self.weight_decay >= 0, "weight_decay must be >= 0"),
             (self.warmup_epochs >= 0, "warmup_epochs must be >= 0"),
@@ -91,6 +91,26 @@ class TrainConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+
+
+def _typed(key: str, kind: str, value):
+    """``value`` as the declared ``kind``, or ConfigError naming ``key``."""
+    if kind == "tuple[int, ...]":
+        if isinstance(value, (tuple, list)) and all(_is_int(v) for v in value):
+            return tuple(int(v) for v in value)
+    elif kind == "int":
+        if _is_int(value):
+            return int(value)
+    elif kind == "float":
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+    elif isinstance(value, {"bool": bool, "str": str}[kind]):
+        return value
+    raise ConfigError(f"{key}: expected {kind}, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 CONFIG_DOC = {
@@ -108,21 +128,15 @@ CONFIG_DOC = {
     "include_universum_term": "false drops the universum-anchored term from the loss",
     "hidden": "comma-separated encoder widths, e.g. 64,64 (empty = identity encoder)",
     "proj_dim": "projection head output dimensionality",
-    "classifier_hidden": "hidden width of the classifier head; 0 = linear probe",
     "contrastive_epochs": "epochs of representation training (step one)",
     "classifier_epochs": "epochs of classifier training (step two)",
     "batch_size": "training batch size",
-    "optimizer": "adam or sgd_momentum",
     "learning_rate": "base learning rate",
     "weight_decay": "decoupled weight decay coefficient",
     "warmup_epochs": "linear warmup epochs before cosine decay (step one)",
     "sigma": "Gaussian augmentation noise std; 0 disables augmentation",
-    "two_views": "true trains on two augmented views of each batch row",
-    "unfreeze_encoder": "true lets step two update the encoder as well",
     "resume_from": "checkpoint path to initialize step-one training from",
     "percentile": "rejection threshold percentile in (0, 100)",
-    "per_class_thresholds": "false uses one global threshold instead of per-class",
-    "thresholds_on_correct_only": "false fits thresholds on all rows, not just correct ones",
     "seed": "master seed; every random draw derives from it",
 }
 

@@ -8,6 +8,7 @@ never silently reshuffles another stage.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -25,6 +26,7 @@ from .data import (
     generate_blobs,
     read_dataset_csv,
     split_open_set,
+    write_dataset_csv,
 )
 from .errors import ConfigError, InvalidArgumentError
 from .metrics import auroc, closed_accuracy, macro_f1, oscr
@@ -121,8 +123,6 @@ def make_split(cfg: TrainConfig) -> OpenSplit:
 
 def save_split(split: OpenSplit, out_dir) -> dict:
     """Write the three CSVs plus a manifest; returns the manifest dict."""
-    from .data import write_dataset_csv
-
     os.makedirs(out_dir, exist_ok=True)
     write_dataset_csv(split.train, os.path.join(out_dir, TRAIN_CSV))
     write_dataset_csv(split.test_known, os.path.join(out_dir, TEST_KNOWN_CSV))
@@ -201,13 +201,7 @@ def evaluate_params(params: ModelParams, split: OpenSplit, cfg: TrainConfig) -> 
     """Fit thresholds on training rows, score the two test sets."""
     start = time.perf_counter()
     train_post = posteriors(params, split.train.features)
-    table = fit_thresholds(
-        train_post,
-        split.train.labels,
-        cfg.percentile,
-        correct_only=cfg.thresholds_on_correct_only,
-        per_class=cfg.per_class_thresholds,
-    )
+    table = fit_thresholds(train_post, split.train.labels, cfg.percentile)
     known_post = posteriors(params, split.test_known.features)
     unknown_post = posteriors(params, split.test_unknown.features)
 
@@ -307,8 +301,6 @@ def _mean_row(key: str, value, reports: list[EvalReport]) -> SweepRow:
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(

@@ -1,17 +1,19 @@
-"""Dense encoder, projection head, classifier, optimizer, and training.
+"""Dense encoder, projection head, linear probe, optimizer, and training.
 
 The network is small and explicit: an MLP encoder of ReLU layers, a
 two-layer projection head whose output is L2-normalized onto the unit
-sphere, and a classifier head that consumes encoder features directly
-(the projection exists only for the contrastive step). Forward passes
-cache enough to make backward passes exact; there is no autodiff.
+sphere, and a linear classifier (the probe) that consumes encoder
+features directly (the projection exists only for the contrastive
+step). Forward passes cache enough to make backward passes exact; there
+is no autodiff.
 
 Training happens in two steps. Step one fits encoder + projection with
 the contrastive loss over augmented batches and their universum rows.
-Step two freezes the encoder (flag to unfreeze) and fits the classifier
-with cross entropy on the same training rows. Both steps share the
-optimizer (Adam or SGD with momentum, decoupled weight decay) and a
-cosine learning-rate schedule; linear warmup applies to step one only.
+Step two is a linear probe: the encoder is frozen, its features of the
+training rows are computed once, and the classifier is fit on them with
+cross entropy. Both steps share the optimizer (Adam with decoupled
+weight decay) and a cosine learning-rate schedule; linear warmup
+applies to step one only.
 
 Gradients passed to the optimizer are scaled by 1/batch_rows so step
 sizes do not grow with the batch size (the loss functions themselves
@@ -35,7 +37,6 @@ _NORM_FLOOR = 1e-12
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-_SGD_MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -72,45 +73,29 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Cached layer inputs and pre-activations for exact backprop.
-
-    encoder/projection sections are filled by embed; the classifier
-    section by forward_classifier (which also fills the encoder
-    section so the unfrozen-encoder path can keep going backward).
-    """
+    """Cached layer inputs and pre-activations of embed, for exact backprop."""
 
     inputs: np.ndarray
     encoder_inputs: list[np.ndarray]
     encoder_pre: list[np.ndarray]
     encoder_out: np.ndarray
-    proj_inputs: list[np.ndarray] = field(default_factory=list)
-    proj_pre: list[np.ndarray] = field(default_factory=list)
-    p: np.ndarray | None = None
-    p_norm: np.ndarray | None = None
-    z: np.ndarray | None = None
-    cls_inputs: list[np.ndarray] = field(default_factory=list)
-    cls_pre: list[np.ndarray] = field(default_factory=list)
-    logits: np.ndarray | None = None
+    proj_inputs: list[np.ndarray]
+    proj_pre: list[np.ndarray]
+    p: np.ndarray
+    p_norm: np.ndarray
+    z: np.ndarray
 
 
-def init_params(
-    dim: int,
-    hidden,
-    proj_dim: int,
-    num_classes: int,
-    seed: int,
-    classifier_hidden: int = 0,
-) -> ModelParams:
+def init_params(dim: int, hidden, proj_dim: int, num_classes: int, seed: int) -> ModelParams:
     """He-uniform weights (limit sqrt(6/fan_in)), zero biases.
 
-    An empty hidden list makes the encoder the identity map. A nonzero
-    classifier_hidden inserts one ReLU layer of that width before the
-    final class logits.
+    An empty hidden list makes the encoder the identity map; the
+    classifier is one linear layer from the encoder output to the logits.
     """
     hidden = tuple(int(h) for h in hidden)
     if dim < 1 or proj_dim < 1 or num_classes < 1:
         raise InvalidArgumentError("dim, proj_dim, and num_classes must be >= 1")
-    if any(h < 1 for h in hidden) or classifier_hidden < 0:
+    if any(h < 1 for h in hidden):
         raise InvalidArgumentError("hidden widths must be >= 1")
 
     rng = np.random.default_rng(seed)
@@ -126,11 +111,7 @@ def init_params(
         encoder.append(make_layer(width, h))
         width = h
     projection = (make_layer(width, width), make_layer(width, proj_dim))
-    if classifier_hidden:
-        classifier = (make_layer(width, classifier_hidden), make_layer(classifier_hidden, num_classes))
-    else:
-        classifier = (make_layer(width, num_classes),)
-    return ModelParams(tuple(encoder), projection, classifier)
+    return ModelParams(tuple(encoder), projection, (make_layer(width, num_classes),))
 
 
 def _chain_forward(layers, x, relu_last: bool):
@@ -201,7 +182,7 @@ def backprop_embedding(params: ModelParams, trace: ForwardTrace, d_z: np.ndarray
     gradient component parallel to z is discarded.
     """
     d_z = np.asarray(d_z, dtype=np.float64)
-    if trace.z is None or d_z.shape != trace.z.shape:
+    if d_z.shape != trace.z.shape:
         raise InvalidArgumentError("d_z shape must match the embedding rows")
     d_p = (d_z - (d_z * trace.z).sum(axis=1, keepdims=True) * trace.z) / trace.p_norm[:, None]
     proj_grads, d_enc = _chain_backward(
@@ -213,23 +194,22 @@ def backprop_embedding(params: ModelParams, trace: ForwardTrace, d_z: np.ndarray
     return enc_grads, proj_grads
 
 
-def forward_classifier(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Logits = classifier(E(x)); the projection head is not involved."""
-    inputs = _check_inputs(params, inputs)
-    enc_out, enc_in, enc_pre = _chain_forward(params.encoder, inputs, relu_last=True)
-    logits, cls_in, cls_pre = _chain_forward(params.classifier, enc_out, relu_last=False)
+def _encode(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """Encoder features E(x) of checked inputs."""
+    return _chain_forward(params.encoder, _check_inputs(params, inputs), relu_last=True)[0]
+
+
+def _classify(classifier, feats: np.ndarray):
+    """Classifier forward on encoder features; returns (logits, inputs, pres)."""
+    logits, cls_in, cls_pre = _chain_forward(classifier, feats, relu_last=False)
     if not np.isfinite(logits).all():
         raise NumericError("classifier logits are non-finite")
-    trace = ForwardTrace(
-        inputs=inputs,
-        encoder_inputs=enc_in,
-        encoder_pre=enc_pre,
-        encoder_out=enc_out,
-        cls_inputs=cls_in,
-        cls_pre=cls_pre,
-        logits=logits,
-    )
-    return logits, trace
+    return logits, cls_in, cls_pre
+
+
+def forward_classifier(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+    """Logits = classifier(E(x)); the projection head is not involved."""
+    return _classify(params.classifier, _encode(params, inputs))[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -241,9 +221,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def posteriors(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Class posterior matrix; rows sum to 1."""
-    # index the result so the forward trace is freed before the softmax
-    return softmax(forward_classifier(params, inputs)[0])
+    """Class posterior matrix; rows sum to 1.
+
+    Weights large enough to overflow the forward pass (a corrupt
+    checkpoint, say) raise NumericError, not a RuntimeWarning.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return softmax(forward_classifier(params, inputs))
+    except FloatingPointError as exc:
+        raise NumericError(f"posteriors: {exc}") from exc
 
 
 def cross_entropy_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -259,24 +246,6 @@ def cross_entropy_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarr
     grad = np.exp(log_probs)
     grad[np.arange(n), idx] -= 1.0
     return value, grad / n
-
-
-def backprop_classifier(params: ModelParams, trace: ForwardTrace, d_logits: np.ndarray):
-    """Classifier-head gradients plus d(loss)/d(encoder output)."""
-    if trace.logits is None or d_logits.shape != trace.logits.shape:
-        raise InvalidArgumentError("d_logits shape must match the logits")
-    cls_grads, d_enc = _chain_backward(
-        params.classifier, trace.cls_inputs, trace.cls_pre, d_logits, relu_last=False
-    )
-    return cls_grads, d_enc
-
-
-def backprop_encoder(params: ModelParams, trace: ForwardTrace, d_enc_out: np.ndarray):
-    """Encoder gradients given d(loss)/d(encoder output)."""
-    enc_grads, _ = _chain_backward(
-        params.encoder, trace.encoder_inputs, trace.encoder_pre, d_enc_out, relu_last=True
-    )
-    return enc_grads
 
 
 # --- optimizer ---------------------------------------------------------
@@ -300,29 +269,24 @@ class Schedule:
 
 @dataclass
 class OptimizerState:
-    """Adam or SGD-with-momentum over a flat list of parameter arrays.
+    """Adam over a flat list of parameter arrays.
 
     Moment accumulators are created lazily to mirror the first gradient
     shapes. Weight decay is decoupled: applied directly to parameters,
     scaled by the current learning rate, never entering the moments.
     """
 
-    algorithm: str = "adam"
     schedule: Schedule = field(default_factory=Schedule)
     weight_decay: float = 1e-4
     step_count: int = 0
     m: list | None = None
     v: list | None = None
 
-    def __post_init__(self):
-        if self.algorithm not in ("adam", "sgd_momentum"):
-            raise InvalidArgumentError(f"unknown optimizer {self.algorithm!r}")
-
 
 def optimizer_step(
     state: OptimizerState, arrays: list, grads: list, epoch: int = 0
 ) -> tuple[list, OptimizerState]:
-    """One update over aligned parameter/gradient arrays."""
+    """One Adam update over aligned parameter/gradient arrays."""
     if len(arrays) != len(grads):
         raise InvalidArgumentError("parameter and gradient lists must align")
     for idx, g in enumerate(grads):
@@ -338,15 +302,11 @@ def optimizer_step(
 
     out = []
     for i, (p, g) in enumerate(zip(arrays, grads)):
-        if state.algorithm == "adam":
-            state.m[i] = _ADAM_BETA1 * state.m[i] + (1 - _ADAM_BETA1) * g
-            state.v[i] = _ADAM_BETA2 * state.v[i] + (1 - _ADAM_BETA2) * g * g
-            m_hat = state.m[i] / (1 - _ADAM_BETA1**t)
-            v_hat = state.v[i] / (1 - _ADAM_BETA2**t)
-            step = m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        else:
-            state.m[i] = _SGD_MOMENTUM * state.m[i] + g
-            step = state.m[i]
+        state.m[i] = _ADAM_BETA1 * state.m[i] + (1 - _ADAM_BETA1) * g
+        state.v[i] = _ADAM_BETA2 * state.v[i] + (1 - _ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1 - _ADAM_BETA1**t)
+        v_hat = state.v[i] / (1 - _ADAM_BETA2**t)
+        step = m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         out.append(p - lr * step - lr * state.weight_decay * p)
     return out, state
 
@@ -410,16 +370,12 @@ def train_contrastive(
     num_known = split.num_known
     if initial is None:
         init_seed = int(rng.integers(2**32))
-        params = init_params(
-            split.train.dim, cfg.hidden, cfg.proj_dim, num_known, init_seed,
-            classifier_hidden=cfg.classifier_hidden,
-        )
+        params = init_params(split.train.dim, cfg.hidden, cfg.proj_dim, num_known, init_seed)
     else:
         params = initial
 
     loss_cfg = LossConfig(cfg.temperature, cfg.gamma, cfg.include_universum_term)
     state = OptimizerState(
-        algorithm=cfg.optimizer,
         schedule=Schedule(cfg.learning_rate, cfg.warmup_epochs, max(1, cfg.contrastive_epochs)),
         weight_decay=cfg.weight_decay,
     )
@@ -429,12 +385,6 @@ def train_contrastive(
         batch_means = []
         for b_idx, batch in enumerate(epoch_batches(split.train, cfg.batch_size, rng)):
             view = augment_gaussian(batch, cfg.sigma, rng)
-            if cfg.two_views:
-                second = augment_gaussian(batch, cfg.sigma, rng)
-                view = Batch(
-                    np.vstack([view.features, second.features]),
-                    np.concatenate([view.labels, second.labels]),
-                )
             value, d_z_all, trace = _loss_step(params, view, num_known, cfg, loss_cfg, rng)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
@@ -460,45 +410,36 @@ def train_classifier(
     rng: np.random.Generator,
     history_out: list | None = None,
 ) -> ModelParams:
-    """Step two: fit the classifier head with cross entropy.
+    """Step two: fit the linear probe with cross entropy; the encoder is frozen.
 
-    The encoder stays bit-identical unless cfg.unfreeze_encoder is set.
-    No augmentation here: the classifier is calibrated on the same raw
-    rows the rejection thresholds will later be fit on.
+    The encoder features of the training rows are computed once, and
+    every batch fits the classifier layers on its rows of them. No
+    augmentation here: the classifier is calibrated on the same raw rows
+    the rejection thresholds will later be fit on.
     """
     train = split.train
+    feats = _encode(params, train.features)
     schedule = Schedule(cfg.learning_rate, 0, max(1, cfg.classifier_epochs))
-    state = OptimizerState(
-        algorithm=cfg.optimizer, schedule=schedule, weight_decay=cfg.weight_decay
-    )
+    state = OptimizerState(schedule=schedule, weight_decay=cfg.weight_decay)
 
+    classifier = params.classifier
     for epoch in range(cfg.classifier_epochs):
         perm = rng.permutation(train.n_rows)
         epoch_losses = []
         for lo in range(0, train.n_rows, cfg.batch_size):
             rows = perm[lo : lo + cfg.batch_size]
-            logits, trace = forward_classifier(params, train.features[rows])
+            logits, cls_in, cls_pre = _classify(classifier, feats[rows])
             value, d_logits = cross_entropy_loss_grad(logits, train.labels[rows])
             if not np.isfinite(value):
                 raise NumericError(
                     f"non-finite classifier loss at epoch {epoch}, batch {lo // cfg.batch_size}"
                 )
-            cls_grads, d_enc = backprop_classifier(params, trace, d_logits)
-            arrays = _layer_arrays(params.classifier)
-            gradl = _grad_arrays(cls_grads)
-            if cfg.unfreeze_encoder:
-                arrays = arrays + _layer_arrays(params.encoder)
-                gradl = gradl + _grad_arrays(backprop_encoder(params, trace, d_enc))
-            arrays, state = optimizer_step(state, arrays, gradl, epoch)
-            n_cls = 2 * len(params.classifier)
-            new_cls = _arrays_to_layers(arrays[:n_cls])
-            if cfg.unfreeze_encoder:
-                params = replace(
-                    params, classifier=new_cls, encoder=_arrays_to_layers(arrays[n_cls:])
-                )
-            else:
-                params = replace(params, classifier=new_cls)
+            grads, _ = _chain_backward(classifier, cls_in, cls_pre, d_logits, relu_last=False)
+            arrays, state = optimizer_step(
+                state, _layer_arrays(classifier), _grad_arrays(grads), epoch
+            )
+            classifier = _arrays_to_layers(arrays)
             epoch_losses.append(value)
         if history_out is not None:
             history_out.append(float(np.mean(epoch_losses)))
-    return params
+    return replace(params, classifier=classifier)

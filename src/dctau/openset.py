@@ -9,8 +9,7 @@ clears that class's threshold; otherwise the row is marked unknown.
 A low percentile means "reject anything less confident than the
 classifier's own bottom few percent on data it classified correctly",
 so the unknown decision is calibrated per class rather than by one
-magic number. Flags select a single global threshold or fitting on all
-rows.
+magic number.
 """
 
 from __future__ import annotations
@@ -69,16 +68,14 @@ def fit_thresholds(
     train_posteriors: np.ndarray,
     train_labels,
     percentile: float,
-    correct_only: bool = True,
-    per_class: bool = True,
 ) -> ThresholdTable:
     """Estimate rejection thresholds from training confidences.
 
     Class i's threshold is the given percentile (linear interpolation)
     of the max-posterior confidences of its correctly classified rows.
     A class with no correct rows falls back to the global percentile
-    over all pooled rows; per_class=False gives every class that global
-    value; correct_only=False pools all rows instead of correct ones.
+    over the correct rows of every class (over all rows if none is
+    correct).
     """
     if not 0.0 < percentile < 100.0:
         raise InvalidArgumentError("percentile must lie in (0, 100)")
@@ -92,13 +89,10 @@ def fit_thresholds(
 
     conf = posteriors.max(axis=1)
     predicted = posteriors.argmax(axis=1) + 1
-    keep = (predicted == labels) if correct_only else np.ones(labels.size, dtype=bool)
+    keep = predicted == labels
 
     pool = conf[keep] if keep.any() else conf
     global_eps = float(np.percentile(pool, percentile))
-
-    if not per_class:
-        return ThresholdTable(np.full(k, global_eps), percentile)
 
     eps = np.empty(k)
     for c in range(1, k + 1):

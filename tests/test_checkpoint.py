@@ -22,7 +22,7 @@ from dctau.model import init_params
 
 
 def _params():
-    return init_params(5, (8, 6), 4, 3, seed=42, classifier_hidden=7)
+    return init_params(5, (8, 6), 4, 3, seed=42)
 
 
 def _cfg():
@@ -169,7 +169,7 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     params = _params()
     save_checkpoint(path, params, _cfg(), 17)
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-    newer = init_params(5, (8, 6), 4, 3, seed=43, classifier_hidden=7)
+    newer = init_params(5, (8, 6), 4, 3, seed=43)
 
     # fail each write of the save in turn, until a save has none left to fail
     for fail_at in itertools.count(1):

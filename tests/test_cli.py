@@ -150,7 +150,7 @@ def test_train_resume_flag(tmp_path):
     resumed = tmp_path / "resumed"
     assert _run([
         "train", "--out", str(resumed), "--seed", "5", "--quiet", *_FAST,
-        "--resume", str(warm / CHECKPOINT_FILE),
+        "--set", f"resume_from={warm / CHECKPOINT_FILE}",
     ]) == 0
     cold, _, _ = load_checkpoint(warm / CHECKPOINT_FILE)
     hot, _, _ = load_checkpoint(resumed / CHECKPOINT_FILE)
@@ -332,6 +332,7 @@ def test_truncated_artifacts_never_raise(tmp_path, capsys):
                  ("train.csv", "test_known.csv", "test_unknown.csv", "manifest.json")]
     artifacts += [ckpt, run / f"{CHECKPOINT_FILE}.json"]
     argv = ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval"), "--quiet"]
+    masks = np.random.default_rng(0)
     for path in artifacts:
         original = path.read_bytes()
         n = len(original)
@@ -342,6 +343,14 @@ def test_truncated_artifacts_never_raise(tmp_path, capsys):
             assert code in (0, 2), (path.name, cut, code)
             if path == ckpt:
                 assert code == 2, cut
+            # the same offset with one byte flipped instead: the flip may
+            # score (0), be rejected (2), overflow the forward pass (3) or
+            # point data_dir at no file (4), but never raise
+            flipped = bytearray(original)
+            flipped[cut] ^= int(masks.integers(1, 256))
+            path.write_bytes(bytes(flipped))
+            code = _run(argv)
+            assert code in (0, 2, 3, 4), (path.name, cut, code)
         path.write_bytes(original)
     assert _run(argv) == 0
     capsys.readouterr()

@@ -1,0 +1,129 @@
+"""TrainConfig typing, the key = value text format, and removed keys."""
+
+import dataclasses
+import json
+
+import pytest
+
+from dctau.checkpoint import save_checkpoint, sidecar_path
+from dctau.cli import CHECKPOINT_FILE, main
+from dctau.config import TrainConfig, parse_config_text, serialize_config
+from dctau.errors import ConfigError
+from dctau.model import init_params
+
+# one value per field that differs from its default
+_NON_DEFAULT = {
+    "class_count": 7,
+    "per_class": 33,
+    "dim": 5,
+    "spread": 0.45,
+    "known_count": 4,
+    "test_fraction": 0.25,
+    "data_dir": "some/dir",
+    "lam": 0.3,
+    "pseudo_scheme": "k_plus_one",
+    "temperature": 0.07,
+    "gamma": 2.5,
+    "include_universum_term": False,
+    "hidden": (32, 16, 8),
+    "proj_dim": 12,
+    "contrastive_epochs": 11,
+    "classifier_epochs": 13,
+    "batch_size": 64,
+    "learning_rate": 3e-3,
+    "weight_decay": 0.0,
+    "warmup_epochs": 0,
+    "sigma": 0.0,
+    "resume_from": "warm.bin",
+    "percentile": 12.5,
+    "seed": 4242,
+}
+
+_REMOVED = {
+    "two_views": "true",
+    "unfreeze_encoder": "true",
+    "classifier_hidden": "8",
+    "optimizer": "adam",
+    "per_class_thresholds": "false",
+    "thresholds_on_correct_only": "false",
+}
+
+
+def test_non_default_values_cover_every_field():
+    fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    assert len(fields) == 24
+    assert set(_NON_DEFAULT) == set(fields)
+    assert all(_NON_DEFAULT[k] != v for k, v in fields.items())
+
+
+@pytest.mark.parametrize(
+    "cfg", [TrainConfig(), TrainConfig(**_NON_DEFAULT), TrainConfig(hidden=())],
+    ids=["default", "non-default", "identity-encoder"],
+)
+def test_serialize_then_parse_round_trips_every_field(cfg):
+    values = parse_config_text(serialize_config(cfg))
+    assert list(values) == [f.name for f in dataclasses.fields(TrainConfig)]
+    back = TrainConfig(**values)
+    assert back == cfg
+    for name, value in values.items():
+        assert type(value) is type(getattr(cfg, name)), name
+
+
+def test_declared_types_are_enforced_for_library_callers():
+    cfg = TrainConfig(spread=1, hidden=[8, 4])
+    assert type(cfg.spread) is float and cfg.spread == 1.0  # floats take ints
+    assert cfg.hidden == (8, 4)  # any int sequence becomes a tuple
+    for bad in ({"per_class": True}, {"dim": 4.0}, {"seed": 1.5}, {"data_dir": 5},
+                {"hidden": [8.5]}, {"hidden": 8}, {"include_universum_term": 1},
+                {"temperature": "0.1"}, {"pseudo_scheme": None}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED))
+def test_set_of_a_removed_key_exits_2(tmp_path, capsys, key):
+    code = main(["generate", "--out", str(tmp_path), "--quiet",
+                 "--set", f"{key}={_REMOVED[key]}"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--epochs-contrastive", "--epochs-classifier", "--resume"])
+def test_train_has_no_flag_that_renames_a_key(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train", "--out", str(tmp_path), flag, "3"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _checkpoint_with_sidecar_config(tmp_path, edit):
+    ckpt = tmp_path / CHECKPOINT_FILE
+    save_checkpoint(ckpt, init_params(4, (8,), 4, 3, seed=0), TrainConfig(), 0)
+    path = sidecar_path(ckpt)
+    with open(path, encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    edit(sidecar["config"])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh)
+    return ckpt
+
+
+def test_sidecar_naming_a_removed_key_exits_2(tmp_path, capsys):
+    ckpt = _checkpoint_with_sidecar_config(tmp_path, lambda c: c.update(two_views=False))
+    code = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "corrupt sidecar" in err and "two_views" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("data_dir", 5), ("seed", 1.5), ("dim", 4.0), ("hidden", [8.5]), ("batch_size", 16.5),
+     ("per_class", True), ("include_universum_term", 1)],
+)
+def test_ill_typed_sidecar_value_exits_2(tmp_path, capsys, key, value):
+    ckpt = _checkpoint_with_sidecar_config(tmp_path, lambda c: c.update({key: value}))
+    code = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "corrupt sidecar" in err and key in err

@@ -1,4 +1,4 @@
-"""The fast demos run to completion against the current API."""
+"""Every demo runs to completion against the current API."""
 
 import os
 import subprocess
@@ -10,7 +10,9 @@ import pytest
 _ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["demo_universum.py", "demo_losses.py"])
+@pytest.mark.parametrize(
+    "demo", ["demo_universum.py", "demo_losses.py", "demo_training.py", "demo_sweep.py"]
+)
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

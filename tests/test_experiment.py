@@ -1,6 +1,5 @@
 """End-to-end run orchestration: splits, reports, and sweeps."""
 
-import dataclasses
 import json
 import warnings
 
@@ -14,7 +13,6 @@ from dctau.experiment import (
     SWEEP_KEYS,
     EvalReport,
     derive_seeds,
-    evaluate_params,
     load_split,
     make_split,
     run_experiment,
@@ -168,22 +166,6 @@ def test_sweep_csv_round_numbers(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "lambda" and first[1] == "0.3"
     assert float(first[2]) == rows[0].auroc
-
-
-def test_evaluate_params_respects_threshold_flags():
-    cfg = _tiny_cfg()
-    params, split, _, _ = run_experiment(cfg)
-    strict = evaluate_params(params, split, cfg)
-    pooled = evaluate_params(
-        params, split, dataclasses.replace(cfg, thresholds_on_correct_only=False)
-    )
-    global_mode = evaluate_params(
-        params, split, dataclasses.replace(cfg, per_class_thresholds=False)
-    )
-    assert strict.auroc == pooled.auroc == global_mode.auroc
-    assert np.allclose(
-        global_mode.thresholds.thresholds, global_mode.thresholds.thresholds[0]
-    )
 
 
 def test_resume_from_checkpoint_changes_start(tmp_path):

@@ -15,9 +15,9 @@ from dctau.model import (
     DenseLayer,
     OptimizerState,
     Schedule,
-    backprop_classifier,
+    _chain_backward,
+    _chain_forward,
     backprop_embedding,
-    backprop_encoder,
     cross_entropy_loss_grad,
     embed,
     forward_classifier,
@@ -85,15 +85,10 @@ def test_init_params_variants_and_validation():
     assert ident.encoder == ()
     assert ident.encoder_dim == 4
 
-    deep_cls = init_params(4, (6,), 3, 2, seed=0, classifier_hidden=5)
-    assert [l.weight.shape for l in deep_cls.classifier] == [(6, 5), (5, 2)]
-
     with pytest.raises(InvalidArgumentError):
         init_params(0, (4,), 3, 2, seed=0)
     with pytest.raises(InvalidArgumentError):
         init_params(4, (0,), 3, 2, seed=0)
-    with pytest.raises(InvalidArgumentError):
-        init_params(4, (4,), 3, 2, seed=0, classifier_hidden=-1)
 
 
 def test_embed_unit_norm_and_validation():
@@ -155,30 +150,24 @@ def test_backprop_embedding_matches_finite_differences():
 
 
 def test_classifier_backprop_matches_finite_differences():
+    # the probe's gradient as train_classifier takes it: fixed encoder
+    # features, one linear layer, cross entropy
     params = init_params(3, (5,), 4, 3, seed=21)
     x = np.random.default_rng(2).standard_normal((8, 3))
     labels = np.array([1, 2, 3, 1, 2, 3, 1, 2])
+    feats, _, _ = _chain_forward(params.encoder, x, relu_last=True)
+    (probe,) = params.classifier
 
-    logits, trace = forward_classifier(params, x)
+    logits, cls_in, cls_pre = _chain_forward(params.classifier, feats, relu_last=False)
+    assert np.array_equal(logits, forward_classifier(params, x))
     _, d_logits = cross_entropy_loss_grad(logits, labels)
-    cls_grads, d_enc = backprop_classifier(params, trace, d_logits)
-    enc_grads = backprop_encoder(params, trace, d_enc)
-    analytic = (
-        [a for dw, db in enc_grads for a in (dw, db)]
-        + [a for dw, db in cls_grads for a in (dw, db)]
-    )
+    (analytic,), _ = _chain_backward(params.classifier, cls_in, cls_pre, d_logits, relu_last=False)
 
     def value():
-        lg, _ = forward_classifier(params, x)
-        v, _ = cross_entropy_loss_grad(lg, labels)
+        v, _ = cross_entropy_loss_grad(feats @ probe.weight + probe.bias, labels)
         return v
 
-    arrays = []
-    for layer in params.encoder:
-        arrays.extend([layer.weight, layer.bias])
-    for layer in params.classifier:
-        arrays.extend([layer.weight, layer.bias])
-
+    arrays = [probe.weight, probe.bias]
     worst = 0.0
     for arr, grad in zip(arrays, analytic):
         it = np.nditer(arr, flags=["multi_index"])
@@ -252,27 +241,10 @@ def test_adam_step_matches_hand_formula():
     assert np.allclose(p2, p1 - lr * step2 - lr * wd * p1, atol=1e-15)
     assert state.step_count == 2
 
-
-def test_sgd_momentum_and_decoupled_decay():
-    lr = 0.1
-    state = OptimizerState(
-        algorithm="sgd_momentum", schedule=Schedule(lr, 0, 1),
-        weight_decay=0.0,
-    )
-    p = np.array([1.0])
-    g1, g2 = np.array([0.2]), np.array([-0.1])
-    (p1,), state = optimizer_step(state, [p], [g1])
-    assert np.allclose(p1, p - lr * g1)
-    (p2,), state = optimizer_step(state, [p1], [g2])
-    assert np.allclose(p2, p1 - lr * (0.9 * g1 + g2))
-
-    # zero gradients leave only the decay term
-    decay = OptimizerState(
-        algorithm="sgd_momentum", schedule=Schedule(lr, 0, 1),
-        weight_decay=0.5,
-    )
+    # decay is decoupled: zero gradients leave only the decay term
+    decay = OptimizerState(schedule=Schedule(lr, 0, 1), weight_decay=0.5)
     (p3,), _ = optimizer_step(decay, [np.array([2.0])], [np.array([0.0])])
-    assert np.allclose(p3, 2.0 - lr * 0.5 * 2.0)
+    assert p3 == 2.0 - lr * 0.5 * 2.0
 
 
 def test_optimizer_validation():
@@ -281,8 +253,6 @@ def test_optimizer_validation():
         optimizer_step(state, [np.zeros(2)], [])
     with pytest.raises(NumericError):
         optimizer_step(state, [np.zeros(2)], [np.array([np.nan, 0.0])])
-    with pytest.raises(InvalidArgumentError):
-        OptimizerState(algorithm="rmsprop")
 
 
 def _tiny_cfg(**kw):
@@ -311,10 +281,6 @@ def test_train_contrastive_scheme_variants_run():
         cfg = _tiny_cfg(contrastive_epochs=2, pseudo_scheme=scheme)
         _, history = train_contrastive(split, cfg, np.random.default_rng(1))
         assert len(history) == 2 and all(np.isfinite(h) for h in history)
-
-    cfg = _tiny_cfg(contrastive_epochs=2, two_views=True)
-    _, history = train_contrastive(split, cfg, np.random.default_rng(1))
-    assert len(history) == 2 and all(np.isfinite(h) for h in history)
 
 
 def test_training_never_builds_the_gradient_decomposition(monkeypatch):
@@ -380,12 +346,8 @@ def test_train_classifier_freezes_encoder():
         assert np.array_equal(before.weight, after.weight)
         assert np.array_equal(before.bias, after.bias)
     assert not np.array_equal(params.classifier[0].weight, trained.classifier[0].weight)
-
-    unfrozen = train_classifier(
-        params, split, dataclasses.replace(cfg, unfreeze_encoder=True),
-        np.random.default_rng(0),
-    )
-    assert not np.array_equal(params.encoder[0].weight, unfrozen.encoder[0].weight)
+    for before, after in zip(params.projection, trained.projection):
+        assert np.array_equal(before.weight, after.weight)
 
 
 def test_trained_probe_separates_easy_blobs():

@@ -50,11 +50,8 @@ def test_correct_only_filters_misclassified_rows():
         [0.2, 0.6, 0.2],
     ])
     labels = np.array([1, 2, 1, 2])
-    strict = fit_thresholds(post, labels, 50.0)
-    assert strict.thresholds[1] == pytest.approx(np.percentile([0.8, 0.6], 50.0))
-
-    pooled = fit_thresholds(post, labels, 50.0, correct_only=False)
-    assert pooled.thresholds[1] == pytest.approx(np.percentile([0.8, 0.7, 0.6], 50.0))
+    table = fit_thresholds(post, labels, 50.0)
+    assert table.thresholds[1] == pytest.approx(np.percentile([0.8, 0.6], 50.0))
 
 
 def test_class_without_correct_rows_falls_back_to_global():
@@ -77,15 +74,6 @@ def test_no_correct_rows_at_all_pools_everything():
     labels = np.array([1, 2])  # both rows misclassified
     table = fit_thresholds(post, labels, 50.0)
     assert np.allclose(table.thresholds, np.percentile([0.9, 0.8], 50.0))
-
-
-def test_global_mode_shares_one_threshold():
-    rng = np.random.default_rng(0)
-    conf = rng.uniform(0.5, 1.0, 40)
-    labels = rng.integers(1, 4, 40)
-    table = fit_thresholds(_rows(conf, labels), labels, 70.0, per_class=False)
-    assert np.allclose(table.thresholds, table.thresholds[0])
-    assert table.thresholds[0] == pytest.approx(np.percentile(conf, 70.0))
 
 
 def test_fit_validation():
