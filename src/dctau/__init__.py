@@ -75,10 +75,8 @@ from .model import (
     train_contrastive,
 )
 from .openset import (
-    OpenPrediction,
     ThresholdTable,
     fit_thresholds,
-    predict_open,
     predict_open_many,
     write_thresholds_csv,
 )

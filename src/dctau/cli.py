@@ -19,7 +19,6 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -162,13 +161,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     ckpt_path = os.path.join(args.out, CHECKPOINT_FILE)
     save_checkpoint(ckpt_path, params, cfg, cfg.seed)
+    lines = ["phase,epoch,loss"]
+    lines += [f"contrastive,{epoch},{loss!r}" for epoch, loss in enumerate(history)]
+    lines += [f"classifier,{epoch},{loss!r}" for epoch, loss in enumerate(cls_history)]
     with open(os.path.join(args.out, HISTORY_FILE), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phase", "epoch", "loss"])
-        for epoch, loss in enumerate(history):
-            writer.writerow(["contrastive", epoch, repr(loss)])
-        for epoch, loss in enumerate(cls_history):
-            writer.writerow(["classifier", epoch, repr(loss)])
+        fh.write("\n".join(lines) + "\n")
     if not args.quiet:
         last_c = f"{history[-1]:.6f}" if history else "n/a"
         last_f = f"{cls_history[-1]:.6f}" if cls_history else "n/a"

@@ -13,6 +13,7 @@ seed / generator passed in.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,42 +204,49 @@ def augment_gaussian(batch: Batch, sigma: float, rng: np.random.Generator) -> Ba
 
 def write_dataset_csv(ds: Dataset, path) -> None:
     """Write ``f0,...,f{d-1},label`` rows; UTF-8, LF line endings."""
+    lines = [",".join([f"f{j}" for j in range(ds.dim)] + ["label"])]
+    lines += [
+        ",".join(map(repr, row + [label]))
+        for row, label in zip(ds.features.tolist(), ds.labels.tolist())
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{j}" for j in range(ds.dim)] + ["label"])
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_dataset_csv(path) -> Dataset:
     """Read a dataset written by ``write_dataset_csv``.
 
+    The header's last cell must be ``label``. Body rows are parsed by
+    numpy's C reader: features as floats, labels as integers (``1.0`` is
+    not a label), blank lines skipped, and ``#`` is data, not a comment.
     A malformed file (empty, not UTF-8, a row whose cell count differs
     from the header, a non-numeric cell) raises InvalidArgumentError
     naming the file.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, "r", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+            body = fh.read()
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InvalidArgumentError(f"{path}: unreadable CSV ({exc})") from exc
-    if not rows or not rows[0] or rows[0][-1] != "label":
+    if not header or header[-1] != "label":
         raise InvalidArgumentError(f"{path}: expected a header with a trailing 'label' column")
-    width = len(rows[0])
-    body = []
-    for number, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise InvalidArgumentError(
-                f"{path}: row {number} has {len(row)} cells, the header has {width}"
-            )
-        body.append(row)
+    width = len(header)
+    if not body.strip("\n"):
+        # no rows, only the header and maybe blank lines: loadtxt would warn
+        return Dataset(np.empty((0, width - 1)), np.empty(0, dtype=np.int64), 0)
     try:
-        feats = np.array([[float(v) for v in r[:-1]] for r in body], dtype=np.float64)
-        labels = np.array([int(r[-1]) for r in body], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise InvalidArgumentError(f"{path}: non-numeric cell ({exc})") from exc
-    feats = feats.reshape(len(body), width - 1)
+        table = np.loadtxt(
+            io.StringIO(body),
+            delimiter=",",
+            dtype=[("f", np.float64, (width - 1,)), ("y", np.int64)],
+            ndmin=1,
+            comments=None,
+            quotechar='"',
+        )
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{path}: malformed row ({exc})") from exc
+    feats = np.ascontiguousarray(table["f"])
+    labels = np.ascontiguousarray(table["y"])
     class_count = 0 if np.all(labels == UNKNOWN_LABEL) else int(labels.max())
     return Dataset(feats, labels, class_count)

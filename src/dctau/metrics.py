@@ -17,7 +17,6 @@ so there is no binning to argue about.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +159,6 @@ def closed_accuracy(predicted, truth) -> float:
 
 def write_curve_csv(points: list[CurvePoint], path) -> None:
     """Export `delta,ccr,fpr` rows for external plotting."""
+    lines = ["delta,ccr,fpr"] + [f"{pt.delta!r},{pt.ccr!r},{pt.fpr!r}" for pt in points]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["delta", "ccr", "fpr"])
-        for pt in points:
-            writer.writerow([repr(pt.delta), repr(pt.ccr), repr(pt.fpr)])
+        fh.write("\n".join(lines) + "\n")

@@ -14,7 +14,6 @@ magic number.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +43,6 @@ class ThresholdTable:
     @property
     def num_classes(self) -> int:
         return self.thresholds.size
-
-
-@dataclass(frozen=True)
-class OpenPrediction:
-    """label is a class in 1..K or UNKNOWN_LABEL; confidence = max posterior."""
-
-    label: int
-    confidence: float
 
 
 def _check_posteriors(posteriors: np.ndarray) -> np.ndarray:
@@ -101,23 +92,15 @@ def fit_thresholds(
     return ThresholdTable(eps, percentile)
 
 
-def predict_open(posterior: np.ndarray, table: ThresholdTable) -> OpenPrediction:
-    """Argmax with per-class acceptance; ties break to the smallest class."""
-    posterior = np.asarray(posterior, dtype=np.float64)
-    if posterior.ndim != 1 or posterior.size != table.num_classes:
-        raise InvalidArgumentError("posterior length must match the threshold table")
-    if abs(posterior.sum() - 1.0) > _POSTERIOR_ATOL:
-        raise InvalidArgumentError("posterior must sum to 1 within 1e-6")
-    best = int(posterior.argmax())
-    conf = float(posterior[best])
-    label = best + 1 if conf >= table.thresholds[best] else UNKNOWN_LABEL
-    return OpenPrediction(label, conf)
-
-
 def predict_open_many(
     posteriors: np.ndarray, table: ThresholdTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized predict_open; returns (labels, confidences)."""
+    """Per-row argmax with per-class acceptance; returns (labels, confidences).
+
+    A row keeps its argmax class (ties break to the smallest class) only
+    if that confidence meets the class's threshold; otherwise it is
+    UNKNOWN_LABEL.
+    """
     posteriors = _check_posteriors(posteriors)
     if posteriors.shape[1] != table.num_classes:
         raise InvalidArgumentError("posterior width must match the threshold table")
@@ -129,9 +112,7 @@ def predict_open_many(
 
 def write_thresholds_csv(table: ThresholdTable, path) -> None:
     """Export `class,threshold` rows under a percentile comment line."""
+    lines = [f"# percentile={table.percentile!r}", "class,threshold"]
+    lines += [f"{c},{eps!r}" for c, eps in enumerate(table.thresholds.tolist(), start=1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# percentile={table.percentile!r}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "threshold"])
-        for c, eps in enumerate(table.thresholds, start=1):
-            writer.writerow([c, repr(float(eps))])
+        fh.write("\n".join(lines) + "\n")

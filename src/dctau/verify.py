@@ -30,7 +30,7 @@ from .losses import (
 )
 from .metrics import auroc, macro_f1, oscr
 from .model import backprop_embedding, embed, init_params
-from .openset import ThresholdTable, fit_thresholds, predict_open
+from .openset import ThresholdTable, fit_thresholds, predict_open_many
 from .universum import make_universum
 from .data import Batch
 
@@ -337,10 +337,10 @@ def check_threshold_rules() -> CheckResult:
     direct = float(np.percentile([0.2, 0.4, 0.6, 0.8, 1.0], 50.0))
     interp_ok = abs(direct - 0.6) < 1e-12
 
-    t = ThresholdTable(np.array([0.6, 0.5]), 5.0)
-    reject = predict_open(np.array([0.55, 0.45]), t)
-    accept = predict_open(np.array([0.55, 0.45]), ThresholdTable(np.array([0.5, 0.5]), 5.0))
-    rule_ok = reject.label == 0 and accept.label == 1
+    row = np.array([[0.55, 0.45]])
+    reject, _ = predict_open_many(row, ThresholdTable(np.array([0.6, 0.5]), 5.0))
+    accept, _ = predict_open_many(row, ThresholdTable(np.array([0.5, 0.5]), 5.0))
+    rule_ok = reject[0] == 0 and accept[0] == 1
 
     ok = bool(fit_ok and interp_ok and rule_ok)
     return CheckResult(

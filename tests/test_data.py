@@ -1,5 +1,8 @@
 """Blob generation, open splits, epoch batching, augmentation, CSV round trips."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,54 @@ from dctau.data import (
     write_dataset_csv,
 )
 from dctau.errors import InvalidArgumentError, UnsatisfiableBatchError
+
+
+def _reference_read(path):
+    """The csv.reader parse that read_dataset_csv replaces: every cell
+    through a Python float() or int()."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidArgumentError(f"{path}: unreadable CSV ({exc})") from exc
+    if not rows or not rows[0] or rows[0][-1] != "label":
+        raise InvalidArgumentError(f"{path}: expected a header with a trailing 'label' column")
+    width = len(rows[0])
+    body = []
+    for number, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise InvalidArgumentError(
+                f"{path}: row {number} has {len(row)} cells, the header has {width}"
+            )
+        body.append(row)
+    try:
+        feats = np.array([[float(v) for v in r[:-1]] for r in body], dtype=np.float64)
+        labels = np.array([int(r[-1]) for r in body], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{path}: non-numeric cell ({exc})") from exc
+    feats = feats.reshape(len(body), width - 1)
+    class_count = 0 if np.all(labels == UNKNOWN_LABEL) else int(labels.max())
+    return Dataset(feats, labels, class_count)
+
+
+def _reference_write(ds, path):
+    """The csv.writer export that write_dataset_csv replaces."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"f{j}" for j in range(ds.dim)] + ["label"])
+        for row, label in zip(ds.features, ds.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+def _read_outcome(reader, path):
+    """A reader's result as comparable bits, or None if it rejects the file."""
+    try:
+        ds = reader(path)
+    except InvalidArgumentError:
+        return None
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.class_count
 
 
 def test_blobs_deterministic_and_class_major():
@@ -189,3 +240,77 @@ def test_dataset_validation():
         Dataset(np.zeros(4), np.array([1, 1, 1, 1]), 1)  # 1-d features
     with pytest.raises(InvalidArgumentError):
         Dataset(feats, np.array([1, 1, 2]), 2)  # length mismatch
+
+
+def _edge_dataset():
+    ds = generate_blobs(3, 3, 3, 1.0, seed=4)
+    feats = ds.features.copy()
+    feats[0, :] = [-0.0, 5e-324, 1e300]
+    feats[4, 1] = -2.5e-08
+    return Dataset(feats, ds.labels, 3)
+
+
+def test_csv_writer_matches_csv_module_bytes(tmp_path):
+    unknown = Dataset(np.array([[1e300, -0.0], [5e-324, 0.1]]), np.zeros(2, dtype=np.int64), 0)
+    empty = Dataset(np.empty((0, 4)), np.empty(0, dtype=np.int64), 0)
+    featureless = Dataset(np.empty((2, 0)), np.zeros(2, dtype=np.int64), 0)
+    for n, ds in enumerate([_edge_dataset(), unknown, empty, featureless]):
+        got, want = tmp_path / f"got{n}.csv", tmp_path / f"want{n}.csv"
+        write_dataset_csv(ds, got)
+        _reference_write(ds, want)
+        assert got.read_bytes() == want.read_bytes(), n
+        assert _read_outcome(read_dataset_csv, got) == _read_outcome(_reference_read, want), n
+
+
+def test_csv_reader_matches_reference_on_cuts_and_flips(tmp_path):
+    source = tmp_path / "source.csv"
+    write_dataset_csv(_edge_dataset(), source)
+    original = source.read_bytes()
+    bits = np.random.default_rng(5).integers(0, 8, size=len(original))
+    variants = [original[:cut] for cut in range(len(original) + 1)]
+    for i, bit in enumerate(bits.tolist()):
+        for mask in (0xFF, 1 << bit):
+            flipped = bytearray(original)
+            flipped[i] ^= mask
+            variants.append(bytes(flipped))
+    path = tmp_path / "variant.csv"
+    accepted = 0
+    for n, data in enumerate(variants):
+        path.write_bytes(data)
+        expected = _read_outcome(_reference_read, path)
+        assert _read_outcome(read_dataset_csv, path) == expected, (n, data)
+        accepted += expected is not None
+    # both sides of the comparison are exercised
+    assert 0 < accepted < len(variants)
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ("f0,f1,label\n", 0),
+        ("f0,f1,label\n\n\n", 0),
+        ("f0,f1,label\r\n0.5,-1.5,1\r\n2.0,3.0,2\r\n", 2),
+        ("f0,f1,label\n0.5,-1.5,1\n\n2.0,3.0,2\n", 2),
+        ('f0,f1,label\n"0.5",-1.5,1\n', 1),
+        ("f0,f1,label\n#0.5,-1.5,1\n2.0,3.0,2\n", None),
+        ("f0,f1,label\n0.5,-1.5,1.0\n", None),
+        ("f0,f1,label\n0.5,-1.5,1,\n", None),
+    ],
+    ids=["header-only", "header-and-blank-lines", "crlf", "blank-line", "quoted-cell",
+         "hash-row", "float-label", "trailing-comma"],
+)
+def test_csv_reader_cases(tmp_path, text, rows):
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = _read_outcome(read_dataset_csv, path)
+        assert outcome == _read_outcome(_reference_read, path)
+        if rows is None:
+            with pytest.raises(InvalidArgumentError, match="case.csv"):
+                read_dataset_csv(path)
+            return
+        ds = read_dataset_csv(path)
+    assert ds.features.shape == (rows, 2) and ds.labels.shape == (rows,)
+    if rows:
+        assert ds.features[0].tolist() == [0.5, -1.5] and ds.labels[0] == 1

@@ -1,5 +1,7 @@
 """Metric implementations checked against brute-force pair and sweep oracles."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,20 @@ def test_curve_csv_format(tmp_path):
     write_curve_csv(points, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["delta,ccr,fpr", "0.5,1.0,1.0", "0.75,0.5,0.0"]
+
+
+def test_curve_csv_matches_csv_module_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    known = rng.dirichlet(np.ones(3), size=40)
+    unknown = rng.dirichlet(np.ones(3), size=30)
+    points = oscr_curve(known, rng.integers(1, 4, size=40), unknown)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_curve_csv(points, got)
+    # the csv.writer export that write_curve_csv replaces
+    with open(want, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["delta", "ccr", "fpr"])
+        for pt in points:
+            writer.writerow([repr(pt.delta), repr(pt.ccr), repr(pt.fpr)])
+    assert len(points) > 2
+    assert got.read_bytes() == want.read_bytes()

@@ -6,10 +6,8 @@ import pytest
 from dctau.data import UNKNOWN_LABEL
 from dctau.errors import InvalidArgumentError
 from dctau.openset import (
-    OpenPrediction,
     ThresholdTable,
     fit_thresholds,
-    predict_open,
     predict_open_many,
     write_thresholds_csv,
 )
@@ -92,18 +90,18 @@ def test_fit_validation():
 
 def test_predict_open_accepts_and_rejects():
     table = ThresholdTable(np.array([0.6, 0.9]), 50.0)
-    accept = predict_open(np.array([0.7, 0.3]), table)
-    assert accept == OpenPrediction(1, 0.7)
-    reject = predict_open(np.array([0.2, 0.8]), table)
-    assert reject.label == UNKNOWN_LABEL and reject.confidence == 0.8
-    boundary = predict_open(np.array([0.6, 0.4]), table)
-    assert boundary.label == 1  # meeting the threshold exactly is acceptance
+    labels, conf = predict_open_many(np.array([[0.7, 0.3]]), table)
+    assert labels.tolist() == [1] and conf.tolist() == [0.7]
+    labels, conf = predict_open_many(np.array([[0.2, 0.8]]), table)
+    assert labels.tolist() == [UNKNOWN_LABEL] and conf.tolist() == [0.8]
+    labels, _ = predict_open_many(np.array([[0.6, 0.4]]), table)
+    assert labels.tolist() == [1]  # meeting the threshold exactly is acceptance
 
 
 def test_predict_open_tie_breaks_to_smallest_class():
     table = ThresholdTable(np.array([0.1, 0.1]), 50.0)
-    pred = predict_open(np.array([0.5, 0.5]), table)
-    assert pred.label == 1
+    labels, _ = predict_open_many(np.array([[0.5, 0.5]]), table)
+    assert labels.tolist() == [1]
 
 
 def test_predict_open_many_matches_loop():
@@ -112,17 +110,19 @@ def test_predict_open_many_matches_loop():
     table = ThresholdTable(rng.uniform(0.2, 0.8, 4), 50.0)
     labels, conf = predict_open_many(post, table)
     for i in range(50):
-        single = predict_open(post[i], table)
-        assert labels[i] == single.label
-        assert conf[i] == pytest.approx(single.confidence, abs=1e-15)
+        # one row at a time: argmax, then the class's threshold
+        best = int(post[i].argmax())
+        accepted = post[i, best] >= table.thresholds[best]
+        assert labels[i] == (best + 1 if accepted else UNKNOWN_LABEL)
+        assert conf[i] == post[i, best]
 
 
 def test_predict_validation():
     table = ThresholdTable(np.array([0.5, 0.5]), 50.0)
     with pytest.raises(InvalidArgumentError):
-        predict_open(np.array([0.5, 0.5, 0.0]), table)
+        predict_open_many(np.array([[0.5, 0.5, 0.0]]), table)
     with pytest.raises(InvalidArgumentError):
-        predict_open(np.array([0.9, 0.9]), table)
+        predict_open_many(np.array([[0.9, 0.9]]), table)
     with pytest.raises(InvalidArgumentError):
         predict_open_many(np.ones((2, 3)) / 3.0, table)
 
