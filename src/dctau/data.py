@@ -23,6 +23,7 @@ from .errors import InvalidArgumentError, UnsatisfiableBatchError
 UNKNOWN_LABEL = 0
 
 _EPOCH_RESHUFFLE_LIMIT = 50
+_ASCII_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,9 @@ def read_dataset_csv(path) -> Dataset:
     numpy's C reader: features as floats, labels as integers (``1.0`` is
     not a label), blank lines skipped, and ``#`` is data, not a comment.
     A malformed file (empty, not UTF-8, a row whose cell count differs
-    from the header, a non-numeric cell) raises InvalidArgumentError
-    naming the file.
+    from the header, a non-numeric cell, an ASCII separator character
+    0x1c-0x1f anywhere in the body) raises InvalidArgumentError naming
+    the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -232,6 +234,9 @@ def read_dataset_csv(path) -> Dataset:
     if not header or header[-1] != "label":
         raise InvalidArgumentError(f"{path}: expected a header with a trailing 'label' column")
     width = len(header)
+    # numpy's reader would strip these around a number as whitespace
+    if any(sep in body for sep in _ASCII_SEPARATORS):
+        raise InvalidArgumentError(f"{path}: ASCII separator character in a row")
     if not body.strip("\n"):
         # no rows, only the header and maybe blank lines: loadtxt would warn
         return Dataset(np.empty((0, width - 1)), np.empty(0, dtype=np.int64), 0)

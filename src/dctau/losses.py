@@ -113,10 +113,37 @@ class _CoreResult:
     per_anchor: np.ndarray
     grad: np.ndarray
     anchor_partial: np.ndarray
-    pos_mask: np.ndarray
-    den_mask: np.ndarray
     valid: np.ndarray
     skipped: int
+
+
+class LossWorkspace:
+    """The loss core's n x n buffers, kept between calls.
+
+    A training run makes one and passes it to every loss call, so the
+    core neither allocates nor page-faults in about 3 MB of temporaries
+    per step. Each buffer is flat and grows
+    on demand; a call at n rows works in contiguous views of its first
+    n*n entries, so one workspace serves every batch size. Nothing the
+    core returns aliases these buffers.
+    """
+
+    def __init__(self):
+        self._sims = np.empty(0)
+        self._w = np.empty(0)
+        self._pos = np.empty(0, dtype=bool)
+        self._den = np.empty(0, dtype=bool)
+
+    def views(self, n: int):
+        """(sims, w, pos_mask, den_mask) as n x n views of the buffers."""
+        if self._sims.size < n * n:
+            self._sims = np.empty(n * n)
+            self._w = np.empty(n * n)
+            self._pos = np.empty(n * n, dtype=bool)
+            self._den = np.empty(n * n, dtype=bool)
+        return tuple(
+            buf[: n * n].reshape(n, n) for buf in (self._sims, self._w, self._pos, self._den)
+        )
 
 
 def _check_rows(name: str, rows: np.ndarray) -> np.ndarray:
@@ -137,47 +164,64 @@ def _stacked_core(
     n_known: int,
     weight: np.ndarray,
     tau: float,
+    work: LossWorkspace | None = None,
 ) -> _CoreResult:
     """One masked softmax over the stacked rows; see the module docstring.
 
     Rows before n_known are known, the rest universum. Rows with zero
     weight do not anchor but still enter other anchors' softmaxes.
+    Without a workspace the core makes a throwaway one.
     """
     n = x.shape[0]
     active = weight > 0
     if np.count_nonzero(active) < 2:
         raise InvalidArgumentError("need at least 2 anchor rows")
 
-    off_diag = ~np.eye(n, dtype=bool)
-    side = np.arange(n) >= n_known
-    den_mask = (side[:, None] == side[None, :]) | (targets[:, None] == targets[None, :])
-    den_mask &= off_diag
-    pos_mask = (labels[:, None] == labels[None, :]) & off_diag
-    pos_count = pos_mask.sum(axis=1)
+    if work is None:
+        work = LossWorkspace()
+    sims, w, pos_mask, den_mask = work.views(n)
+    # the denominator spans the same side or the same targeted class
+    np.equal(targets[:, None], targets[None, :], out=den_mask)
+    den_mask[:n_known, :n_known] = True
+    den_mask[n_known:, n_known:] = True
+    np.fill_diagonal(den_mask, False)
+    np.equal(labels[:, None], labels[None, :], out=pos_mask)
+    np.fill_diagonal(pos_mask, False)
+    pos_count = np.count_nonzero(pos_mask, axis=1)
     valid = (pos_count > 0) & active
     if not valid.any():
         raise DegenerateBatchError("every anchor lacks positives")
+    invalid = ~valid
 
-    sims = x @ x.T
+    np.matmul(x, x.T, out=sims)
     sims /= tau
+    w.fill(0.0)
+    np.copyto(w, sims, where=pos_mask)
+    pos_sim = w.sum(axis=1)
+
+    # every entry inside the mask is at most its row's max, so the clamp
+    # changes none of them; it only keeps exp off the masked-out lanes
+    mx = np.max(sims, axis=1, where=den_mask, initial=-np.inf)
+    mx[invalid] = 0.0
+    np.subtract(sims, mx[:, None], out=w)
+    np.minimum(w, 0.0, out=w)
+    np.exp(w, out=w)
+    w *= den_mask
     # rows that anchor nothing get an all-zero softmax row and a unit
     # denominator, so their log stays finite
-    w = np.where(den_mask & valid[:, None], sims, -np.inf)
-    mx = np.where(valid, w.max(axis=1), 0.0)
-    w -= mx[:, None]
-    np.exp(w, out=w)
+    w[invalid] = 0.0
     denom = w.sum(axis=1)
-    denom[~valid] = 1.0
+    denom[invalid] = 1.0
     log_s = mx + np.log(denom)
 
-    pos_sim = np.where(pos_mask, sims, 0.0).sum(axis=1)
     per_anchor = np.where(valid, log_s - pos_sim / np.maximum(pos_count, 1), 0.0)
     value = float((weight * per_anchor).sum())
     if not np.isfinite(value):
         raise NumericError("contrastive loss is non-finite")
 
+    # M = diag(weight)(W - P) in place of W
     w /= denom[:, None]
-    w -= pos_mask * (valid / np.maximum(pos_count, 1))[:, None]
+    np.subtract(w, (valid / np.maximum(pos_count, 1))[:, None], out=w, where=pos_mask)
     w *= weight[:, None]
     anchor_partial = (w @ x) / tau
     grad = anchor_partial + (w.T @ x) / tau
@@ -187,8 +231,6 @@ def _stacked_core(
         per_anchor=per_anchor,
         grad=grad,
         anchor_partial=anchor_partial,
-        pos_mask=pos_mask,
-        den_mask=den_mask,
         valid=valid,
         skipped=int(np.count_nonzero(active & (pos_count == 0))),
     )
@@ -199,21 +241,21 @@ def _infer_num_known(
 ) -> int:
     """Recover K and validate that pseudo labels target classes in 1..K.
 
-    When the universum batch is row-aligned with the anchors (the usual
-    case) K must be the constant offset u_labels - labels; anything else
-    is a broken bijection. Unaligned row counts are allowed for
-    experiments as long as K is given explicitly or max(labels) covers
-    every targeted class.
+    Without an explicit K the universum batch must be row-aligned with
+    the anchors, as in training, and K is the constant offset
+    u_labels - labels; anything else is a broken bijection.
     """
     if num_known is None:
-        if u_labels.shape == labels.shape and u_labels.size:
-            diffs = u_labels - labels
-            if not np.all(diffs == diffs[0]) or diffs[0] < labels.max():
-                raise InvalidArgumentError(
-                    "universum labels do not map to anchors by a constant class-count offset"
-                )
-            return int(diffs[0])
-        num_known = int(labels.max())
+        if u_labels.shape != labels.shape or not u_labels.size:
+            raise InvalidArgumentError(
+                "universum rows not aligned with the anchors need an explicit num_known"
+            )
+        diffs = u_labels - labels
+        if not np.all(diffs == diffs[0]) or diffs[0] < labels.max():
+            raise InvalidArgumentError(
+                "universum labels do not map to anchors by a constant class-count offset"
+            )
+        return int(diffs[0])
     if u_labels.size:
         targets = u_labels - num_known
         if targets.min() < 1 or targets.max() > num_known:
@@ -225,18 +267,25 @@ def _infer_num_known(
     return num_known
 
 
-def supcon_loss_grad(z: np.ndarray, labels, cfg: LossConfig) -> LossResult:
+def supcon_loss_grad(
+    z: np.ndarray, labels, cfg: LossConfig, *, work: LossWorkspace | None = None
+) -> LossResult:
     """Supervised contrastive loss summed over anchors, with gradient."""
     z = _check_rows("z", z)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (z.shape[0],):
         raise InvalidArgumentError("labels must align with embedding rows")
-    core = _stacked_core(z, labels, labels, len(z), np.ones(len(z)), cfg.temperature)
+    core = _stacked_core(z, labels, labels, len(z), np.ones(len(z)), cfg.temperature, work)
     return LossResult(core.value, core.grad, None, core.skipped, core.per_anchor)
 
 
-def _dc_core(z, labels, u, u_labels, num_known, tau, known_weight, universum_weight):
-    """Check the inputs once and run the core over [z; u] with these weights."""
+def _dc_core(z, labels, u, u_labels, num_known, tau, known_weight, universum_weight,
+             work=None):
+    """Check the inputs once and run the core over [z; u] with these weights.
+
+    Returns the core result, the stacked rows, their targeted classes and
+    the number of known rows.
+    """
     z = _check_rows("z", z)
     u = _check_rows("u", u)
     if z.shape[1] != u.shape[1]:
@@ -251,8 +300,8 @@ def _dc_core(z, labels, u, u_labels, num_known, tau, known_weight, universum_wei
     x = np.concatenate([z, u])
     weight = np.repeat([known_weight, universum_weight], [nz, u.shape[0]])
     targets = np.concatenate([labels, u_labels - k])
-    core = _stacked_core(x, np.concatenate([labels, u_labels]), targets, nz, weight, tau)
-    return core, x, nz
+    core = _stacked_core(x, np.concatenate([labels, u_labels]), targets, nz, weight, tau, work)
+    return core, x, targets, nz
 
 
 def dc_known_loss_grad(
@@ -270,11 +319,11 @@ def dc_known_loss_grad(
     targeting the anchor's class. With zero universum rows the result is
     bitwise identical to supcon_loss_grad.
     """
-    core, x, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 1.0, 0.0)
+    core, x, targets, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 1.0, 0.0)
     result = LossResult(
         core.value, core.grad[:nz], core.grad[nz:], core.skipped, core.per_anchor[:nz]
     )
-    return result, _decompose(x, nz, core, cfg.temperature)
+    return result, _decompose(x, targets, nz, core, cfg.temperature)
 
 
 def dc_universum_loss_grad(
@@ -291,7 +340,7 @@ def dc_universum_loss_grad(
     label; the denominator spans the other universum rows plus the known
     rows of the anchor's targeted class.
     """
-    core, _, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 0.0, 1.0)
+    core, _, _, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 0.0, 1.0)
     return LossResult(
         core.value, core.grad[:nz], core.grad[nz:], core.skipped, core.per_anchor[nz:]
     )
@@ -304,6 +353,8 @@ def dc_total_loss_grad(
     u_labels,
     cfg: LossConfig,
     num_known: int | None = None,
+    *,
+    work: LossWorkspace | None = None,
 ) -> LossResult:
     """Combined loss: known term plus gamma times the universum term.
 
@@ -311,23 +362,31 @@ def dc_total_loss_grad(
     (universum rows still receive gradient through its denominators).
     """
     gamma = cfg.gamma if cfg.include_universum_term else 0.0
-    core, _, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 1.0, gamma)
+    core, _, _, nz = _dc_core(
+        z, labels, u, u_labels, num_known, cfg.temperature, 1.0, gamma, work
+    )
     per_anchor = None if gamma else core.per_anchor[:nz]
     return LossResult(core.value, core.grad[:nz], core.grad[nz:], core.skipped, per_anchor)
 
 
-def _decompose(x: np.ndarray, nz: int, core: _CoreResult, tau: float) -> GradientDecomposition:
+def _decompose(
+    x: np.ndarray, targets: np.ndarray, nz: int, core: _CoreResult, tau: float
+) -> GradientDecomposition:
     """Three-part split of each known anchor's own partial gradient.
 
     Built from plain (unstabilized) exponentials so that reassembly
     against core.anchor_partial crosses two arithmetic paths.
     """
     z, u = x[:nz], x[nz:]
-    pos_mask = core.pos_mask[:nz, :nz]
+    # a known row's target is its label; a universum row counts in a
+    # known anchor's denominator when it targets the anchor's class
+    z_targets, u_targets = targets[:nz], targets[nz:]
+    pos_mask = z_targets[:, None] == z_targets[None, :]
+    np.fill_diagonal(pos_mask, False)
     valid = core.valid[:nz]
     known_exp = np.exp((z @ z.T) / tau)
     np.fill_diagonal(known_exp, 0.0)
-    tau_exp = np.where(core.den_mask[:nz, nz:], np.exp((z @ u.T) / tau), 0.0)
+    tau_exp = np.where(z_targets[:, None] == u_targets[None, :], np.exp((z @ u.T) / tau), 0.0)
     normalizer = known_exp.sum(axis=1) + tau_exp.sum(axis=1)
 
     pos_count = pos_mask.sum(axis=1)

@@ -30,7 +30,7 @@ import numpy as np
 from .config import TrainConfig
 from .data import Batch, OpenSplit, augment_gaussian, epoch_batches
 from .errors import InvalidArgumentError, NumericError
-from .losses import LossConfig, dc_total_loss_grad, supcon_loss_grad
+from .losses import LossConfig, LossWorkspace, dc_total_loss_grad, supcon_loss_grad
 from .universum import make_universum
 
 _NORM_FLOOR = 1e-12
@@ -126,15 +126,20 @@ def _chain_forward(layers, x, relu_last: bool):
     return x, inputs, pres
 
 
-def _chain_backward(layers, inputs, pres, d_out, relu_last: bool):
-    """Backward through _chain_forward; returns per-layer grads and d_input."""
+def _chain_backward(layers, inputs, pres, d_out):
+    """Backward through _chain_forward of a chain with no ReLU after its
+    last layer; returns per-layer (d_weight, d_bias).
+
+    No caller needs the gradient with respect to the chain's input, so
+    it is never computed.
+    """
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
     for idx in range(len(layers) - 1, -1, -1):
-        last = idx == len(layers) - 1
-        ds = d_out if (last and not relu_last) else d_out * (pres[idx] > 0)
+        ds = d_out if idx == len(layers) - 1 else d_out * (pres[idx] > 0)
         grads[idx] = (inputs[idx].T @ ds, ds.sum(axis=0))
-        d_out = ds @ layers[idx].weight.T
-    return grads, d_out
+        if idx:
+            d_out = ds @ layers[idx].weight.T
+    return grads
 
 
 def _check_inputs(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -185,13 +190,16 @@ def backprop_embedding(params: ModelParams, trace: ForwardTrace, d_z: np.ndarray
     if d_z.shape != trace.z.shape:
         raise InvalidArgumentError("d_z shape must match the embedding rows")
     d_p = (d_z - (d_z * trace.z).sum(axis=1, keepdims=True) * trace.z) / trace.p_norm[:, None]
-    proj_grads, d_enc = _chain_backward(
-        params.projection, trace.proj_inputs, trace.proj_pre, d_p, relu_last=False
+    # encoder and projection backprop as one chain: a ReLU follows every
+    # layer but the last projection layer
+    grads = _chain_backward(
+        params.encoder + params.projection,
+        trace.encoder_inputs + trace.proj_inputs,
+        trace.encoder_pre + trace.proj_pre,
+        d_p,
     )
-    enc_grads, _ = _chain_backward(
-        params.encoder, trace.encoder_inputs, trace.encoder_pre, d_enc, relu_last=True
-    )
-    return enc_grads, proj_grads
+    n_enc = len(params.encoder)
+    return grads[:n_enc], grads[n_enc:]
 
 
 def _encode(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -333,11 +341,11 @@ def _arrays_to_layers(arrays) -> tuple[DenseLayer, ...]:
 
 
 def _loss_step(params: ModelParams, view: Batch, num_known: int, cfg: TrainConfig,
-               loss_cfg: LossConfig, rng: np.random.Generator):
+               loss_cfg: LossConfig, rng: np.random.Generator, work: LossWorkspace):
     """Forward + loss for one batch; returns (loss value, d_z for all rows, trace)."""
     if cfg.pseudo_scheme == "none":
         z, trace = embed(params, view.features)
-        res = supcon_loss_grad(z, view.labels, loss_cfg)
+        res = supcon_loss_grad(z, view.labels, loss_cfg, work=work)
         return res.value, res.grad_z / view.size, trace
 
     u = make_universum(view, cfg.lam, rng)
@@ -347,11 +355,15 @@ def _loss_step(params: ModelParams, view: Batch, num_known: int, cfg: TrainConfi
         # one collapsed pseudo class: the batch and its universum rows are
         # a single supervised-contrastive problem over K+1 labels
         u_labels = np.full(nb, num_known + 1, dtype=np.int64)
-        res = supcon_loss_grad(z_all, np.concatenate([view.labels, u_labels]), loss_cfg)
+        res = supcon_loss_grad(
+            z_all, np.concatenate([view.labels, u_labels]), loss_cfg, work=work
+        )
         return res.value, res.grad_z / nb, trace
     # k_plus_k: row r targets class y_r and carries pseudo label y_r + K
     u_labels = view.labels + num_known
-    res = dc_total_loss_grad(z_all[:nb], view.labels, z_all[nb:], u_labels, loss_cfg)
+    res = dc_total_loss_grad(
+        z_all[:nb], view.labels, z_all[nb:], u_labels, loss_cfg, num_known=num_known, work=work
+    )
     return res.value, np.vstack([res.grad_z, res.grad_u]) / nb, trace
 
 
@@ -380,12 +392,13 @@ def train_contrastive(
         weight_decay=cfg.weight_decay,
     )
 
+    work = LossWorkspace()
     history: list[float] = []
     for epoch in range(cfg.contrastive_epochs):
         batch_means = []
         for b_idx, batch in enumerate(epoch_batches(split.train, cfg.batch_size, rng)):
             view = augment_gaussian(batch, cfg.sigma, rng)
-            value, d_z_all, trace = _loss_step(params, view, num_known, cfg, loss_cfg, rng)
+            value, d_z_all, trace = _loss_step(params, view, num_known, cfg, loss_cfg, rng, work)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
             enc_grads, proj_grads = backprop_embedding(params, trace, d_z_all)
@@ -434,7 +447,7 @@ def train_classifier(
                 raise NumericError(
                     f"non-finite classifier loss at epoch {epoch}, batch {lo // cfg.batch_size}"
                 )
-            grads, _ = _chain_backward(classifier, cls_in, cls_pre, d_logits, relu_last=False)
+            grads = _chain_backward(classifier, cls_in, cls_pre, d_logits)
             arrays, state = optimizer_step(
                 state, _layer_arrays(classifier), _grad_arrays(grads), epoch
             )

@@ -295,9 +295,14 @@ def test_csv_reader_matches_reference_on_cuts_and_flips(tmp_path):
         ("f0,f1,label\n#0.5,-1.5,1\n2.0,3.0,2\n", None),
         ("f0,f1,label\n0.5,-1.5,1.0\n", None),
         ("f0,f1,label\n0.5,-1.5,1,\n", None),
+        ("f0,f1,label\n\x1c0.5,-1.5,1\n", None),
+        ("f0,f1,label\n0.5\x1d,-1.5,1\n", None),
+        ("f0,f1,label\n0.5,-1.5,\x1e1\n", None),
+        ("f0,f1,label\n0.5,-1.5,1\x1f\n2.0,3.0,2\n", None),
     ],
     ids=["header-only", "header-and-blank-lines", "crlf", "blank-line", "quoted-cell",
-         "hash-row", "float-label", "trailing-comma"],
+         "hash-row", "float-label", "trailing-comma", "fs-before-feature",
+         "gs-after-feature", "rs-before-label", "us-after-label"],
 )
 def test_csv_reader_cases(tmp_path, text, rows):
     path = tmp_path / "case.csv"
@@ -314,3 +319,13 @@ def test_csv_reader_cases(tmp_path, text, rows):
     assert ds.features.shape == (rows, 2) and ds.labels.shape == (rows,)
     if rows:
         assert ds.features[0].tolist() == [0.5, -1.5] and ds.labels[0] == 1
+
+
+@pytest.mark.parametrize("row", ["1_0,-1.5,1", "0.5,-1.5,1_0", "\u0661.5,-1.5,1",
+                                 "0.5,-1.5,\u0661"])
+def test_csv_reader_rejects_underscores_and_non_ascii_digits(tmp_path, row):
+    # float() and int() accept both; the CSV format does not
+    path = tmp_path / "case.csv"
+    path.write_bytes(f"f0,f1,label\n{row}\n".encode("utf-8"))
+    with pytest.raises(InvalidArgumentError, match="case.csv"):
+        read_dataset_csv(path)

@@ -3,7 +3,8 @@
 The reference implementations below are deliberate triple loops over
 the loss definition, and gradients are checked against central finite
 differences of those loop values. Nothing here reuses the library's
-vectorized paths.
+vectorized paths. _reference_core keeps the allocating form of the
+vectorized core that the workspace core must match bit for bit.
 """
 
 import math
@@ -14,6 +15,8 @@ import pytest
 from dctau.errors import DegenerateBatchError, InvalidArgumentError
 from dctau.losses import (
     LossConfig,
+    LossWorkspace,
+    _stacked_core,
     dc_known_loss_grad,
     dc_total_loss_grad,
     dc_universum_loss_grad,
@@ -40,7 +43,7 @@ def _labels_with_positives(rng, n, k):
             return labels.astype(np.int64)
 
 
-def _reference_core(anchors, anchor_labels, cross, cross_match, tau):
+def _loop_reference(anchors, anchor_labels, cross, cross_match, tau):
     """Loop transcription of the shared loss definition; value only."""
     n = anchors.shape[0]
     total = 0.0
@@ -60,16 +63,52 @@ def _reference_core(anchors, anchor_labels, cross, cross_match, tau):
     return total
 
 
+def _reference_core(x, labels, targets, n_known, weight, tau):
+    """The core as it was before the workspace: fresh n x n arrays each call.
+
+    Returns (value, per_anchor, grad, skipped).
+    """
+    n = x.shape[0]
+    active = weight > 0
+    off_diag = ~np.eye(n, dtype=bool)
+    side = np.arange(n) >= n_known
+    den_mask = (side[:, None] == side[None, :]) | (targets[:, None] == targets[None, :])
+    den_mask &= off_diag
+    pos_mask = (labels[:, None] == labels[None, :]) & off_diag
+    pos_count = pos_mask.sum(axis=1)
+    valid = (pos_count > 0) & active
+
+    sims = x @ x.T
+    sims /= tau
+    w = np.where(den_mask & valid[:, None], sims, -np.inf)
+    mx = np.where(valid, w.max(axis=1), 0.0)
+    w -= mx[:, None]
+    np.exp(w, out=w)
+    denom = w.sum(axis=1)
+    denom[~valid] = 1.0
+    log_s = mx + np.log(denom)
+
+    pos_sim = np.where(pos_mask, sims, 0.0).sum(axis=1)
+    per_anchor = np.where(valid, log_s - pos_sim / np.maximum(pos_count, 1), 0.0)
+    value = float((weight * per_anchor).sum())
+
+    w /= denom[:, None]
+    w -= pos_mask * (valid / np.maximum(pos_count, 1))[:, None]
+    w *= weight[:, None]
+    grad = (w @ x) / tau + (w.T @ x) / tau
+    return value, per_anchor, grad, int(np.count_nonzero(active & (pos_count == 0)))
+
+
 def reference_supcon(z, labels, tau):
-    return _reference_core(z, labels, np.zeros((0, z.shape[1])), np.zeros(0), tau)
+    return _loop_reference(z, labels, np.zeros((0, z.shape[1])), np.zeros(0), tau)
 
 
 def reference_dc_known(z, labels, u, u_labels, tau, k):
-    return _reference_core(z, labels, u, u_labels - k, tau)
+    return _loop_reference(z, labels, u, u_labels - k, tau)
 
 
 def reference_dc_universum(u, u_labels, z, labels, tau, k):
-    return _reference_core(u, u_labels, z, labels + k, tau)
+    return _loop_reference(u, u_labels, z, labels + k, tau)
 
 
 def _fd_grad(f, x):
@@ -246,6 +285,11 @@ def test_input_validation():
     # a known label above K would share a stacked label with a pseudo label
     with pytest.raises(InvalidArgumentError):
         dc_known_loss_grad(z, labels, u[:2], np.array([3, 4]), cfg, num_known=2)
+    # K is not guessed from the labels when the rows are not aligned
+    with pytest.raises(InvalidArgumentError, match="num_known"):
+        dc_total_loss_grad(z, labels, u[:2], np.array([4, 6]), cfg)
+    with pytest.raises(InvalidArgumentError, match="num_known"):
+        dc_total_loss_grad(z, labels, u[:0], np.zeros(0, dtype=np.int64), cfg)
 
 
 def test_unaligned_universum_with_explicit_num_known():
@@ -304,3 +348,74 @@ def test_harder_negatives_get_larger_weights():
     assert ratio == pytest.approx(math.exp(2.0), rel=1e-12)
     # the matched universum row is orthogonal too, so it ties the easy one
     assert tau_w[0, 0] == pytest.approx(known_w[0, 2], rel=1e-12)
+
+
+def _core_case(seed):
+    """Stacked core inputs for one seeded case, cycling over the label
+    layouts, temperatures and universum weights training uses.
+
+    Every fourth case gives class 1 a single row, so some anchors have
+    no positives. Row counts run from 3 to 300, so a workspace reused
+    across cases grows and shrinks.
+    """
+    rng = np.random.default_rng(seed)
+    layout = ("supcon", "k_plus_one", "k_plus_k")[seed % 3]
+    tau = (1e-3, 0.2, 1.0)[(seed // 3) % 3]
+    gamma = (0.0, 0.5, 1.0)[(seed // 9) % 3]
+    k = int(rng.integers(2, 11))
+    nb = int(rng.integers(3, 151))
+    y = _labels_with_positives(rng, nb, k)
+    if seed % 4 == 0:
+        y[y == 1] = 2
+        y[0] = 1
+    x = _unit_rows(rng, 2 * nb, int(rng.integers(2, 33)))
+    if layout == "supcon":
+        return x[:nb], y, y, nb, np.ones(nb), tau
+    if layout == "k_plus_one":
+        labels = np.concatenate([y, np.full(nb, k + 1)])
+        return x, labels, labels, 2 * nb, np.ones(2 * nb), tau
+    weight = np.repeat([1.0, gamma], nb)
+    return x, np.concatenate([y, y + k]), np.concatenate([y, y]), nb, weight, tau
+
+
+def test_workspace_core_matches_reference_bitwise():
+    work = LossWorkspace()
+    sizes, skipped = set(), 0
+    for seed in range(324):
+        args = _core_case(seed)
+        core = _stacked_core(*args, work)
+        value, per_anchor, grad, skip = _reference_core(*args)
+        assert np.float64(core.value).tobytes() == np.float64(value).tobytes(), seed
+        assert core.per_anchor.tobytes() == per_anchor.tobytes(), seed
+        assert core.grad.tobytes() == grad.tobytes(), seed
+        assert core.skipped == skip, seed
+        sizes.add(len(args[0]))
+        skipped += skip
+    # the cases reach both ends of the row range and skip some anchors
+    assert min(sizes) <= 10 and max(sizes) >= 280 and skipped > 0
+
+
+def test_results_do_not_alias_the_workspace():
+    cfg = LossConfig(temperature=0.2, gamma=0.5)
+    work = LossWorkspace()
+    z, labels, u, u_labels, k = _draw(0, n=40, d=6, k=4)
+    first = dc_total_loss_grad(z, labels, u, u_labels, cfg, num_known=k, work=work)
+    alone = dc_total_loss_grad(z, labels, u, u_labels, cfg, num_known=k)
+    kept = (first.grad_z.tobytes(), first.grad_u.tobytes())
+    assert kept == (alone.grad_z.tobytes(), alone.grad_u.tobytes())
+    assert first.value == alone.value
+
+    # a second call on the same workspace, at fewer and then more rows
+    z2, labels2, u2, u_labels2, k2 = _draw(1, n=10, d=6, k=3)
+    dc_total_loss_grad(z2, labels2, u2, u_labels2, cfg, num_known=k2, work=work)
+    sup = supcon_loss_grad(z, labels, cfg, work=work)
+    before = sup.per_anchor.copy()
+    supcon_loss_grad(z2, labels2, cfg, work=work)
+    assert (first.grad_z.tobytes(), first.grad_u.tobytes()) == kept
+    assert np.array_equal(sup.per_anchor, before)
+
+    core = _stacked_core(*_core_case(7), work)
+    saved = (core.per_anchor.copy(), core.grad.copy(), core.anchor_partial.copy())
+    _stacked_core(*_core_case(8), work)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        saved, (core.per_anchor, core.grad, core.anchor_partial)))

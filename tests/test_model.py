@@ -11,6 +11,7 @@ import dctau.model
 from dctau.config import TrainConfig
 from dctau.data import Dataset, OpenSplit
 from dctau.errors import InvalidArgumentError, NumericError
+from dctau.losses import LossWorkspace
 from dctau.model import (
     DenseLayer,
     OptimizerState,
@@ -161,7 +162,7 @@ def test_classifier_backprop_matches_finite_differences():
     logits, cls_in, cls_pre = _chain_forward(params.classifier, feats, relu_last=False)
     assert np.array_equal(logits, forward_classifier(params, x))
     _, d_logits = cross_entropy_loss_grad(logits, labels)
-    (analytic,), _ = _chain_backward(params.classifier, cls_in, cls_pre, d_logits, relu_last=False)
+    (analytic,) = _chain_backward(params.classifier, cls_in, cls_pre, d_logits)
 
     def value():
         v, _ = cross_entropy_loss_grad(feats @ probe.weight + probe.bias, labels)
@@ -294,12 +295,13 @@ def test_training_never_builds_the_gradient_decomposition(monkeypatch):
 
 
 def test_training_step_pseudo_label_schemes(monkeypatch):
-    calls = {}
+    calls, keywords = {}, {}
 
     def spy(name, real):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] = args
-            return real(*args)
+            keywords.setdefault(name, []).append(kwargs)
+            return real(*args, **kwargs)
         return wrapper
 
     for name, attr in (("supcon", "supcon_loss_grad"), ("dc_total", "dc_total_loss_grad")):
@@ -313,6 +315,11 @@ def test_training_step_pseudo_label_schemes(monkeypatch):
     assert "supcon" not in calls
     assert u.shape[0] == labels.size
     assert np.array_equal(u_labels, labels + k)
+    # K is passed, not guessed, and every step of a run shares one workspace
+    dc_kwargs = keywords.pop("dc_total")
+    assert all(kw["num_known"] == k for kw in dc_kwargs)
+    assert len(dc_kwargs) > 1 and len({id(kw["work"]) for kw in dc_kwargs}) == 1
+    assert isinstance(dc_kwargs[0]["work"], LossWorkspace)
 
     # k_plus_one: supcon sees the batch, then its universum rows all labelled K + 1
     cfg = _tiny_cfg(contrastive_epochs=1, pseudo_scheme="k_plus_one")
@@ -323,6 +330,7 @@ def test_training_step_pseudo_label_schemes(monkeypatch):
     assert z_all.shape[0] == 2 * nb
     assert np.all((stacked[:nb] >= 1) & (stacked[:nb] <= k))
     assert np.all(stacked[nb:] == k + 1)
+    assert all(isinstance(kw["work"], LossWorkspace) for kw in keywords.pop("supcon"))
 
 
 def test_train_contrastive_initial_params_resume():
