@@ -62,10 +62,10 @@ class LossConfig:
 class LossResult:
     """Loss value and analytic gradients.
 
-    grad_z is d(loss)/d(known embedding); grad_u is d(loss)/d(universum
-    embedding) and is None when no universum rows were involved.
-    per_anchor holds each anchor's term (0 for skipped anchors) and is
-    None for combined losses whose anchors span two sets.
+    grad is d(loss)/d(stacked rows [z; u]); grad_z and grad_u are its
+    known and universum slices, and grad_u is None when no universum rows
+    were involved. per_anchor holds each anchor's term (0 for skipped
+    anchors) and is None for combined losses whose anchors span two sets.
     """
 
     value: float
@@ -73,6 +73,7 @@ class LossResult:
     grad_u: np.ndarray | None
     skipped_anchors: int
     per_anchor: np.ndarray | None
+    grad: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,28 +123,22 @@ class LossWorkspace:
 
     A training run makes one and passes it to every loss call, so the
     core neither allocates nor page-faults in about 3 MB of temporaries
-    per step. Each buffer is flat and grows
-    on demand; a call at n rows works in contiguous views of its first
-    n*n entries, so one workspace serves every batch size. Nothing the
-    core returns aliases these buffers.
+    per step. Each buffer is flat and grows on demand; a call at n rows
+    works in contiguous views of its first n*n entries, so one workspace
+    serves every batch size. Nothing the core returns aliases these
+    buffers.
     """
 
+    _DTYPES = (np.float64, np.float64, bool, bool, bool)
+
     def __init__(self):
-        self._sims = np.empty(0)
-        self._w = np.empty(0)
-        self._pos = np.empty(0, dtype=bool)
-        self._den = np.empty(0, dtype=bool)
+        self._bufs = tuple(np.empty(0, dtype=dtype) for dtype in self._DTYPES)
 
     def views(self, n: int):
-        """(sims, w, pos_mask, den_mask) as n x n views of the buffers."""
-        if self._sims.size < n * n:
-            self._sims = np.empty(n * n)
-            self._w = np.empty(n * n)
-            self._pos = np.empty(n * n, dtype=bool)
-            self._den = np.empty(n * n, dtype=bool)
-        return tuple(
-            buf[: n * n].reshape(n, n) for buf in (self._sims, self._w, self._pos, self._den)
-        )
+        """(sims, w, pos_mask, off_pos, off_den) as n x n views of the buffers."""
+        if self._bufs[0].size < n * n:
+            self._bufs = tuple(np.empty(n * n, dtype=dtype) for dtype in self._DTYPES)
+        return tuple(buf[: n * n].reshape(n, n) for buf in self._bufs)
 
 
 def _check_rows(name: str, rows: np.ndarray) -> np.ndarray:
@@ -159,7 +154,6 @@ def _check_rows(name: str, rows: np.ndarray) -> np.ndarray:
 
 def _stacked_core(
     x: np.ndarray,
-    labels: np.ndarray,
     targets: np.ndarray,
     n_known: int,
     weight: np.ndarray,
@@ -168,45 +162,66 @@ def _stacked_core(
 ) -> _CoreResult:
     """One masked softmax over the stacked rows; see the module docstring.
 
-    Rows before n_known are known, the rest universum. Rows with zero
-    weight do not anchor but still enter other anchors' softmaxes.
-    Without a workspace the core makes a throwaway one.
+    Rows before n_known are known, the rest universum. Two rows share a
+    stacked label exactly when they are on the same side and target the
+    same class (pseudo labels are the targets offset past every known
+    label), so the positives and the denominator both come from one
+    comparison of the targets. Rows with zero weight do not anchor but
+    still enter other anchors' softmaxes. Without a workspace the core
+    makes a throwaway one.
     """
     n = x.shape[0]
     active = weight > 0
     if np.count_nonzero(active) < 2:
         raise InvalidArgumentError("need at least 2 anchor rows")
 
-    if work is None:
-        work = LossWorkspace()
-    sims, w, pos_mask, den_mask = work.views(n)
-    # the denominator spans the same side or the same targeted class
-    np.equal(targets[:, None], targets[None, :], out=den_mask)
-    den_mask[:n_known, :n_known] = True
-    den_mask[n_known:, n_known:] = True
-    np.fill_diagonal(den_mask, False)
-    np.equal(labels[:, None], labels[None, :], out=pos_mask)
-    np.fill_diagonal(pos_mask, False)
-    pos_count = np.count_nonzero(pos_mask, axis=1)
+    # targets as codes 0..n-1: a row's positives are the other rows of its
+    # (code, side) group, and the codes compare in a narrow integer type
+    _, codes = np.unique(targets, return_inverse=True)
+    group = codes.copy()
+    group[n_known:] += n
+    pos_count = np.bincount(group)[group] - 1
+    codes = codes.astype(np.min_scalar_type(n))
     valid = (pos_count > 0) & active
     if not valid.any():
         raise DegenerateBatchError("every anchor lacks positives")
     invalid = ~valid
 
+    if work is None:
+        work = LossWorkspace()
+    sims, w, pos_mask, off_pos, off_den = work.views(n)
+    # one target comparison gives both masks: positives share the target
+    # and the side, the denominator spans the same side or the same
+    # target. Each mask is also kept as its complement, because filling
+    # the lanes outside a mask with np.putmask is several times faster
+    # than a where= copy or a multiply by a bool mask.
+    np.equal(codes[:, None], codes[None, :], out=pos_mask)
+    np.logical_not(pos_mask, out=off_den)
+    off_den[:n_known, :n_known] = False
+    off_den[n_known:, n_known:] = False
+    pos_mask[:n_known, n_known:] = False
+    pos_mask[n_known:, :n_known] = False
+    np.fill_diagonal(pos_mask, False)
+    np.fill_diagonal(off_den, True)
+    np.logical_not(pos_mask, out=off_pos)
+
     np.matmul(x, x.T, out=sims)
     sims /= tau
-    w.fill(0.0)
-    np.copyto(w, sims, where=pos_mask)
-    pos_sim = w.sum(axis=1)
-
-    # every entry inside the mask is at most its row's max, so the clamp
-    # changes none of them; it only keeps exp off the masked-out lanes
-    mx = np.max(sims, axis=1, where=den_mask, initial=-np.inf)
+    # the row max over the denominator mask, with -inf outside it; the
+    # positives lie inside it, so zeroing the rest leaves their sum
+    np.copyto(w, sims)
+    np.putmask(w, off_den, -np.inf)
+    mx = w.max(axis=1)
     mx[invalid] = 0.0
+    np.putmask(w, off_pos, 0.0)
+    pos_sim = w.sum(axis=1)
+    # every entry inside the mask is at most its row's max, so the clamp
+    # changes none of them; it only keeps exp off the masked-out lanes,
+    # which are then zeroed
     np.subtract(sims, mx[:, None], out=w)
     np.minimum(w, 0.0, out=w)
     np.exp(w, out=w)
-    w *= den_mask
+    np.putmask(w, off_den, 0.0)
     # rows that anchor nothing get an all-zero softmax row and a unit
     # denominator, so their log stays finite
     w[invalid] = 0.0
@@ -222,7 +237,8 @@ def _stacked_core(
     # M = diag(weight)(W - P) in place of W
     w /= denom[:, None]
     np.subtract(w, (valid / np.maximum(pos_count, 1))[:, None], out=w, where=pos_mask)
-    w *= weight[:, None]
+    if np.any(weight != 1.0):  # x * 1.0 is x: supcon and gamma 1 skip the pass
+        w *= weight[:, None]
     anchor_partial = (w @ x) / tau
     grad = anchor_partial + (w.T @ x) / tau
 
@@ -243,7 +259,9 @@ def _infer_num_known(
 
     Without an explicit K the universum batch must be row-aligned with
     the anchors, as in training, and K is the constant offset
-    u_labels - labels; anything else is a broken bijection.
+    u_labels - labels; anything else is a broken bijection. Either way
+    no known label may equal a pseudo label, so a stacked label names
+    one side and one targeted class.
     """
     if num_known is None:
         if u_labels.shape != labels.shape or not u_labels.size:
@@ -251,11 +269,11 @@ def _infer_num_known(
                 "universum rows not aligned with the anchors need an explicit num_known"
             )
         diffs = u_labels - labels
-        if not np.all(diffs == diffs[0]) or diffs[0] < labels.max():
+        if not np.all(diffs == diffs[0]):
             raise InvalidArgumentError(
                 "universum labels do not map to anchors by a constant class-count offset"
             )
-        return int(diffs[0])
+        num_known = int(diffs[0])
     if u_labels.size:
         targets = u_labels - num_known
         if targets.min() < 1 or targets.max() > num_known:
@@ -275,8 +293,8 @@ def supcon_loss_grad(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (z.shape[0],):
         raise InvalidArgumentError("labels must align with embedding rows")
-    core = _stacked_core(z, labels, labels, len(z), np.ones(len(z)), cfg.temperature, work)
-    return LossResult(core.value, core.grad, None, core.skipped, core.per_anchor)
+    core = _stacked_core(z, labels, len(z), np.ones(len(z)), cfg.temperature, work)
+    return LossResult(core.value, core.grad, None, core.skipped, core.per_anchor, core.grad)
 
 
 def _dc_core(z, labels, u, u_labels, num_known, tau, known_weight, universum_weight,
@@ -300,8 +318,15 @@ def _dc_core(z, labels, u, u_labels, num_known, tau, known_weight, universum_wei
     x = np.concatenate([z, u])
     weight = np.repeat([known_weight, universum_weight], [nz, u.shape[0]])
     targets = np.concatenate([labels, u_labels - k])
-    core = _stacked_core(x, np.concatenate([labels, u_labels]), targets, nz, weight, tau, work)
+    core = _stacked_core(x, targets, nz, weight, tau, work)
     return core, x, targets, nz
+
+
+def _split_result(core: _CoreResult, nz: int, per_anchor) -> LossResult:
+    """The core's stacked gradient with its first nz rows as grad_z."""
+    return LossResult(
+        core.value, core.grad[:nz], core.grad[nz:], core.skipped, per_anchor, core.grad
+    )
 
 
 def dc_known_loss_grad(
@@ -320,9 +345,7 @@ def dc_known_loss_grad(
     bitwise identical to supcon_loss_grad.
     """
     core, x, targets, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 1.0, 0.0)
-    result = LossResult(
-        core.value, core.grad[:nz], core.grad[nz:], core.skipped, core.per_anchor[:nz]
-    )
+    result = _split_result(core, nz, core.per_anchor[:nz])
     return result, _decompose(x, targets, nz, core, cfg.temperature)
 
 
@@ -341,9 +364,7 @@ def dc_universum_loss_grad(
     rows of the anchor's targeted class.
     """
     core, _, _, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 0.0, 1.0)
-    return LossResult(
-        core.value, core.grad[:nz], core.grad[nz:], core.skipped, core.per_anchor[nz:]
-    )
+    return _split_result(core, nz, core.per_anchor[nz:])
 
 
 def dc_total_loss_grad(
@@ -366,7 +387,7 @@ def dc_total_loss_grad(
         z, labels, u, u_labels, num_known, cfg.temperature, 1.0, gamma, work
     )
     per_anchor = None if gamma else core.per_anchor[:nz]
-    return LossResult(core.value, core.grad[:nz], core.grad[nz:], core.skipped, per_anchor)
+    return _split_result(core, nz, per_anchor)
 
 
 def _decompose(

@@ -126,20 +126,52 @@ def _chain_forward(layers, x, relu_last: bool):
     return x, inputs, pres
 
 
-def _chain_backward(layers, inputs, pres, d_out):
+def _chain_backward(layers, inputs, pres, d_out, grads) -> None:
     """Backward through _chain_forward of a chain with no ReLU after its
-    last layer; returns per-layer (d_weight, d_bias).
+    last layer; writes each layer's d_weight and d_bias into the matching
+    layer of grads.
 
     No caller needs the gradient with respect to the chain's input, so
     it is never computed.
     """
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
-    for idx in range(len(layers) - 1, -1, -1):
-        ds = d_out if idx == len(layers) - 1 else d_out * (pres[idx] > 0)
-        grads[idx] = (inputs[idx].T @ ds, ds.sum(axis=0))
+    last = len(layers) - 1
+    for idx in range(last, -1, -1):
+        ds = d_out if idx == last else d_out * (pres[idx] > 0)
+        np.matmul(inputs[idx].T, ds, out=grads[idx].weight)
+        ds.sum(axis=0, out=grads[idx].bias)
         if idx:
             d_out = ds @ layers[idx].weight.T
-    return grads
+
+
+def _flatten(layers, copy: bool = True):
+    """One float64 vector laid out as the layers, and DenseLayer views into it.
+
+    With copy the vector holds the layers' values; without, it is left
+    uninitialized, to take gradients of that layout.
+    """
+    vec = np.empty(sum(layer.weight.size + layer.bias.size for layer in layers))
+    views, end = [], 0
+    for layer in layers:
+        pair = []
+        for src in (layer.weight, layer.bias):
+            view = vec[end : end + src.size].reshape(src.shape)
+            end += src.size
+            if copy:
+                view[...] = src
+            pair.append(view)
+        views.append(DenseLayer(*pair))
+    return vec, tuple(views)
+
+
+def _array_names(**sections) -> tuple[tuple[str, int], ...]:
+    """Each array's name and end offset in the flat layout of the sections."""
+    names, end = [], 0
+    for section, layers in sections.items():
+        for idx, layer in enumerate(layers):
+            for kind in ("weight", "bias"):
+                end += getattr(layer, kind).size
+                names.append((f"{section} layer {idx} {kind}", end))
+    return tuple(names)
 
 
 def _check_inputs(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -178,11 +210,16 @@ def embed(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardT
     return z, trace
 
 
-def backprop_embedding(params: ModelParams, trace: ForwardTrace, d_z: np.ndarray):
+def backprop_embedding(
+    params: ModelParams, trace: ForwardTrace, d_z: np.ndarray, grads=None
+):
     """Exact parameter gradients for d(loss)/d(z).
 
-    Returns (encoder_grads, projection_grads), each a list of
-    (d_weight, d_bias) pairs aligned with the parameter layers. The
+    The gradients are written into grads, dense layers laid out as the
+    encoder then the projection (in training, views into one flat
+    gradient vector); without it a throwaway one is made. Returns
+    (encoder_grads, projection_grads), each a list of (d_weight, d_bias)
+    pairs of those arrays aligned with the parameter layers. The
     normalization Jacobian (I - z z^T)/|p| is applied first, so any
     gradient component parallel to z is discarded.
     """
@@ -192,14 +229,19 @@ def backprop_embedding(params: ModelParams, trace: ForwardTrace, d_z: np.ndarray
     d_p = (d_z - (d_z * trace.z).sum(axis=1, keepdims=True) * trace.z) / trace.p_norm[:, None]
     # encoder and projection backprop as one chain: a ReLU follows every
     # layer but the last projection layer
-    grads = _chain_backward(
-        params.encoder + params.projection,
+    layers = params.encoder + params.projection
+    if grads is None:
+        grads = _flatten(layers, copy=False)[1]
+    _chain_backward(
+        layers,
         trace.encoder_inputs + trace.proj_inputs,
         trace.encoder_pre + trace.proj_pre,
         d_p,
+        grads,
     )
+    pairs = [(g.weight, g.bias) for g in grads]
     n_enc = len(params.encoder)
-    return grads[:n_enc], grads[n_enc:]
+    return pairs[:n_enc], pairs[n_enc:]
 
 
 def _encode(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -277,64 +319,72 @@ class Schedule:
 
 @dataclass
 class OptimizerState:
-    """Adam over a flat list of parameter arrays.
+    """Adam over one flat float64 parameter vector, updated in place.
 
-    Moment accumulators are created lazily to mirror the first gradient
-    shapes. Weight decay is decoupled: applied directly to parameters,
-    scaled by the current learning rate, never entering the moments.
+    The moments m and v and two scratch vectors are created at the first
+    step, shaped like the vector. Weight decay is decoupled: applied
+    directly to parameters, scaled by the current learning rate, never
+    entering the moments. names holds each array's name and end offset
+    in the vector, so a non-finite gradient is reported by layer.
     """
 
     schedule: Schedule = field(default_factory=Schedule)
     weight_decay: float = 1e-4
     step_count: int = 0
-    m: list | None = None
-    v: list | None = None
+    names: tuple[tuple[str, int], ...] = ()
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _locate(names, grads: np.ndarray) -> str:
+    """The name of the array holding the first non-finite gradient entry."""
+    first = int(np.flatnonzero(~np.isfinite(grads))[0])
+    return next((name for name, end in names if first < end), f"entry {first}")
 
 
 def optimizer_step(
-    state: OptimizerState, arrays: list, grads: list, epoch: int = 0
-) -> tuple[list, OptimizerState]:
-    """One Adam update over aligned parameter/gradient arrays."""
-    if len(arrays) != len(grads):
-        raise InvalidArgumentError("parameter and gradient lists must align")
-    for idx, g in enumerate(grads):
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in array {idx} at step {state.step_count + 1}")
+    state: OptimizerState, params: np.ndarray, grads: np.ndarray, epoch: int = 0
+) -> None:
+    """One Adam update of the flat vector params by grads, in place.
+
+    Each operation is the per-array textbook update's, in its order, so
+    the result is bit for bit what that update gives each array.
+    """
+    if params.dtype != np.float64 or params.ndim != 1 or grads.shape != params.shape:
+        raise InvalidArgumentError("parameters and gradients must be float64 vectors of one length")
+    if not np.isfinite(grads).all():
+        raise NumericError(
+            f"non-finite gradient in {_locate(state.names, grads)} at step {state.step_count + 1}"
+        )
 
     lr = state.schedule.lr_at(epoch)
     if state.m is None:
-        state.m = [np.zeros_like(a) for a in arrays]
-        state.v = [np.zeros_like(a) for a in arrays]
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+        state.scratch = (np.empty_like(params), np.empty_like(params))
     state.step_count += 1
     t = state.step_count
+    m, v = state.m, state.v
+    s1, s2 = state.scratch
 
-    out = []
-    for i, (p, g) in enumerate(zip(arrays, grads)):
-        state.m[i] = _ADAM_BETA1 * state.m[i] + (1 - _ADAM_BETA1) * g
-        state.v[i] = _ADAM_BETA2 * state.v[i] + (1 - _ADAM_BETA2) * g * g
-        m_hat = state.m[i] / (1 - _ADAM_BETA1**t)
-        v_hat = state.v[i] / (1 - _ADAM_BETA2**t)
-        step = m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        out.append(p - lr * step - lr * state.weight_decay * p)
-    return out, state
-
-
-def _layer_arrays(layers) -> list:
-    arrays = []
-    for layer in layers:
-        arrays.extend([layer.weight, layer.bias])
-    return arrays
-
-
-def _grad_arrays(grads) -> list:
-    arrays = []
-    for dw, db in grads:
-        arrays.extend([dw, db])
-    return arrays
-
-
-def _arrays_to_layers(arrays) -> tuple[DenseLayer, ...]:
-    return tuple(DenseLayer(arrays[i], arrays[i + 1]) for i in range(0, len(arrays), 2))
+    # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
+    m *= _ADAM_BETA1
+    np.multiply(grads, 1 - _ADAM_BETA1, out=s1)
+    m += s1
+    v *= _ADAM_BETA2
+    np.multiply(grads, 1 - _ADAM_BETA2, out=s1)
+    s1 *= grads
+    v += s1
+    # step = m_hat / (sqrt(v_hat) + eps), then p = (p - lr*step) - (lr*wd)*p
+    np.divide(m, 1 - _ADAM_BETA1**t, out=s1)
+    np.divide(v, 1 - _ADAM_BETA2**t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += _ADAM_EPS
+    s1 /= s2
+    s1 *= lr
+    np.multiply(params, lr * state.weight_decay, out=s2)
+    params -= s1
+    params -= s2
 
 
 # --- training ----------------------------------------------------------
@@ -343,14 +393,14 @@ def _arrays_to_layers(arrays) -> tuple[DenseLayer, ...]:
 def _loss_step(params: ModelParams, view: Batch, num_known: int, cfg: TrainConfig,
                loss_cfg: LossConfig, rng: np.random.Generator, work: LossWorkspace):
     """Forward + loss for one batch; returns (loss value, d_z for all rows, trace)."""
+    nb = view.size
     if cfg.pseudo_scheme == "none":
         z, trace = embed(params, view.features)
         res = supcon_loss_grad(z, view.labels, loss_cfg, work=work)
-        return res.value, res.grad_z / view.size, trace
+        return res.value, res.grad / nb, trace
 
     u = make_universum(view, cfg.lam, rng)
     z_all, trace = embed(params, np.vstack([view.features, u]))
-    nb = view.size
     if cfg.pseudo_scheme == "k_plus_one":
         # one collapsed pseudo class: the batch and its universum rows are
         # a single supervised-contrastive problem over K+1 labels
@@ -358,13 +408,13 @@ def _loss_step(params: ModelParams, view: Batch, num_known: int, cfg: TrainConfi
         res = supcon_loss_grad(
             z_all, np.concatenate([view.labels, u_labels]), loss_cfg, work=work
         )
-        return res.value, res.grad_z / nb, trace
-    # k_plus_k: row r targets class y_r and carries pseudo label y_r + K
-    u_labels = view.labels + num_known
-    res = dc_total_loss_grad(
-        z_all[:nb], view.labels, z_all[nb:], u_labels, loss_cfg, num_known=num_known, work=work
-    )
-    return res.value, np.vstack([res.grad_z, res.grad_u]) / nb, trace
+    else:
+        # k_plus_k: row r targets class y_r and carries pseudo label y_r + K
+        res = dc_total_loss_grad(
+            z_all[:nb], view.labels, z_all[nb:], view.labels + num_known, loss_cfg,
+            num_known=num_known, work=work,
+        )
+    return res.value, res.grad / nb, trace
 
 
 def train_contrastive(
@@ -377,7 +427,9 @@ def train_contrastive(
 
     Returns the trained parameters and the per-epoch mean of
     (batch loss / batch rows). Aborts with a diagnostic naming the
-    epoch and batch if the loss ever turns non-finite.
+    epoch and batch if the loss ever turns non-finite. Encoder and
+    projection train as views into one flat copy of their parameters,
+    so initial is never changed.
     """
     num_known = split.num_known
     if initial is None:
@@ -386,10 +438,15 @@ def train_contrastive(
     else:
         params = initial
 
+    n_enc = len(params.encoder)
+    flat, layers = _flatten(params.encoder + params.projection)
+    grad, grad_layers = _flatten(layers, copy=False)
+    params = replace(params, encoder=layers[:n_enc], projection=layers[n_enc:])
     loss_cfg = LossConfig(cfg.temperature, cfg.gamma, cfg.include_universum_term)
     state = OptimizerState(
         schedule=Schedule(cfg.learning_rate, cfg.warmup_epochs, max(1, cfg.contrastive_epochs)),
         weight_decay=cfg.weight_decay,
+        names=_array_names(encoder=params.encoder, projection=params.projection),
     )
 
     work = LossWorkspace()
@@ -401,16 +458,8 @@ def train_contrastive(
             value, d_z_all, trace = _loss_step(params, view, num_known, cfg, loss_cfg, rng, work)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
-            enc_grads, proj_grads = backprop_embedding(params, trace, d_z_all)
-            arrays = _layer_arrays(params.encoder) + _layer_arrays(params.projection)
-            gradl = _grad_arrays(enc_grads) + _grad_arrays(proj_grads)
-            arrays, state = optimizer_step(state, arrays, gradl, epoch)
-            n_enc = 2 * len(params.encoder)
-            params = replace(
-                params,
-                encoder=_arrays_to_layers(arrays[:n_enc]),
-                projection=_arrays_to_layers(arrays[n_enc:]),
-            )
+            backprop_embedding(params, trace, d_z_all, grad_layers)
+            optimizer_step(state, flat, grad, epoch)
             batch_means.append(value / view.size)
         history.append(float(np.mean(batch_means)))
     return params, history
@@ -428,14 +477,19 @@ def train_classifier(
     The encoder features of the training rows are computed once, and
     every batch fits the classifier layers on its rows of them. No
     augmentation here: the classifier is calibrated on the same raw rows
-    the rejection thresholds will later be fit on.
+    the rejection thresholds will later be fit on. The classifier trains
+    as views into one flat copy of its parameters.
     """
     train = split.train
     feats = _encode(params, train.features)
-    schedule = Schedule(cfg.learning_rate, 0, max(1, cfg.classifier_epochs))
-    state = OptimizerState(schedule=schedule, weight_decay=cfg.weight_decay)
+    flat, classifier = _flatten(params.classifier)
+    grad, grad_layers = _flatten(classifier, copy=False)
+    state = OptimizerState(
+        schedule=Schedule(cfg.learning_rate, 0, max(1, cfg.classifier_epochs)),
+        weight_decay=cfg.weight_decay,
+        names=_array_names(classifier=classifier),
+    )
 
-    classifier = params.classifier
     for epoch in range(cfg.classifier_epochs):
         perm = rng.permutation(train.n_rows)
         epoch_losses = []
@@ -447,11 +501,8 @@ def train_classifier(
                 raise NumericError(
                     f"non-finite classifier loss at epoch {epoch}, batch {lo // cfg.batch_size}"
                 )
-            grads = _chain_backward(classifier, cls_in, cls_pre, d_logits)
-            arrays, state = optimizer_step(
-                state, _layer_arrays(classifier), _grad_arrays(grads), epoch
-            )
-            classifier = _arrays_to_layers(arrays)
+            _chain_backward(classifier, cls_in, cls_pre, d_logits, grad_layers)
+            optimizer_step(state, flat, grad, epoch)
             epoch_losses.append(value)
         if history_out is not None:
             history_out.append(float(np.mean(epoch_losses)))

@@ -8,6 +8,8 @@ vectorized core that the workspace core must match bit for bit.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +292,11 @@ def test_input_validation():
         dc_total_loss_grad(z, labels, u[:2], np.array([4, 6]), cfg)
     with pytest.raises(InvalidArgumentError, match="num_known"):
         dc_total_loss_grad(z, labels, u[:0], np.zeros(0, dtype=np.int64), cfg)
+    # an inferred K meets the same range rules as an explicit one: with a
+    # known label 0, the known label 2 would equal the pseudo label 0 + 2
+    zero = np.array([0, 0, 2, 2, 1, 1])
+    with pytest.raises(InvalidArgumentError):
+        dc_total_loss_grad(z, zero, u, zero + 2, cfg)
 
 
 def test_unaligned_universum_with_explicit_num_known():
@@ -378,12 +385,18 @@ def _core_case(seed):
     return x, np.concatenate([y, y + k]), np.concatenate([y, y]), nb, weight, tau
 
 
+def _core(args, work):
+    """The library core on a case's arguments; it takes no labels."""
+    x, _, targets, n_known, weight, tau = args
+    return _stacked_core(x, targets, n_known, weight, tau, work)
+
+
 def test_workspace_core_matches_reference_bitwise():
     work = LossWorkspace()
     sizes, skipped = set(), 0
     for seed in range(324):
         args = _core_case(seed)
-        core = _stacked_core(*args, work)
+        core = _core(args, work)
         value, per_anchor, grad, skip = _reference_core(*args)
         assert np.float64(core.value).tobytes() == np.float64(value).tobytes(), seed
         assert core.per_anchor.tobytes() == per_anchor.tobytes(), seed
@@ -414,8 +427,72 @@ def test_results_do_not_alias_the_workspace():
     assert (first.grad_z.tobytes(), first.grad_u.tobytes()) == kept
     assert np.array_equal(sup.per_anchor, before)
 
-    core = _stacked_core(*_core_case(7), work)
+    core = _core(_core_case(7), work)
     saved = (core.per_anchor.copy(), core.grad.copy(), core.anchor_partial.copy())
-    _stacked_core(*_core_case(8), work)
+    _core(_core_case(8), work)
     assert all(np.array_equal(a, b) for a, b in zip(
         saved, (core.per_anchor, core.grad, core.anchor_partial)))
+
+
+def _assert_core_matches_reference(core, args):
+    value, per_anchor, grad, skipped = _reference_core(*args)
+    assert np.float64(core.value).tobytes() == np.float64(value).tobytes()
+    assert core.per_anchor.tobytes() == per_anchor.tobytes()
+    assert core.grad.tobytes() == grad.tobytes()
+    assert core.skipped == skipped
+
+
+def _strict_peak(fn):
+    """fn() under warnings-as-errors; returns its result and peak traced bytes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("label_set", [
+    (3, 17, 40, 41),  # not contiguous
+    (-7, -1, 0, -2),  # negative and zero
+    (10**12, -(10**12), 2**62, 5),  # far beyond any array length
+])
+@pytest.mark.parametrize("tau", [1e-3, 0.2])
+def test_supcon_core_takes_any_int_labels(label_set, tau):
+    rng = np.random.default_rng(abs(label_set[0]) % 1000)
+    labels = np.asarray(label_set, dtype=np.int64)[_labels_with_positives(rng, 60, 3) - 1]
+    labels[0] = label_set[3]  # a class of one row: its anchor is skipped
+    z = _unit_rows(rng, 60, 8)
+
+    res, peak = _strict_peak(lambda: supcon_loss_grad(z, labels, LossConfig(temperature=tau)))
+    args = (z, labels, labels, 60, np.ones(60), tau)
+    _assert_core_matches_reference(_core(args, None), args)
+    assert res.skipped_anchors == 1
+    # the call allocates by row count only (two 60 x 60 float buffers and
+    # the gradient are under 100 kB), never by label value
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("tau", [1e-3, 0.2])
+def test_k_plus_k_core_with_a_single_row_class(gamma, tau):
+    rng = np.random.default_rng(int(gamma * 10) + 3)
+    nb, k = 40, 4
+    y = _labels_with_positives(rng, nb, k)
+    y[y == 1] = 2
+    y[0] = 1
+    x = _unit_rows(rng, 2 * nb, 8)
+    args = (x, np.concatenate([y, y + k]), np.concatenate([y, y]), nb,
+            np.repeat([1.0, gamma], nb), tau)
+
+    core, _ = _strict_peak(lambda: _core(args, LossWorkspace()))
+    _assert_core_matches_reference(core, args)
+    # the lone known row and, when universum rows anchor, its pseudo row
+    assert core.skipped == (2 if gamma else 1)
+    cfg = LossConfig(temperature=tau, gamma=gamma, include_universum_term=gamma > 0)
+    res, _ = _strict_peak(lambda: dc_total_loss_grad(x[:nb], y, x[nb:], y + k, cfg, num_known=k))
+    assert res.grad.tobytes() == core.grad.tobytes()
+    assert res.grad_z.tobytes() == core.grad[:nb].tobytes()
+    assert res.grad_u.tobytes() == core.grad[nb:].tobytes()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,17 @@ import pytest
 import dctau.losses
 import dctau.model
 from dctau.config import TrainConfig
-from dctau.data import Dataset, OpenSplit
+from dctau.data import Dataset, OpenSplit, augment_gaussian, epoch_batches
 from dctau.errors import InvalidArgumentError, NumericError
-from dctau.losses import LossWorkspace
+from dctau.losses import LossConfig, LossWorkspace, dc_total_loss_grad, supcon_loss_grad
 from dctau.model import (
     DenseLayer,
     OptimizerState,
     Schedule,
     _chain_backward,
     _chain_forward,
+    _encode,
+    _flatten,
     backprop_embedding,
     cross_entropy_loss_grad,
     embed,
@@ -162,7 +165,9 @@ def test_classifier_backprop_matches_finite_differences():
     logits, cls_in, cls_pre = _chain_forward(params.classifier, feats, relu_last=False)
     assert np.array_equal(logits, forward_classifier(params, x))
     _, d_logits = cross_entropy_loss_grad(logits, labels)
-    (analytic,) = _chain_backward(params.classifier, cls_in, cls_pre, d_logits)
+    _, (probe_grad,) = _flatten(params.classifier, copy=False)
+    _chain_backward(params.classifier, cls_in, cls_pre, d_logits, (probe_grad,))
+    analytic = (probe_grad.weight, probe_grad.bias)
 
     def value():
         v, _ = cross_entropy_loss_grad(feats @ probe.weight + probe.bias, labels)
@@ -228,14 +233,16 @@ def test_adam_step_matches_hand_formula():
     p = np.array([1.0, -2.0])
     g = np.array([0.5, 0.25])
 
-    (p1,), state = optimizer_step(state, [p], [g])
+    p1 = p.copy()
+    optimizer_step(state, p1, g)
     m1 = 0.1 * g
     v1 = 0.001 * g * g
     step1 = (m1 / 0.1) / (np.sqrt(v1 / 0.001) + 1e-8)
     assert np.allclose(p1, p - lr * step1 - lr * wd * p, atol=1e-15)
 
     g2 = np.array([-0.5, 1.0])
-    (p2,), state = optimizer_step(state, [p1], [g2])
+    p2 = p1.copy()
+    optimizer_step(state, p2, g2)
     m2 = 0.9 * m1 + 0.1 * g2
     v2 = 0.999 * v1 + 0.001 * g2 * g2
     step2 = (m2 / (1 - 0.9**2)) / (np.sqrt(v2 / (1 - 0.999**2)) + 1e-8)
@@ -244,16 +251,17 @@ def test_adam_step_matches_hand_formula():
 
     # decay is decoupled: zero gradients leave only the decay term
     decay = OptimizerState(schedule=Schedule(lr, 0, 1), weight_decay=0.5)
-    (p3,), _ = optimizer_step(decay, [np.array([2.0])], [np.array([0.0])])
+    p3 = np.array([2.0])
+    optimizer_step(decay, p3, np.array([0.0]))
     assert p3 == 2.0 - lr * 0.5 * 2.0
 
 
 def test_optimizer_validation():
     state = OptimizerState()
     with pytest.raises(InvalidArgumentError):
-        optimizer_step(state, [np.zeros(2)], [])
+        optimizer_step(state, np.zeros(2), np.zeros(0))
     with pytest.raises(NumericError):
-        optimizer_step(state, [np.zeros(2)], [np.array([np.nan, 0.0])])
+        optimizer_step(state, np.zeros(2), np.array([np.nan, 0.0]))
 
 
 def _tiny_cfg(**kw):
@@ -367,3 +375,175 @@ def test_trained_probe_separates_easy_blobs():
     pred = posteriors(params, split.test_known.features).argmax(axis=1) + 1
     acc = float(np.mean(pred == split.test_known.labels))
     assert acc > 0.9
+
+
+def test_non_finite_gradient_names_the_layer_and_step(monkeypatch):
+    real_backprop, real_backward = dctau.model.backprop_embedding, dctau.model._chain_backward
+    calls = []
+
+    def poisoned_backprop(*args, **kwargs):
+        enc_grads, proj_grads = real_backprop(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            proj_grads[1][0][0, 0] = np.nan
+        return enc_grads, proj_grads
+
+    monkeypatch.setattr(dctau.model, "backprop_embedding", poisoned_backprop)
+    split, cfg = _easy_split(), _tiny_cfg(contrastive_epochs=2)
+    with pytest.raises(NumericError, match=r"in projection layer 1 weight at step 3$"):
+        train_contrastive(split, cfg, np.random.default_rng(0))
+
+    def poisoned_backward(layers, inputs, pres, d_out, grads):
+        real_backward(layers, inputs, pres, d_out, grads)
+        grads[0].bias[1] = np.inf
+
+    monkeypatch.setattr(dctau.model, "_chain_backward", poisoned_backward)
+    params = init_params(4, cfg.hidden, cfg.proj_dim, 3, seed=5)
+    with pytest.raises(NumericError, match=r"in classifier layer 0 bias at step 1$"):
+        train_classifier(params, split, cfg, np.random.default_rng(0))
+
+    # without names the optimizer still says where the first bad entry is
+    with pytest.raises(NumericError, match=r"in entry 1 at step 1$"):
+        optimizer_step(OptimizerState(), np.zeros(3), np.array([0.0, np.nan, np.inf]))
+
+
+# --- the per-array training loop the flat one replaced --------------------
+
+
+class _ReferenceAdam:
+    """Adam with decoupled weight decay over a list of arrays, each updated
+    by fresh arrays: the textbook form the flat in-place update must match."""
+
+    def __init__(self, schedule, weight_decay):
+        self.schedule, self.weight_decay = schedule, weight_decay
+        self.step_count, self.m, self.v = 0, None, None
+
+    def step(self, arrays, grads, epoch):
+        lr = self.schedule.lr_at(epoch)
+        if self.m is None:
+            self.m = [np.zeros_like(a) for a in arrays]
+            self.v = [np.zeros_like(a) for a in arrays]
+        self.step_count += 1
+        t = self.step_count
+        out = []
+        for i, (p, g) in enumerate(zip(arrays, grads)):
+            self.m[i] = 0.9 * self.m[i] + (1 - 0.9) * g
+            self.v[i] = 0.999 * self.v[i] + (1 - 0.999) * g * g
+            m_hat = self.m[i] / (1 - 0.9**t)
+            v_hat = self.v[i] / (1 - 0.999**t)
+            step = m_hat / (np.sqrt(v_hat) + 1e-8)
+            out.append(p - lr * step - lr * self.weight_decay * p)
+        return out
+
+
+def _reference_backward(layers, inputs, pres, d_out):
+    grads = [None] * len(layers)
+    for idx in range(len(layers) - 1, -1, -1):
+        ds = d_out if idx == len(layers) - 1 else d_out * (pres[idx] > 0)
+        grads[idx] = (inputs[idx].T @ ds, ds.sum(axis=0))
+        if idx:
+            d_out = ds @ layers[idx].weight.T
+    return grads
+
+
+def _arrays(layers):
+    return [a for layer in layers for a in (layer.weight, layer.bias)]
+
+
+def _layers(arrays):
+    return tuple(DenseLayer(arrays[i], arrays[i + 1]) for i in range(0, len(arrays), 2))
+
+
+def _reference_loss_step(params, view, k, cfg, loss_cfg, rng, work):
+    """The step that stacked the known and universum gradients with vstack."""
+    if cfg.pseudo_scheme == "none":
+        z, trace = embed(params, view.features)
+        res = supcon_loss_grad(z, view.labels, loss_cfg, work=work)
+        return res.value, res.grad_z / view.size, trace
+    u = dctau.model.make_universum(view, cfg.lam, rng)
+    z_all, trace = embed(params, np.vstack([view.features, u]))
+    nb = view.size
+    if cfg.pseudo_scheme == "k_plus_one":
+        labels = np.concatenate([view.labels, np.full(nb, k + 1)])
+        res = supcon_loss_grad(z_all, labels, loss_cfg, work=work)
+        return res.value, res.grad_z / nb, trace
+    res = dc_total_loss_grad(
+        z_all[:nb], view.labels, z_all[nb:], view.labels + k, loss_cfg, num_known=k, work=work
+    )
+    return res.value, np.vstack([res.grad_z, res.grad_u]) / nb, trace
+
+
+def _reference_train_contrastive(split, cfg, rng, params):
+    loss_cfg = LossConfig(cfg.temperature, cfg.gamma, cfg.include_universum_term)
+    adam = _ReferenceAdam(
+        Schedule(cfg.learning_rate, cfg.warmup_epochs, max(1, cfg.contrastive_epochs)),
+        cfg.weight_decay,
+    )
+    work, history, n_enc = LossWorkspace(), [], len(params.encoder)
+    for epoch in range(cfg.contrastive_epochs):
+        batch_means = []
+        for batch in epoch_batches(split.train, cfg.batch_size, rng):
+            view = augment_gaussian(batch, cfg.sigma, rng)
+            value, d_z, trace = _reference_loss_step(
+                params, view, split.num_known, cfg, loss_cfg, rng, work)
+            d_p = (d_z - (d_z * trace.z).sum(axis=1, keepdims=True) * trace.z) / trace.p_norm[:, None]
+            grads = _reference_backward(
+                params.encoder + params.projection,
+                trace.encoder_inputs + trace.proj_inputs,
+                trace.encoder_pre + trace.proj_pre,
+                d_p,
+            )
+            arrays = adam.step(_arrays(params.encoder + params.projection),
+                               [a for pair in grads for a in pair], epoch)
+            params = replace(
+                params, encoder=_layers(arrays[: 2 * n_enc]), projection=_layers(arrays[2 * n_enc :]))
+            batch_means.append(value / view.size)
+        history.append(float(np.mean(batch_means)))
+    return params, history
+
+
+def _reference_train_classifier(params, split, cfg, rng, history):
+    train = split.train
+    feats = _encode(params, train.features)
+    adam = _ReferenceAdam(Schedule(cfg.learning_rate, 0, max(1, cfg.classifier_epochs)),
+                          cfg.weight_decay)
+    classifier = params.classifier
+    for epoch in range(cfg.classifier_epochs):
+        perm = rng.permutation(train.n_rows)
+        losses = []
+        for lo in range(0, train.n_rows, cfg.batch_size):
+            rows = perm[lo : lo + cfg.batch_size]
+            logits, cls_in, cls_pre = _chain_forward(classifier, feats[rows], relu_last=False)
+            value, d_logits = cross_entropy_loss_grad(logits, train.labels[rows])
+            grads = _reference_backward(classifier, cls_in, cls_pre, d_logits)
+            classifier = _layers(
+                adam.step(_arrays(classifier), [a for pair in grads for a in pair], epoch))
+            losses.append(value)
+        history.append(float(np.mean(losses)))
+    return replace(params, classifier=classifier)
+
+
+def _param_bytes(params):
+    return [a.tobytes() for a in _flat_params(params)]
+
+
+@pytest.mark.parametrize("scheme", ["k_plus_k", "k_plus_one", "none"])
+def test_flat_training_matches_per_array_reference_bitwise(scheme):
+    split = _easy_split(seed=4)
+    cfg = _tiny_cfg(contrastive_epochs=4, classifier_epochs=4, pseudo_scheme=scheme)
+    start = init_params(4, cfg.hidden, cfg.proj_dim, 3, seed=11)
+    before = _param_bytes(start)
+
+    params, history = train_contrastive(split, cfg, np.random.default_rng(6), initial=start)
+    ref, ref_history = _reference_train_contrastive(split, cfg, np.random.default_rng(6), start)
+    assert _param_bytes(params) == _param_bytes(ref)
+    assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+    assert _param_bytes(start) == before
+
+    trained_before = _param_bytes(params)
+    cls_history, ref_cls_history = [], []
+    probe = train_classifier(params, split, cfg, np.random.default_rng(7), cls_history)
+    ref_probe = _reference_train_classifier(ref, split, cfg, np.random.default_rng(7), ref_cls_history)
+    assert _param_bytes(probe) == _param_bytes(ref_probe)
+    assert np.array(cls_history).tobytes() == np.array(ref_cls_history).tobytes()
+    assert _param_bytes(params) == trained_before
