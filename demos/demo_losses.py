@@ -3,16 +3,16 @@
 Run: python3 demos/demo_losses.py
 """
 
+import dataclasses
+
 import numpy as np
 
-from dctau.losses import (
-    LossConfig,
-    dc_known_loss_grad,
-    dc_total_loss_grad,
+from dctau.losses import LossConfig, dc_total_loss_grad, supcon_loss_grad
+from dctau.verify import (
     dc_universum_loss_grad,
+    decompose,
     hard_negative_weights,
     reassemble_anchor_partial,
-    supcon_loss_grad,
 )
 
 
@@ -25,13 +25,15 @@ def main() -> None:
     rng = np.random.default_rng(3)
     k, n, d = 3, 8, 5
     cfg = LossConfig(temperature=0.3, gamma=1.0)
+    known_cfg = dataclasses.replace(cfg, include_universum_term=False)
 
     z = _unit_rows(rng, n, d)
     labels = np.array([1, 1, 2, 2, 3, 3, 1, 2])
     u = _unit_rows(rng, n, d)
     u_labels = labels + k
 
-    known, decomp = dc_known_loss_grad(z, labels, u, u_labels, cfg)
+    known = dc_total_loss_grad(z, labels, u, u_labels, known_cfg)
+    decomp = decompose(z, labels, u, u_labels, cfg)
     dual = dc_universum_loss_grad(u, u_labels, z, labels, cfg)
     total = dc_total_loss_grad(z, labels, u, u_labels, cfg)
     print(f"known-anchor term      {known.value:10.4f}")
@@ -41,8 +43,8 @@ def main() -> None:
     print()
 
     sup = supcon_loss_grad(z, labels, cfg)
-    empty, _ = dc_known_loss_grad(
-        z, labels, np.empty((0, d)), np.empty(0, dtype=np.int64), cfg, num_known=k
+    empty = dc_total_loss_grad(
+        z, labels, np.empty((0, d)), np.empty(0, dtype=np.int64), known_cfg, num_known=k
     )
     print("with zero universum rows the known term is plain supcon:")
     print(f"  values {empty.value!r} == {sup.value!r}: {empty.value == sup.value}")

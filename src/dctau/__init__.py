@@ -36,17 +36,7 @@ from .experiment import (
     run_training,
     save_split,
 )
-from .losses import (
-    GradientDecomposition,
-    LossConfig,
-    LossResult,
-    dc_known_loss_grad,
-    dc_total_loss_grad,
-    dc_universum_loss_grad,
-    hard_negative_weights,
-    reassemble_anchor_partial,
-    supcon_loss_grad,
-)
+from .losses import LossConfig, LossResult, dc_total_loss_grad, supcon_loss_grad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import (
     CurvePoint,

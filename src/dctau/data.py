@@ -221,9 +221,9 @@ def read_dataset_csv(path) -> Dataset:
     numpy's C reader: features as floats, labels as integers (``1.0`` is
     not a label), blank lines skipped, and ``#`` is data, not a comment.
     A malformed file (empty, not UTF-8, a row whose cell count differs
-    from the header, a non-numeric cell, an ASCII separator character
-    0x1c-0x1f anywhere in the body) raises InvalidArgumentError naming
-    the file.
+    from the header, a non-numeric cell, a non-finite feature such as
+    ``nan`` or ``inf``, an ASCII separator character 0x1c-0x1f anywhere
+    in the body) raises InvalidArgumentError naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -252,6 +252,8 @@ def read_dataset_csv(path) -> Dataset:
     except ValueError as exc:
         raise InvalidArgumentError(f"{path}: malformed row ({exc})") from exc
     feats = np.ascontiguousarray(table["f"])
+    if not np.isfinite(feats).all():
+        raise InvalidArgumentError(f"{path}: non-finite feature value")
     labels = np.ascontiguousarray(table["y"])
     class_count = 0 if np.all(labels == UNKNOWN_LABEL) else int(labels.max())
     return Dataset(feats, labels, class_count)

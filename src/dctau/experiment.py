@@ -8,7 +8,6 @@ never silently reshuffles another stage.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -301,22 +300,12 @@ def _mean_row(key: str, value, reports: list[EvalReport]) -> SweepRow:
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
+    """Export one line per sweep row; metrics as repr, so they round-trip."""
+    lines = ["sweep,value,auroc,oscr,macro_f1,closed_accuracy,wall_seconds,n_seeds"]
+    lines += [
+        f"{r.key},{r.value},{r.auroc!r},{r.oscr!r},{r.macro_f1!r},"
+        f"{r.closed_accuracy!r},{r.wall_seconds!r},{r.n_seeds}"
+        for r in rows
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["sweep", "value", "auroc", "oscr", "macro_f1", "closed_accuracy",
-             "wall_seconds", "n_seeds"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.key,
-                    row.value,
-                    repr(row.auroc),
-                    repr(row.oscr),
-                    repr(row.macro_f1),
-                    repr(row.closed_accuracy),
-                    repr(row.wall_seconds),
-                    row.n_seeds,
-                ]
-            )
+        fh.write("\n".join(lines) + "\n")

@@ -15,21 +15,12 @@ with softmax W and row-normalized positive mask P, the gradient is
 
 * supcon: no universum rows, every weight 1.
 * dual-contrastive total (the training loss): 1 for known anchors and
-  gamma for universum anchors (0 with include_universum_term off), so
-  each universum row repels exactly the class it targets.
-* known and universum terms: the total with the other side's weights 0,
-  kept as oracle entry points for verify, tests and demos.
+  gamma for universum anchors (0 with include_universum_term off, which
+  leaves the known term alone), so each universum row repels exactly
+  the class it targets.
 
 Log-sum-exp uses max subtraction, and since every loss shares this code
 the known term with zero universum rows is bitwise identical to supcon.
-
-GradientDecomposition is an oracle that the training path never builds;
-only dc_known_loss_grad computes it. It splits each known anchor's own
-partial gradient into an attractive positive term and two repulsive
-softmax-weighted sums (over known rows and over matched universum rows)
-from plain exponentials, independent of the stabilized path, so
-reassembly against the core's anchor partial is a real check. Those
-plain exponentials overflow at small temperatures.
 """
 
 from __future__ import annotations
@@ -77,36 +68,6 @@ class LossResult:
 
 
 @dataclass(frozen=True)
-class GradientDecomposition:
-    """Per-anchor three-part split of the anchor-side partial gradient.
-
-    pos_term[i] is the mean of anchor i's positive embeddings
-    (attractive); g_nk[i] and g_tau[i] are the softmax-weighted sums
-    over the other known embeddings and the matched universum
-    embeddings, stored with the repulsive sign folded in. For every
-    anchor, -(1/tau) * (pos_term + g_nk + g_tau) reconstructs
-    anchor_partial, the derivative of the anchor's own term with
-    respect to its embedding (the total gradient adds the contributions
-    an embedding receives from other anchors' terms).
-
-    known_exp[i, k] = exp(z_i.z_k/tau) for k != i (0 on the diagonal);
-    tau_exp[i, j] = exp(z_i.u_j/tau) for matched universum rows (0
-    elsewhere); normalizer[i] is exactly their row sum. These are
-    computed without stabilization, on purpose: reassembly then checks
-    the stabilized path against independent arithmetic.
-    """
-
-    pos_term: np.ndarray
-    g_nk: np.ndarray
-    g_tau: np.ndarray
-    known_exp: np.ndarray
-    tau_exp: np.ndarray
-    normalizer: np.ndarray
-    anchor_partial: np.ndarray
-    temperature: float
-
-
-@dataclass(frozen=True)
 class _CoreResult:
     """Core output over all stacked rows; inactive anchors hold zeros."""
 
@@ -114,7 +75,6 @@ class _CoreResult:
     per_anchor: np.ndarray
     grad: np.ndarray
     anchor_partial: np.ndarray
-    valid: np.ndarray
     skipped: int
 
 
@@ -247,7 +207,6 @@ def _stacked_core(
         per_anchor=per_anchor,
         grad=grad,
         anchor_partial=anchor_partial,
-        valid=valid,
         skipped=int(np.count_nonzero(active & (pos_count == 0))),
     )
 
@@ -329,44 +288,6 @@ def _split_result(core: _CoreResult, nz: int, per_anchor) -> LossResult:
     )
 
 
-def dc_known_loss_grad(
-    z: np.ndarray,
-    labels,
-    u: np.ndarray,
-    u_labels,
-    cfg: LossConfig,
-    num_known: int | None = None,
-) -> tuple[LossResult, GradientDecomposition]:
-    """Known-anchor dual-contrastive term with its gradient decomposition.
-
-    Anchors and positives are the known embeddings exactly as in supcon;
-    each anchor's denominator additionally sums over the universum rows
-    targeting the anchor's class. With zero universum rows the result is
-    bitwise identical to supcon_loss_grad.
-    """
-    core, x, targets, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 1.0, 0.0)
-    result = _split_result(core, nz, core.per_anchor[:nz])
-    return result, _decompose(x, targets, nz, core, cfg.temperature)
-
-
-def dc_universum_loss_grad(
-    u: np.ndarray,
-    u_labels,
-    z: np.ndarray,
-    labels,
-    cfg: LossConfig,
-    num_known: int | None = None,
-) -> LossResult:
-    """Universum-anchor dual term: the known-anchor term with roles swapped.
-
-    Universum rows anchor; positives are other rows with the same pseudo
-    label; the denominator spans the other universum rows plus the known
-    rows of the anchor's targeted class.
-    """
-    core, _, _, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 0.0, 1.0)
-    return _split_result(core, nz, core.per_anchor[nz:])
-
-
 def dc_total_loss_grad(
     z: np.ndarray,
     labels,
@@ -388,64 +309,3 @@ def dc_total_loss_grad(
     )
     per_anchor = None if gamma else core.per_anchor[:nz]
     return _split_result(core, nz, per_anchor)
-
-
-def _decompose(
-    x: np.ndarray, targets: np.ndarray, nz: int, core: _CoreResult, tau: float
-) -> GradientDecomposition:
-    """Three-part split of each known anchor's own partial gradient.
-
-    Built from plain (unstabilized) exponentials so that reassembly
-    against core.anchor_partial crosses two arithmetic paths.
-    """
-    z, u = x[:nz], x[nz:]
-    # a known row's target is its label; a universum row counts in a
-    # known anchor's denominator when it targets the anchor's class
-    z_targets, u_targets = targets[:nz], targets[nz:]
-    pos_mask = z_targets[:, None] == z_targets[None, :]
-    np.fill_diagonal(pos_mask, False)
-    valid = core.valid[:nz]
-    known_exp = np.exp((z @ z.T) / tau)
-    np.fill_diagonal(known_exp, 0.0)
-    tau_exp = np.where(z_targets[:, None] == u_targets[None, :], np.exp((z @ u.T) / tau), 0.0)
-    normalizer = known_exp.sum(axis=1) + tau_exp.sum(axis=1)
-
-    pos_count = pos_mask.sum(axis=1)
-    pn = np.where(valid[:, None], pos_mask / np.maximum(pos_count, 1)[:, None], 0.0)
-    pos_term = pn @ z
-    g_nk = -(known_exp / normalizer[:, None]) @ z
-    g_tau = -(tau_exp / normalizer[:, None]) @ u
-    g_nk[~valid] = 0.0
-    g_tau[~valid] = 0.0
-
-    return GradientDecomposition(
-        pos_term=pos_term,
-        g_nk=g_nk,
-        g_tau=g_tau,
-        known_exp=known_exp,
-        tau_exp=tau_exp,
-        normalizer=normalizer,
-        anchor_partial=core.anchor_partial[:nz],
-        temperature=tau,
-    )
-
-
-def reassemble_anchor_partial(decomp: GradientDecomposition) -> np.ndarray:
-    """-(1/tau)(pos_term + g_nk + g_tau); should match anchor_partial."""
-    return -(decomp.pos_term + decomp.g_nk + decomp.g_tau) / decomp.temperature
-
-
-def hard_negative_weights(
-    decomp: GradientDecomposition,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized repulsion weights per anchor.
-
-    Returns (known_weights, tau_weights): known_weights[i, k] is the
-    share exp(z_i.z_k/tau)/S_i each other known row receives of anchor
-    i's repulsive gradient, tau_weights[i, j] the share of each matched
-    universum row. Rows sum to 1 across both matrices together, and a
-    row's weight grows strictly with its similarity to the anchor, so
-    harder negatives dominate.
-    """
-    s = decomp.normalizer[:, None]
-    return decomp.known_exp / s, decomp.tau_exp / s

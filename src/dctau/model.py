@@ -75,13 +75,10 @@ class ModelParams:
 class ForwardTrace:
     """Cached layer inputs and pre-activations of embed, for exact backprop."""
 
-    inputs: np.ndarray
     encoder_inputs: list[np.ndarray]
     encoder_pre: list[np.ndarray]
-    encoder_out: np.ndarray
     proj_inputs: list[np.ndarray]
     proj_pre: list[np.ndarray]
-    p: np.ndarray
     p_norm: np.ndarray
     z: np.ndarray
 
@@ -197,13 +194,10 @@ def embed(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardT
         raise NumericError("projection output has (near-)zero norm; cannot normalize")
     z = p / norms[:, None]
     trace = ForwardTrace(
-        inputs=inputs,
         encoder_inputs=enc_in,
         encoder_pre=enc_pre,
-        encoder_out=enc_out,
         proj_inputs=proj_in,
         proj_pre=proj_pre,
-        p=p,
         p_norm=norms,
         z=z,
     )

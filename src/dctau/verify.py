@@ -9,6 +9,16 @@ runs the same families of checks at larger sample counts.
 before checking, as a self-test that the gradient oracles can actually
 fail: with it set, the finite-difference and reassembly checks must
 report failures.
+
+The gradient decomposition lives here, not in the losses, because
+training never builds it. `decompose` splits each known anchor's own
+partial gradient into an attractive positive term and two repulsive
+softmax-weighted sums (over known rows and over matched universum rows)
+from plain exponentials, independent of the stabilized loss core, so
+reassembly against the core's anchor partial is a real check. Those
+plain exponentials overflow at small temperatures.
+`dc_universum_loss_grad` is the universum-anchored term alone, which
+training only ever sees folded into dc_total_loss_grad.
 """
 
 from __future__ import annotations
@@ -21,11 +31,10 @@ import numpy as np
 
 from .losses import (
     LossConfig,
-    dc_known_loss_grad,
+    LossResult,
+    _dc_core,
+    _split_result,
     dc_total_loss_grad,
-    dc_universum_loss_grad,
-    hard_negative_weights,
-    reassemble_anchor_partial,
     supcon_loss_grad,
 )
 from .metrics import auroc, macro_f1, oscr
@@ -85,6 +94,126 @@ def _maybe_inject(result, inject: bool):
     return dc_replace(result, grad_u=-result.grad_u)
 
 
+# --- the gradient decomposition oracle ----------------------------------
+
+
+@dataclass(frozen=True)
+class GradientDecomposition:
+    """Per-anchor three-part split of the anchor-side partial gradient.
+
+    pos_term[i] is the mean of anchor i's positive embeddings
+    (attractive); g_nk[i] and g_tau[i] are the softmax-weighted sums
+    over the other known embeddings and the matched universum
+    embeddings, stored with the repulsive sign folded in. For every
+    anchor, -(1/tau) * (pos_term + g_nk + g_tau) reconstructs
+    anchor_partial, the derivative of the anchor's own term with
+    respect to its embedding (the total gradient adds the contributions
+    an embedding receives from other anchors' terms).
+
+    known_exp[i, k] = exp(z_i.z_k/tau) for k != i (0 on the diagonal);
+    tau_exp[i, j] = exp(z_i.u_j/tau) for matched universum rows (0
+    elsewhere); normalizer[i] is exactly their row sum. These are
+    computed without stabilization, on purpose: reassembly then checks
+    the stabilized path against independent arithmetic.
+    """
+
+    pos_term: np.ndarray
+    g_nk: np.ndarray
+    g_tau: np.ndarray
+    known_exp: np.ndarray
+    tau_exp: np.ndarray
+    normalizer: np.ndarray
+    anchor_partial: np.ndarray
+    temperature: float
+
+
+def decompose(
+    z: np.ndarray,
+    labels,
+    u: np.ndarray,
+    u_labels,
+    cfg: LossConfig,
+    num_known: int | None = None,
+) -> GradientDecomposition:
+    """Three-part split of each known anchor's own partial gradient.
+
+    The anchor partial comes from the loss core with the known term
+    alone; the split is built from plain (unstabilized) exponentials so
+    that reassembly against it crosses two arithmetic paths.
+    """
+    tau = cfg.temperature
+    core, x, targets, nz = _dc_core(z, labels, u, u_labels, num_known, tau, 1.0, 0.0)
+    z, u = x[:nz], x[nz:]
+    # a known row's target is its label; a universum row counts in a
+    # known anchor's denominator when it targets the anchor's class
+    z_targets, u_targets = targets[:nz], targets[nz:]
+    pos_mask = z_targets[:, None] == z_targets[None, :]
+    np.fill_diagonal(pos_mask, False)
+    pos_count = pos_mask.sum(axis=1)
+    valid = pos_count > 0
+    known_exp = np.exp((z @ z.T) / tau)
+    np.fill_diagonal(known_exp, 0.0)
+    tau_exp = np.where(z_targets[:, None] == u_targets[None, :], np.exp((z @ u.T) / tau), 0.0)
+    normalizer = known_exp.sum(axis=1) + tau_exp.sum(axis=1)
+
+    pn = np.where(valid[:, None], pos_mask / np.maximum(pos_count, 1)[:, None], 0.0)
+    pos_term = pn @ z
+    g_nk = -(known_exp / normalizer[:, None]) @ z
+    g_tau = -(tau_exp / normalizer[:, None]) @ u
+    g_nk[~valid] = 0.0
+    g_tau[~valid] = 0.0
+
+    return GradientDecomposition(
+        pos_term=pos_term,
+        g_nk=g_nk,
+        g_tau=g_tau,
+        known_exp=known_exp,
+        tau_exp=tau_exp,
+        normalizer=normalizer,
+        anchor_partial=core.anchor_partial[:nz],
+        temperature=tau,
+    )
+
+
+def reassemble_anchor_partial(decomp: GradientDecomposition) -> np.ndarray:
+    """-(1/tau)(pos_term + g_nk + g_tau); should match anchor_partial."""
+    return -(decomp.pos_term + decomp.g_nk + decomp.g_tau) / decomp.temperature
+
+
+def hard_negative_weights(
+    decomp: GradientDecomposition,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized repulsion weights per anchor.
+
+    Returns (known_weights, tau_weights): known_weights[i, k] is the
+    share exp(z_i.z_k/tau)/S_i each other known row receives of anchor
+    i's repulsive gradient, tau_weights[i, j] the share of each matched
+    universum row. Rows sum to 1 across both matrices together, and a
+    row's weight grows strictly with its similarity to the anchor, so
+    harder negatives dominate.
+    """
+    s = decomp.normalizer[:, None]
+    return decomp.known_exp / s, decomp.tau_exp / s
+
+
+def dc_universum_loss_grad(
+    u: np.ndarray,
+    u_labels,
+    z: np.ndarray,
+    labels,
+    cfg: LossConfig,
+    num_known: int | None = None,
+) -> LossResult:
+    """Universum-anchor dual term: the known-anchor term with roles swapped.
+
+    Universum rows anchor; positives are other rows with the same pseudo
+    label; the denominator spans the other universum rows plus the known
+    rows of the anchor's targeted class.
+    """
+    core, _, _, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 0.0, 1.0)
+    return _split_result(core, nz, core.per_anchor[nz:])
+
+
 # --- individual checks --------------------------------------------------
 
 
@@ -104,6 +233,7 @@ def check_gradient_fd(inject_sign_error: bool = False) -> CheckResult:
     rng = np.random.default_rng(11)
     worst = 0.0
     cfg = LossConfig(temperature=0.3, gamma=0.7)
+    known_cfg = dc_replace(cfg, include_universum_term=False)
     for _ in range(3):
         n, d, k = 10, 6, 3
         z = _unit_rows(rng, n, d)
@@ -115,10 +245,10 @@ def check_gradient_fd(inject_sign_error: bool = False) -> CheckResult:
         fd = _fd_grad(lambda zz: supcon_loss_grad(zz, labels, cfg).value, z.copy())
         worst = max(worst, _rel_err(res.grad_z, fd))
 
-        res, _ = dc_known_loss_grad(z, labels, u, u_labels, cfg)
+        res = dc_total_loss_grad(z, labels, u, u_labels, known_cfg)
         res = _maybe_inject(res, inject_sign_error)
-        fd_z = _fd_grad(lambda zz: dc_known_loss_grad(zz, labels, u, u_labels, cfg)[0].value, z.copy())
-        fd_u = _fd_grad(lambda uu: dc_known_loss_grad(z, labels, uu, u_labels, cfg)[0].value, u.copy())
+        fd_z = _fd_grad(lambda zz: dc_total_loss_grad(zz, labels, u, u_labels, known_cfg).value, z.copy())
+        fd_u = _fd_grad(lambda uu: dc_total_loss_grad(z, labels, uu, u_labels, known_cfg).value, u.copy())
         worst = max(worst, _rel_err(res.grad_z, fd_z), _rel_err(res.grad_u, fd_u))
 
         res = dc_universum_loss_grad(u, u_labels, z, labels, cfg)
@@ -173,14 +303,14 @@ def check_network_gradient_fd() -> CheckResult:
 
 def check_reduction_identity() -> CheckResult:
     rng = np.random.default_rng(23)
-    cfg = LossConfig(temperature=0.15)
+    cfg = LossConfig(temperature=0.15, include_universum_term=False)
     empty_u = np.zeros((0, 5))
     empty_labels = np.zeros(0, dtype=np.int64)
     for _ in range(20):
         z = _unit_rows(rng, 12, 5)
         labels = _labels_with_positives(rng, 12, 4)
         plain = supcon_loss_grad(z, labels, cfg)
-        dual, _ = dc_known_loss_grad(z, labels, empty_u, empty_labels, cfg, num_known=4)
+        dual = dc_total_loss_grad(z, labels, empty_u, empty_labels, cfg, num_known=4)
         if plain.value != dual.value or not np.array_equal(plain.grad_z, dual.grad_z):
             return CheckResult("reduction_identity", False, "bitwise mismatch")
     return CheckResult("reduction_identity", True, "20/20 draws bitwise equal")
@@ -195,9 +325,9 @@ def check_decomposition(inject_sign_error: bool = False) -> CheckResult:
         z = _unit_rows(rng, 10, 6)
         labels = _labels_with_positives(rng, 10, 3)
         u = _unit_rows(rng, 10, 6)
-        _, decomp = dc_known_loss_grad(z, labels, u, labels + 3, cfg)
-        g_tau = -decomp.g_tau if inject_sign_error else decomp.g_tau
-        rebuilt = -(decomp.pos_term + decomp.g_nk + g_tau) / decomp.temperature
+        decomp = decompose(z, labels, u, labels + 3, cfg)
+        injected = dc_replace(decomp, g_tau=-decomp.g_tau) if inject_sign_error else decomp
+        rebuilt = reassemble_anchor_partial(injected)
         worst = max(worst, float(np.abs(rebuilt - decomp.anchor_partial).max()))
         s_exact = decomp.known_exp.sum(axis=1) + decomp.tau_exp.sum(axis=1)
         if not np.array_equal(s_exact, decomp.normalizer):
@@ -230,7 +360,7 @@ def check_hard_negative_situations() -> CheckResult:
     u[1, 3] = 1.0
     u[2, 4] = 1.0
     u[3, 5] = 1.0
-    _, decomp = dc_known_loss_grad(z, labels, u, labels + 2, cfg)
+    decomp = decompose(z, labels, u, labels + 2, cfg)
     known_w, tau_w = hard_negative_weights(decomp)
     ratio = known_w[0, 1] / tau_w[0, 0]
     expected = math.exp((1.0 - 0.0) / tau)
@@ -240,7 +370,7 @@ def check_hard_negative_situations() -> CheckResult:
     # 1/(number of denominator entries)
     basis = np.eye(8)
     z, u_all = basis[:4], basis[4:]
-    _, decomp = dc_known_loss_grad(z, np.array([1, 1, 2, 2]), u_all, np.array([3, 3, 4, 4]), cfg)
+    decomp = decompose(z, np.array([1, 1, 2, 2]), u_all, np.array([3, 3, 4, 4]), cfg)
     known_w, tau_w = hard_negative_weights(decomp)
     per_anchor_entries = 3 + 2  # 3 other knowns + 2 matched universum rows
     expect_w = 1.0 / per_anchor_entries

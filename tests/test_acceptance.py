@@ -13,17 +13,15 @@ import numpy as np
 
 from dctau.config import TrainConfig
 from dctau.experiment import DEFAULT_GRIDS, run_experiment, run_sweep
-from dctau.losses import (
-    LossConfig,
-    dc_known_loss_grad,
-    dc_total_loss_grad,
-    dc_universum_loss_grad,
-    hard_negative_weights,
-    reassemble_anchor_partial,
-    supcon_loss_grad,
-)
+from dctau.losses import LossConfig, dc_total_loss_grad, supcon_loss_grad
 from dctau.metrics import auroc, macro_f1, oscr
 from dctau.model import backprop_embedding, embed, init_params
+from dctau.verify import (
+    dc_universum_loss_grad,
+    decompose,
+    hard_negative_weights,
+    reassemble_anchor_partial,
+)
 
 _FD_H = 1e-5
 _GRAD_RTOL = 1e-4
@@ -139,9 +137,10 @@ def test_analytic_gradients_match_finite_differences():
         u = _unit_rows(rng, m, d)
         ul = zl + k
 
-        res, _ = dc_known_loss_grad(zz, zl, u, ul, cfg)
-        fd_z = _fd(lambda: dc_known_loss_grad(zz, zl, u, ul, cfg)[0].value, zz)
-        fd_u = _fd(lambda: dc_known_loss_grad(zz, zl, u, ul, cfg)[0].value, u)
+        known_cfg = dataclasses.replace(cfg, include_universum_term=False)
+        res = dc_total_loss_grad(zz, zl, u, ul, known_cfg)
+        fd_z = _fd(lambda: dc_total_loss_grad(zz, zl, u, ul, known_cfg).value, zz)
+        fd_u = _fd(lambda: dc_total_loss_grad(zz, zl, u, ul, known_cfg).value, u)
         worst = max(worst, _rel(res.grad_z, fd_z), _rel(res.grad_u, fd_u))
 
         res = dc_universum_loss_grad(u, ul, zz, zl, cfg)
@@ -235,8 +234,9 @@ def test_known_term_with_no_universum_rows_is_bitwise_supcon():
 
         sup = supcon_loss_grad(z, labels, cfg)
         empty = np.empty((0, d))
-        dc, _ = dc_known_loss_grad(z, labels, empty, np.empty(0, dtype=np.int64),
-                                   cfg, num_known=k)
+        dc = dc_total_loss_grad(z, labels, empty, np.empty(0, dtype=np.int64),
+                                dataclasses.replace(cfg, include_universum_term=False),
+                                num_known=k)
         assert dc.value == sup.value
         assert np.array_equal(dc.grad_z, sup.grad_z)
         assert dc.skipped_anchors == sup.skipped_anchors
@@ -257,7 +257,7 @@ def test_gradient_split_reassembles_and_universum_shrinks_weights():
         labels = _paired_labels(rng, n, k)
         u = _unit_rows(rng, n, d)
         ul = labels + k
-        _, decomp = dc_known_loss_grad(z, labels, u, ul, LossConfig(temperature=tau))
+        decomp = decompose(z, labels, u, ul, LossConfig(temperature=tau))
 
         gap = np.abs(
             reassemble_anchor_partial(decomp) - decomp.anchor_partial
@@ -301,7 +301,7 @@ def test_hard_negative_weight_ratios():
             known_neg,          # class 2
         ])
         u = np.array([tau_neg])
-        _, decomp = dc_known_loss_grad(
+        decomp = decompose(
             z, np.array([1, 1, 2]), u, np.array([3]),
             LossConfig(temperature=tau), num_known=k,
         )

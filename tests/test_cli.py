@@ -214,6 +214,14 @@ def test_eval_malformed_sidecar_exits_2(tmp_path, capsys):
     assert "corrupt sidecar" in capsys.readouterr().err
 
 
+def _first_feature(cell):
+    """An edit of a generated CSV that sets its first feature cell to cell."""
+    def edit(text):
+        header, first, rest = text.split("\n", 2)
+        return "\n".join([header, cell + first[first.index(","):], rest])
+    return edit
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -221,12 +229,18 @@ def test_eval_malformed_sidecar_exits_2(tmp_path, capsys):
         ("test_known.csv", "f0,f1,label\n0.5,oops,1\n"),
         ("test_unknown.csv", "f0,f1,label\n0.5,0.25,zero\n"),
         ("train.csv", "f0,f1,label\n0.5,0.25,1\n0.5,2\n"),
+        ("test_known.csv", _first_feature("nan")),
+        ("train.csv", _first_feature("inf")),
+        ("test_unknown.csv", _first_feature("-inf")),
     ],
-    ids=["empty", "feature-cell", "label-cell", "short-row"],
+    ids=["empty", "feature-cell", "label-cell", "short-row", "nan-cell", "inf-cell",
+         "minus-inf-cell"],
 )
 def test_malformed_split_csv_exits_2(tmp_path, capsys, name, text):
     data = tmp_path / "data"
     assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
+    if callable(text):
+        text = text((data / name).read_text(encoding="utf-8"))
     (data / name).write_text(text, encoding="utf-8")
     code = _run(["generate", "--out", str(tmp_path / "again"), "--quiet",
                  "--set", f"data_dir={data}"])

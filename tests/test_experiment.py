@@ -1,5 +1,7 @@
 """End-to-end run orchestration: splits, reports, and sweeps."""
 
+import csv
+import io
 import json
 import warnings
 
@@ -153,6 +155,18 @@ def test_sweep_validation():
     assert "tau" not in SWEEP_KEYS
 
 
+def _csv_module_sweep_bytes(rows):
+    """The sweep table as csv.writer renders it, for a byte comparison."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["sweep", "value", "auroc", "oscr", "macro_f1", "closed_accuracy",
+                     "wall_seconds", "n_seeds"])
+    for r in rows:
+        writer.writerow([r.key, r.value, repr(r.auroc), repr(r.oscr), repr(r.macro_f1),
+                         repr(r.closed_accuracy), repr(r.wall_seconds), r.n_seeds])
+    return out.getvalue().encode("utf-8")
+
+
 def test_sweep_csv_round_numbers(tmp_path):
     rows = run_sweep(
         _tiny_cfg(contrastive_epochs=1, classifier_epochs=1),
@@ -166,6 +180,14 @@ def test_sweep_csv_round_numbers(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "lambda" and first[1] == "0.3"
     assert float(first[2]) == rows[0].auroc
+    assert path.read_bytes() == _csv_module_sweep_bytes(rows)
+
+    rows = run_sweep(
+        _tiny_cfg(contrastive_epochs=1, classifier_epochs=1),
+        "scheme", values=("k_plus_one", "none"),
+    )
+    write_sweep_csv(rows, path)
+    assert path.read_bytes() == _csv_module_sweep_bytes(rows)
 
 
 def test_resume_from_checkpoint_changes_start(tmp_path):

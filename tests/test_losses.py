@@ -7,6 +7,7 @@ vectorized paths. _reference_core keeps the allocating form of the
 vectorized core that the workspace core must match bit for bit.
 """
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -19,12 +20,14 @@ from dctau.losses import (
     LossConfig,
     LossWorkspace,
     _stacked_core,
-    dc_known_loss_grad,
     dc_total_loss_grad,
+    supcon_loss_grad,
+)
+from dctau.verify import (
     dc_universum_loss_grad,
+    decompose,
     hard_negative_weights,
     reassemble_anchor_partial,
-    supcon_loss_grad,
 )
 
 _FD_H = 1e-5
@@ -135,6 +138,11 @@ def _rel_err(a, b):
     return np.linalg.norm(a - b) / denom
 
 
+def _known_only(cfg):
+    """cfg with the dual term off: dc_total_loss_grad is then the known term."""
+    return dataclasses.replace(cfg, include_universum_term=False)
+
+
 def _draw(seed, n=8, d=5, k=3):
     rng = np.random.default_rng(seed)
     z = _unit_rows(rng, n, d)
@@ -160,7 +168,7 @@ def test_dc_values_match_loop_references():
     cfg = LossConfig(temperature=0.21)
     for seed in range(10):
         z, labels, u, u_labels, k = _draw(seed)
-        known, _ = dc_known_loss_grad(z, labels, u, u_labels, cfg)
+        known = dc_total_loss_grad(z, labels, u, u_labels, _known_only(cfg))
         dual = dc_universum_loss_grad(u, u_labels, z, labels, cfg)
         ref_known = reference_dc_known(z, labels, u, u_labels, cfg.temperature, k)
         ref_dual = reference_dc_universum(u, u_labels, z, labels, cfg.temperature, k)
@@ -177,7 +185,7 @@ def test_gradients_match_finite_differences_of_reference():
         fd = _fd_grad(lambda: reference_supcon(z, labels, cfg.temperature), z)
         assert _rel_err(res.grad_z, fd) < _FD_RTOL
 
-        known, _ = dc_known_loss_grad(z, labels, u, u_labels, cfg)
+        known = dc_total_loss_grad(z, labels, u, u_labels, _known_only(cfg))
         fd_z = _fd_grad(lambda: reference_dc_known(z, labels, u, u_labels, cfg.temperature, k), z)
         fd_u = _fd_grad(lambda: reference_dc_known(z, labels, u, u_labels, cfg.temperature, k), u)
         assert _rel_err(known.grad_z, fd_z) < _FD_RTOL
@@ -202,7 +210,7 @@ def test_gradients_match_finite_differences_of_reference():
 def test_total_is_linear_combination():
     cfg = LossConfig(temperature=0.15, gamma=1.7)
     z, labels, u, u_labels, _ = _draw(3)
-    known, _ = dc_known_loss_grad(z, labels, u, u_labels, cfg)
+    known = dc_total_loss_grad(z, labels, u, u_labels, _known_only(cfg))
     dual = dc_universum_loss_grad(u, u_labels, z, labels, cfg)
     total = dc_total_loss_grad(z, labels, u, u_labels, cfg)
     assert total.value == pytest.approx(known.value + cfg.gamma * dual.value, rel=1e-12)
@@ -214,26 +222,32 @@ def test_total_is_linear_combination():
 def test_without_universum_term_keeps_known_term_only():
     cfg_on = LossConfig(temperature=0.2, gamma=1.0, include_universum_term=True)
     cfg_off = LossConfig(temperature=0.2, gamma=1.0, include_universum_term=False)
-    z, labels, u, u_labels, _ = _draw(4)
-    known, _ = dc_known_loss_grad(z, labels, u, u_labels, cfg_off)
+    cfg_zero = LossConfig(temperature=0.2, gamma=0.0, include_universum_term=True)
+    z, labels, u, u_labels, k = _draw(4)
     off = dc_total_loss_grad(z, labels, u, u_labels, cfg_off)
+    zero = dc_total_loss_grad(z, labels, u, u_labels, cfg_zero)
     on = dc_total_loss_grad(z, labels, u, u_labels, cfg_on)
-    assert off.value == known.value
-    assert np.array_equal(off.grad_z, known.grad_z)
-    assert np.array_equal(off.grad_u, known.grad_u)
+    # the dual term off and gamma 0 are one computation
+    assert np.float64(off.value).tobytes() == np.float64(zero.value).tobytes()
+    for field in ("grad", "grad_z", "grad_u", "per_anchor"):
+        assert getattr(off, field).tobytes() == getattr(zero, field).tobytes(), field
+    assert off.skipped_anchors == zero.skipped_anchors
+    # and it is the known-anchored term of the loop reference
+    ref = reference_dc_known(z, labels, u, u_labels, cfg_off.temperature, k)
+    assert abs(off.value - ref) <= 1e-9 * max(1.0, abs(ref))
     # universum rows still matter through the known denominators
     assert np.linalg.norm(off.grad_u) > 0
     assert on.value != off.value
 
 
 def test_reduction_to_supcon_is_bitwise():
-    cfg = LossConfig(temperature=0.11)
+    cfg = LossConfig(temperature=0.11, include_universum_term=False)
     for seed in range(20):
         z, labels, _, _, k = _draw(seed)
         empty_u = np.zeros((0, z.shape[1]))
         empty_labels = np.zeros(0, dtype=np.int64)
         sup = supcon_loss_grad(z, labels, cfg)
-        red, _ = dc_known_loss_grad(z, labels, empty_u, empty_labels, cfg, num_known=k)
+        red = dc_total_loss_grad(z, labels, empty_u, empty_labels, cfg, num_known=k)
         assert red.value == sup.value
         assert np.array_equal(red.grad_z, sup.grad_z)
 
@@ -264,7 +278,7 @@ def test_input_validation():
     with pytest.raises(InvalidArgumentError):
         supcon_loss_grad(z, labels[:-1], cfg)  # label misalignment
     with pytest.raises(InvalidArgumentError):
-        dc_known_loss_grad(z, labels, _unit_rows(rng, 6, 3), labels + 3, cfg)  # dim mismatch
+        dc_total_loss_grad(z, labels, _unit_rows(rng, 6, 3), labels + 3, cfg)  # dim mismatch
     with pytest.raises(InvalidArgumentError):
         LossConfig(temperature=0.0)
     with pytest.raises(InvalidArgumentError):
@@ -274,19 +288,19 @@ def test_input_validation():
     bad = labels + 3
     bad[0] += 1
     with pytest.raises(InvalidArgumentError):
-        dc_known_loss_grad(z, labels, u, bad, cfg)
+        dc_total_loss_grad(z, labels, u, bad, cfg)
     # collapsed single pseudo class is not a valid bijection either
     with pytest.raises(InvalidArgumentError):
-        dc_known_loss_grad(z, labels, u, np.full(6, 4), cfg)
+        dc_total_loss_grad(z, labels, u, np.full(6, 4), cfg)
     # offset below the class count cannot be the class count
     with pytest.raises(InvalidArgumentError):
-        dc_known_loss_grad(z, labels, u, labels + 2, cfg)
+        dc_total_loss_grad(z, labels, u, labels + 2, cfg)
     # pseudo labels must target real classes even with explicit num_known
     with pytest.raises(InvalidArgumentError):
-        dc_known_loss_grad(z, labels, u[:2], np.array([8, 9]), cfg, num_known=3)
+        dc_total_loss_grad(z, labels, u[:2], np.array([8, 9]), cfg, num_known=3)
     # a known label above K would share a stacked label with a pseudo label
     with pytest.raises(InvalidArgumentError):
-        dc_known_loss_grad(z, labels, u[:2], np.array([3, 4]), cfg, num_known=2)
+        dc_total_loss_grad(z, labels, u[:2], np.array([3, 4]), cfg, num_known=2)
     # K is not guessed from the labels when the rows are not aligned
     with pytest.raises(InvalidArgumentError, match="num_known"):
         dc_total_loss_grad(z, labels, u[:2], np.array([4, 6]), cfg)
@@ -306,7 +320,7 @@ def test_unaligned_universum_with_explicit_num_known():
     labels = np.array([1, 1, 2, 2, 3, 3])
     u = _unit_rows(rng, 2, 5)
     u_labels = np.array([4, 6])  # targets classes 1 and 3 of K=3
-    res, _ = dc_known_loss_grad(z, labels, u, u_labels, cfg, num_known=3)
+    res = dc_total_loss_grad(z, labels, u, u_labels, _known_only(cfg), num_known=3)
     ref = reference_dc_known(z, labels, u, u_labels, cfg.temperature, 3)
     assert abs(res.value - ref) <= 1e-9 * max(1.0, abs(ref))
 
@@ -315,7 +329,7 @@ def test_decomposition_identities():
     cfg = LossConfig(temperature=0.25)
     for seed in range(20):
         z, labels, u, u_labels, _ = _draw(seed)
-        _, decomp = dc_known_loss_grad(z, labels, u, u_labels, cfg)
+        decomp = decompose(z, labels, u, u_labels, cfg)
 
         # reassembly crosses the stabilized and raw arithmetic paths
         err = np.abs(reassemble_anchor_partial(decomp) - decomp.anchor_partial).max()
@@ -348,7 +362,7 @@ def test_harder_negatives_get_larger_weights():
     labels = np.array([1, 2, 2])
     u = np.array([[0.0, 0.0, 1.0]])
     u_labels = np.array([3])  # targets class 1 with K = 2
-    _, decomp = dc_known_loss_grad(z, labels, u, u_labels, cfg, num_known=2)
+    decomp = decompose(z, labels, u, u_labels, cfg, num_known=2)
     known_w, tau_w = hard_negative_weights(decomp)
     # similarity 1 vs 0 at tau 0.5: weight ratio must be e^2
     ratio = known_w[0, 1] / known_w[0, 2]

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import dctau.losses
 import dctau.model
+import dctau.verify
 from dctau.config import TrainConfig
 from dctau.data import Dataset, OpenSplit, augment_gaussian, epoch_batches
 from dctau.errors import InvalidArgumentError, NumericError
@@ -101,7 +101,7 @@ def test_embed_unit_norm_and_validation():
     z, trace = embed(params, x)
     assert z.shape == (7, 5)
     assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
-    assert trace.z is z and trace.p is not None
+    assert trace.z is z and trace.p_norm.shape == (7,)
 
     with pytest.raises(InvalidArgumentError):
         embed(params, np.zeros((3, 5)))
@@ -296,7 +296,7 @@ def test_training_never_builds_the_gradient_decomposition(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the gradient decomposition is an oracle, not a training step")
 
-    monkeypatch.setattr(dctau.losses, "_decompose", forbidden)
+    monkeypatch.setattr(dctau.verify, "decompose", forbidden)
     cfg = _tiny_cfg(contrastive_epochs=1, pseudo_scheme="k_plus_k")
     _, history = train_contrastive(_easy_split(), cfg, np.random.default_rng(2))
     assert len(history) == 1 and np.isfinite(history[0])
