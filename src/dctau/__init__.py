@@ -39,7 +39,7 @@ from .experiment import (
 from .losses import LossConfig, LossResult, dc_total_loss_grad, supcon_loss_grad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import (
-    CurvePoint,
+    OscrCurve,
     auroc,
     closed_accuracy,
     macro_f1,

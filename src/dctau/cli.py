@@ -44,7 +44,6 @@ from .experiment import (
     write_sweep_csv,
 )
 from .metrics import oscr_curve, write_curve_csv
-from .model import posteriors
 from .openset import write_thresholds_csv
 from .verify import run_all
 
@@ -185,9 +184,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         fh.write(report.to_json() + "\n")
     write_thresholds_csv(report.thresholds, os.path.join(args.out, THRESHOLDS_FILE))
     curve = oscr_curve(
-        posteriors(params, split.test_known.features),
-        split.test_known.labels,
-        posteriors(params, split.test_unknown.features),
+        report.known_posteriors, split.test_known.labels, report.unknown_posteriors
     )
     write_curve_csv(curve, os.path.join(args.out, CURVE_FILE))
     if not args.quiet:

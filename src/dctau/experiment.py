@@ -56,7 +56,16 @@ MANIFEST_JSON = "manifest.json"
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Metrics of one trained model on one open split."""
+    """Metrics of one trained model on one open split.
+
+    wall_seconds covers a different span in each producer: the
+    evaluation alone in evaluate_params, split + training + evaluation
+    in run_experiment, and training + evaluation in the percentile sweep
+    of run_sweep. known_posteriors and unknown_posteriors are the test
+    posteriors the metrics were computed from, kept so a caller can
+    score them again (dctau eval writes the OSCR curve from them); they
+    never enter to_json or report equality.
+    """
 
     auroc: float
     oscr: float
@@ -65,6 +74,12 @@ class EvalReport:
     thresholds: ThresholdTable
     config: TrainConfig
     wall_seconds: float
+    known_posteriors: np.ndarray | None = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
+    unknown_posteriors: np.ndarray | None = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for name in ("auroc", "oscr", "macro_f1", "closed_accuracy"):
@@ -197,7 +212,11 @@ def run_training(
 
 
 def evaluate_params(params: ModelParams, split: OpenSplit, cfg: TrainConfig) -> EvalReport:
-    """Fit thresholds on training rows, score the two test sets."""
+    """Fit thresholds on training rows, score the two test sets.
+
+    Each of the three row sets goes through the model once; the report
+    keeps the two test posterior matrices.
+    """
     start = time.perf_counter()
     train_post = posteriors(params, split.train.features)
     table = fit_thresholds(train_post, split.train.labels, cfg.percentile)
@@ -223,6 +242,8 @@ def evaluate_params(params: ModelParams, split: OpenSplit, cfg: TrainConfig) -> 
         thresholds=table,
         config=cfg,
         wall_seconds=time.perf_counter() - start,
+        known_posteriors=known_post,
+        unknown_posteriors=unknown_post,
     )
 
 

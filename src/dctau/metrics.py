@@ -25,13 +25,20 @@ from .data import UNKNOWN_LABEL
 from .errors import InvalidArgumentError
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Correct-classification and false-positive rates at one cutoff."""
+@dataclass(frozen=True, eq=False)
+class OscrCurve:
+    """Correct-classification and false-positive rates at each cutoff.
 
-    delta: float
-    ccr: float
-    fpr: float
+    delta, ccr and fpr are float64 arrays of one length, one entry per
+    cutoff, delta ascending; len() is the number of cutoffs.
+    """
+
+    delta: np.ndarray
+    ccr: np.ndarray
+    fpr: np.ndarray
+
+    def __len__(self) -> int:
+        return self.delta.size
 
 
 def _scores(name: str, values) -> np.ndarray:
@@ -67,10 +74,8 @@ def auroc(known_scores, unknown_scores) -> float:
     return float(u_stat / (n_k * n_u))
 
 
-def oscr_curve(
-    known_posteriors, known_true_labels, unknown_posteriors
-) -> list[CurvePoint]:
-    """One point per distinct confidence value, in ascending cutoff order.
+def oscr_curve(known_posteriors, known_true_labels, unknown_posteriors) -> OscrCurve:
+    """One cutoff per distinct confidence value, in ascending order.
 
     At cutoff delta, ccr counts known rows that are correctly argmax
     classified with confidence >= delta (over all knowns) and fpr
@@ -90,14 +95,13 @@ def oscr_curve(
 
     deltas = np.unique(np.concatenate([known_conf, unknown_conf]))
 
-    def rate(conf: np.ndarray, total: int) -> list[float]:
+    def rate(conf: np.ndarray, total: int) -> np.ndarray:
         """Share of ``total`` rows with a ``conf`` value >= each delta."""
         ranked = np.sort(conf)
-        return ((ranked.size - np.searchsorted(ranked, deltas, side="left")) / total).tolist()
+        return (ranked.size - np.searchsorted(ranked, deltas, side="left")) / total
 
-    ccr = rate(known_conf[correct], known_conf.size)
-    fpr = rate(unknown_conf, unknown_conf.size)
-    return [CurvePoint(*pt) for pt in zip(deltas.tolist(), ccr, fpr)]
+    return OscrCurve(deltas, rate(known_conf[correct], known_conf.size),
+                     rate(unknown_conf, unknown_conf.size))
 
 
 def oscr(known_posteriors, known_true_labels, unknown_posteriors) -> float:
@@ -107,17 +111,16 @@ def oscr(known_posteriors, known_true_labels, unknown_posteriors) -> float:
     extended to fpr 0 and 1 by holding the extreme ccr values constant,
     and integrated with the trapezoid rule.
     """
-    points = oscr_curve(known_posteriors, known_true_labels, unknown_posteriors)
-    best_ccr: dict[float, float] = {}
-    for pt in points:
-        best_ccr[pt.fpr] = max(best_ccr.get(pt.fpr, 0.0), pt.ccr)
-    fprs = sorted(best_ccr)
-    xs = np.array(([0.0] if fprs[0] > 0.0 else []) + fprs + ([1.0] if fprs[-1] < 1.0 else []))
-    ys = np.array(
-        ([best_ccr[fprs[0]]] if fprs[0] > 0.0 else [])
-        + [best_ccr[f] for f in fprs]
-        + ([best_ccr[fprs[-1]]] if fprs[-1] < 1.0 else [])
-    )
+    curve = oscr_curve(known_posteriors, known_true_labels, unknown_posteriors)
+    order = np.argsort(curve.fpr, kind="stable")
+    fpr = curve.fpr[order]
+    starts = np.flatnonzero(np.r_[True, fpr[1:] != fpr[:-1]])
+    xs = fpr[starts]
+    ys = np.maximum.reduceat(curve.ccr[order], starts)
+    if xs[0] > 0.0:
+        xs, ys = np.r_[0.0, xs], np.r_[ys[0], ys]
+    if xs[-1] < 1.0:
+        xs, ys = np.r_[xs, 1.0], np.r_[ys, ys[-1]]
     return float(np.trapezoid(ys, xs))
 
 
@@ -157,8 +160,17 @@ def closed_accuracy(predicted, truth) -> float:
     return float(np.mean(pred == true))
 
 
-def write_curve_csv(points: list[CurvePoint], path) -> None:
-    """Export `delta,ccr,fpr` rows for external plotting."""
-    lines = ["delta,ccr,fpr"] + [f"{pt.delta!r},{pt.ccr!r},{pt.fpr!r}" for pt in points]
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float64 value, computed once per distinct bit pattern."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = [repr(v) for v in distinct.view(np.float64).tolist()]
+    return [texts[i] for i in inverse.tolist()]
+
+
+def write_curve_csv(curve: OscrCurve, path) -> None:
+    """Export `delta,ccr,fpr` rows for external plotting, values as repr."""
+    rows = zip(map(repr, curve.delta.tolist()), _reprs(curve.ccr), _reprs(curve.fpr))
+    lines = ["delta,ccr,fpr"] + [",".join(row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -239,8 +239,17 @@ def backprop_embedding(
 
 
 def _encode(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Encoder features E(x) of checked inputs."""
-    return _chain_forward(params.encoder, _check_inputs(params, inputs), relu_last=True)[0]
+    """Encoder features E(x) of checked inputs.
+
+    The bits of _chain_forward, but with nothing kept for backprop: each
+    layer makes one array and adds its bias and applies its ReLU in place.
+    """
+    x = _check_inputs(params, inputs)
+    for layer in params.encoder:
+        s = x @ layer.weight
+        s += layer.bias
+        x = np.maximum(s, 0.0, out=s)
+    return x
 
 
 def _classify(classifier, feats: np.ndarray):
@@ -257,11 +266,12 @@ def forward_classifier(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax."""
+    """Row-wise stable softmax; logits are left unchanged."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def posteriors(params: ModelParams, inputs: np.ndarray) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Command-line entry point, exercised in process through main(argv)."""
 
+import dataclasses
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+import dctau.cli
+import dctau.metrics
+import dctau.model
 from dctau.cli import (
     CHECKPOINT_FILE,
     CURVE_FILE,
@@ -68,6 +73,78 @@ def test_train_then_eval_roundtrip(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "# effective config" in stdout
     assert '"auroc"' in stdout  # the report JSON is echoed
+
+
+def _trained_checkpoint(tmp_path):
+    run_dir = tmp_path / "run"
+    assert _run(["train", "--out", str(run_dir), "--seed", "5", "--quiet", *_FAST]) == 0
+    return run_dir / CHECKPOINT_FILE
+
+
+def _counting(fn, calls, key):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_eval_scores_each_row_set_once(tmp_path, monkeypatch):
+    ckpt = _trained_checkpoint(tmp_path)
+    calls = {"posteriors": 0, "cli.oscr_curve": 0, "metrics.oscr_curve": 0}
+    real_posteriors, real_curve = dctau.model.posteriors, dctau.metrics.oscr_curve
+    counted = _counting(real_posteriors, calls, "posteriors")
+    for name, module in list(sys.modules.items()):
+        if name == "dctau" or name.startswith("dctau."):
+            for attr, value in list(vars(module).items()):
+                if value is real_posteriors:
+                    monkeypatch.setattr(module, attr, counted)
+    # cmd_eval's own binding, and the one oscr looks up inside metrics
+    monkeypatch.setattr(dctau.cli, "oscr_curve", _counting(real_curve, calls, "cli.oscr_curve"))
+    monkeypatch.setattr(
+        dctau.metrics, "oscr_curve", _counting(real_curve, calls, "metrics.oscr_curve")
+    )
+    assert _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval"),
+                 "--quiet"]) == 0
+    # train, test_known and test_unknown once each; the curve file reuses
+    # the test posteriors that evaluate_params scored
+    assert calls == {"posteriors": 3, "cli.oscr_curve": 1, "metrics.oscr_curve": 1}
+
+
+def test_report_json_comes_from_the_patched_evaluate_params(tmp_path, monkeypatch):
+    ckpt = _trained_checkpoint(tmp_path)
+    argv = ["eval", "--checkpoint", str(ckpt), "--quiet"]
+    assert _run([*argv, "--out", str(tmp_path / "a")]) == 0
+    real = dctau.cli.evaluate_params
+
+    def off_by_one_ulp(params, split, cfg):
+        report = real(params, split, cfg)
+        return dataclasses.replace(report, oscr=float(np.nextafter(report.oscr, 0)))
+
+    monkeypatch.setattr(dctau.cli, "evaluate_params", off_by_one_ulp)
+    assert _run([*argv, "--out", str(tmp_path / "b")]) == 0
+    a, b = (json.loads((tmp_path / d / REPORT_FILE).read_text(encoding="utf-8")) for d in "ab")
+    assert b["oscr"] == float(np.nextafter(a["oscr"], 0)) != a["oscr"]
+    for report in (a, b):
+        del report["oscr"], report["wall_seconds"]
+    assert a == b
+    for name in (THRESHOLDS_FILE, CURVE_FILE):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_eval_with_overflowing_weights_exits_3(tmp_path, capsys):
+    ckpt = _trained_checkpoint(tmp_path)
+    params, cfg, seed = load_checkpoint(ckpt)
+
+    def scaled(layers):
+        return tuple(dataclasses.replace(l, weight=l.weight * 1e200) for l in layers)
+
+    huge = dataclasses.replace(params, encoder=scaled(params.encoder),
+                               classifier=scaled(params.classifier))
+    save_checkpoint(ckpt, huge, cfg, seed)
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval"), "--quiet"])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_train_is_deterministic(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end run orchestration: splits, reports, and sweeps."""
 
 import csv
+import dataclasses
 import io
 import json
 import warnings
@@ -22,6 +23,7 @@ from dctau.experiment import (
     save_split,
     write_sweep_csv,
 )
+from dctau.model import posteriors
 from dctau.openset import ThresholdTable
 
 
@@ -104,6 +106,14 @@ def test_run_experiment_report_and_reproducibility():
     assert payload["auroc"] == report.auroc
     assert payload["config"]["seed"] == cfg.seed
     assert len(payload["thresholds"]) == split.num_known
+
+    # the report keeps the test posteriors it scored, outside the JSON
+    # and outside report equality
+    for kept, rows in ((report.known_posteriors, split.test_known),
+                       (report.unknown_posteriors, split.test_unknown)):
+        assert kept.tobytes() == posteriors(params, rows.features).tobytes()
+    assert not {"known_posteriors", "unknown_posteriors"} & set(payload)
+    assert dataclasses.replace(report, known_posteriors=None, unknown_posteriors=None) == report
 
 
 def test_eval_report_rejects_out_of_range_metrics():

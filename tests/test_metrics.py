@@ -7,7 +7,7 @@ import pytest
 
 from dctau.errors import InvalidArgumentError
 from dctau.metrics import (
-    CurvePoint,
+    OscrCurve,
     auroc,
     closed_accuracy,
     macro_f1,
@@ -123,31 +123,51 @@ def test_oscr_perfect_separation_scores_ccr():
 def test_oscr_curve_shape_and_extremes():
     kp = np.array([[0.9, 0.1], [0.7, 0.3]])
     up = np.array([[0.8, 0.2]])
-    points = oscr_curve(kp, np.array([1, 1]), up)
-    deltas = [pt.delta for pt in points]
-    assert deltas == sorted(deltas)
-    assert points[0].fpr == 1.0  # lowest cutoff accepts every unknown
-    assert points[0].ccr == 1.0
-    assert points[-1].delta == 0.9
-    assert points[-1].fpr == 0.0 and points[-1].ccr == 0.5
+    curve = oscr_curve(kp, np.array([1, 1]), up)
+    deltas = curve.delta.tolist()
+    assert deltas == sorted(deltas) and len(curve) == 3
+    for arr in (curve.delta, curve.ccr, curve.fpr):
+        assert arr.dtype == np.float64 and arr.shape == (3,)
+    assert curve.fpr[0] == 1.0  # lowest cutoff accepts every unknown
+    assert curve.ccr[0] == 1.0
+    assert curve.delta[-1] == 0.9
+    assert curve.fpr[-1] == 0.0 and curve.ccr[-1] == 0.5
 
 
 def _oscr_curve_loop(known_post, known_true, unknown_post):
-    """One mean per cutoff: the direct reading of the curve's definition."""
+    """One mean per cutoff: the direct reading of the curve's definition.
+
+    Returns the (delta, ccr, fpr) columns as lists of floats.
+    """
     known_conf = known_post.max(axis=1)
     correct = known_post.argmax(axis=1) + 1 == known_true
     unknown_conf = unknown_post.max(axis=1)
-    return [
-        CurvePoint(
-            float(delta),
-            float(np.mean(correct & (known_conf >= delta))),
-            float(np.mean(unknown_conf >= delta)),
-        )
-        for delta in np.unique(np.concatenate([known_conf, unknown_conf]))
-    ]
+    deltas = np.unique(np.concatenate([known_conf, unknown_conf]))
+    return (
+        [float(delta) for delta in deltas],
+        [float(np.mean(correct & (known_conf >= delta))) for delta in deltas],
+        [float(np.mean(unknown_conf >= delta)) for delta in deltas],
+    )
 
 
-def test_oscr_curve_equals_per_cutoff_loop_exactly():
+def _reference_oscr(curve):
+    """The best ccr per distinct fpr kept in a dict, padded and integrated."""
+    best_ccr = {}
+    for fpr, ccr in zip(curve.fpr.tolist(), curve.ccr.tolist()):
+        best_ccr[fpr] = max(best_ccr.get(fpr, 0.0), ccr)
+    fprs = sorted(best_ccr)
+    xs = np.array(([0.0] if fprs[0] > 0.0 else []) + fprs + ([1.0] if fprs[-1] < 1.0 else []))
+    ys = np.array(
+        ([best_ccr[fprs[0]]] if fprs[0] > 0.0 else [])
+        + [best_ccr[f] for f in fprs]
+        + ([best_ccr[fprs[-1]]] if fprs[-1] < 1.0 else [])
+    )
+    return float(np.trapezoid(ys, xs))
+
+
+def _curve_cases():
+    """40 seeded posterior sets; every other one has heavy ties, and trials
+    3, 16 and 30 have a single unknown row."""
     rng = np.random.default_rng(19)
     for trial in range(40):
         n_k, n_u = (int(v) for v in rng.integers(1, 120, 2))
@@ -157,7 +177,24 @@ def test_oscr_curve_equals_per_cutoff_loop_exactly():
         if trial % 2:  # heavy ties within and across the two sets
             kp, up = np.round(kp, 1), np.round(up, 1)
         true = rng.integers(1, k + 1, n_k)
-        assert oscr_curve(kp, true, up) == _oscr_curve_loop(kp, true, up), trial
+        yield trial, kp, true, up
+
+
+def test_oscr_curve_equals_per_cutoff_loop_exactly():
+    for trial, kp, true, up in _curve_cases():
+        curve = oscr_curve(kp, true, up)
+        got = (curve.delta.tolist(), curve.ccr.tolist(), curve.fpr.tolist())
+        assert got == _oscr_curve_loop(kp, true, up), trial
+        assert len(curve) == len(got[0]), trial
+
+
+def test_oscr_equals_dict_reference_bitwise():
+    one_known = [(40, np.array([[0.6, 0.4]]), np.array([1]), np.array([[0.7, 0.3], [0.6, 0.4]])),
+                 (41, np.array([[0.6, 0.4]]), np.array([2]), np.array([[0.5, 0.5]]))]
+    for trial, kp, true, up in [*_curve_cases(), *one_known]:
+        got = oscr(kp, true, up)
+        want = _reference_oscr(oscr_curve(kp, true, up))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
 
 
 def test_oscr_validation():
@@ -206,9 +243,9 @@ def test_closed_accuracy():
 
 
 def test_curve_csv_format(tmp_path):
-    points = [CurvePoint(0.5, 1.0, 1.0), CurvePoint(0.75, 0.5, 0.0)]
+    curve = OscrCurve(np.array([0.5, 0.75]), np.array([1.0, 0.5]), np.array([1.0, 0.0]))
     path = tmp_path / "curve.csv"
-    write_curve_csv(points, path)
+    write_curve_csv(curve, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["delta,ccr,fpr", "0.5,1.0,1.0", "0.75,0.5,0.0"]
 
@@ -217,14 +254,16 @@ def test_curve_csv_matches_csv_module_bytes(tmp_path):
     rng = np.random.default_rng(3)
     known = rng.dirichlet(np.ones(3), size=40)
     unknown = rng.dirichlet(np.ones(3), size=30)
-    points = oscr_curve(known, rng.integers(1, 4, size=40), unknown)
+    curve = oscr_curve(known, rng.integers(1, 4, size=40), unknown)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_curve_csv(points, got)
+    write_curve_csv(curve, got)
     # the csv.writer export that write_curve_csv replaces
     with open(want, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["delta", "ccr", "fpr"])
-        for pt in points:
-            writer.writerow([repr(pt.delta), repr(pt.ccr), repr(pt.fpr)])
-    assert len(points) > 2
+        for row in zip(curve.delta.tolist(), curve.ccr.tolist(), curve.fpr.tolist()):
+            writer.writerow([repr(v) for v in row])
+    assert len(curve) > 2
+    # repeated ccr and fpr values are what the per-value repr cache reuses
+    assert len(set(curve.ccr.tolist())) < len(curve) and len(set(curve.fpr.tolist())) < len(curve)
     assert got.read_bytes() == want.read_bytes()

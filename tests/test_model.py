@@ -213,6 +213,60 @@ def test_softmax_posteriors_and_cross_entropy():
         cross_entropy_loss_grad(logits, np.array([3]))
 
 
+def _with_random_biases(params, seed):
+    """params with every bias drawn at random, so the bias add is exercised."""
+    rng = np.random.default_rng(seed)
+
+    def section(layers):
+        return tuple(DenseLayer(l.weight, rng.standard_normal(l.bias.shape)) for l in layers)
+
+    return replace(params, encoder=section(params.encoder), classifier=section(params.classifier))
+
+
+def _reference_inference(params, x):
+    """Probe features, logits and posteriors from _chain_forward and the
+    allocating softmax."""
+    feats, _, _ = _chain_forward(params.encoder, x, relu_last=True)
+    logits, _, _ = _chain_forward(params.classifier, feats, relu_last=False)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return feats, logits, e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("hidden", [(), (7,), (9, 5, 6)])
+@pytest.mark.parametrize("rows", [0, 1, 33])
+def test_inference_forward_is_bitwise_the_training_chain(hidden, rows):
+    params = _with_random_biases(init_params(4, hidden, 3, 5, seed=rows), seed=len(hidden))
+    x = np.random.default_rng(rows).standard_normal((rows, 4)) * 3.0
+    feats, logits, post = _reference_inference(params, x)
+    for got, want in (
+        (_encode(params, x), feats),
+        (forward_classifier(params, x), logits),
+        (posteriors(params, x), post),
+    ):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_softmax_leaves_the_logits_unchanged():
+    logits = np.random.default_rng(4).standard_normal((6, 4)) * 40.0
+    before = logits.copy()
+    p = softmax(logits)
+    assert logits.tobytes() == before.tobytes()
+    assert not np.shares_memory(p, logits)
+
+
+def test_overflowing_weights_raise_numeric_error():
+    params = init_params(3, (4,), 2, 2, seed=0)
+    huge = replace(
+        params,
+        encoder=tuple(DenseLayer(l.weight * 1e200, l.bias) for l in params.encoder),
+        classifier=tuple(DenseLayer(l.weight * 1e200, l.bias) for l in params.classifier),
+    )
+    x = np.random.default_rng(0).standard_normal((5, 3))
+    with pytest.raises(NumericError):
+        posteriors(huge, x)
+
+
 def test_schedule_warmup_and_cosine():
     s = Schedule(base_lr=1.0, warmup_epochs=4, total_epochs=14)
     assert s.lr_at(0) == 0.25
