@@ -11,12 +11,14 @@ Binary layout, all integers little-endian:
     ...       parameter blocks: float64 little-endian, row-major,
               concatenated in manifest order
 
-The sidecar (<path>.json) records the full config and the master seed
-so a checkpoint is reproducible and resumable without guessing. A
-sidecar whose config names an unknown key (one a newer version removed,
-say) or holds a value of the wrong type is rejected as corrupt. Both
-files are written to temporaries in the same directory and renamed into
-place, so an interrupted save never leaves a half-written checkpoint.
+The sidecar (<path>.json) records the full config, whose ``seed`` is the
+master seed, so a checkpoint is reproducible and resumable without
+guessing. A sidecar with no config, or whose config names an unknown key
+(one a newer version removed, say) or holds a value of the wrong type,
+is rejected as corrupt; the top-level ``seed`` older versions wrote is
+ignored. Both files are written to temporaries in the same directory and
+renamed into place, so an interrupted save never leaves a half-written
+checkpoint.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def sidecar_path(path) -> str:
     return f"{path}.json"
 
 
-def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, seed: int) -> None:
+def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:
     manifest = []
     blocks = []
     for section in _SECTIONS:
@@ -77,11 +79,7 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, seed: int) -> N
 
     manifest_bytes = json.dumps({"blocks": manifest}).encode("utf-8")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(manifest_bytes))
-    sidecar = {
-        "format_version": FORMAT_VERSION,
-        "seed": int(seed),
-        "config": dataclasses.asdict(cfg),
-    }
+    sidecar = {"format_version": FORMAT_VERSION, "config": dataclasses.asdict(cfg)}
     sidecar_bytes = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
     # Stage both files beside their targets, then rename each over its
@@ -106,10 +104,10 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig, seed: int) -> N
         os.replace(tmp, target)
 
 
-def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None, int | None]:
-    """Read a checkpoint; returns (params, config, seed).
+def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None]:
+    """Read a checkpoint; returns (params, config).
 
-    Config and seed come from the sidecar and are None if it is absent.
+    The config comes from the sidecar and is None if it is absent.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -169,12 +167,8 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None, int | None]:
     try:
         with open(sidecar_path(path), "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        cfg = TrainConfig(**sidecar.get("config", {}))
-        seed = sidecar["seed"]
-        if type(seed) is not int:
-            raise TypeError(f"seed: expected int, got {seed!r}")
-        return params, cfg, seed
+        return params, TrainConfig(**sidecar["config"])
     except FileNotFoundError:
-        return params, None, None
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        return params, None
+    except (ValueError, TypeError, KeyError) as exc:
         raise InvalidArgumentError(f"{sidecar_path(path)}: corrupt sidecar ({exc})") from exc

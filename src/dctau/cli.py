@@ -7,10 +7,10 @@ knob into a CSV table), verify (run the numeric oracle suite).
 Config precedence: built-in defaults < --config file < flags (--seed
 and repeated --set key=value). Every config key is set through --set;
 no subcommand has a flag of its own for one. eval takes the checkpoint
-sidecar's config as its base, and a sidecar that names an unknown key
-or holds a value of the wrong type is rejected. The effective config is
-echoed to stdout (unless --quiet) and always written to
-<out>/effective_config.txt.
+sidecar's config as its base, and a sidecar that lacks a config, names
+an unknown key or holds a value of the wrong type is rejected. The
+effective config is echoed to stdout (unless --quiet) and always written
+to <out>/effective_config.txt.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 numeric
 failure, 4 I/O failure.
@@ -159,7 +159,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     params, history, cls_history = run_training(split, cfg)
 
     ckpt_path = os.path.join(args.out, CHECKPOINT_FILE)
-    save_checkpoint(ckpt_path, params, cfg, cfg.seed)
+    save_checkpoint(ckpt_path, params, cfg)
     lines = ["phase,epoch,loss"]
     lines += [f"contrastive,{epoch},{loss!r}" for epoch, loss in enumerate(history)]
     lines += [f"classifier,{epoch},{loss!r}" for epoch, loss in enumerate(cls_history)]
@@ -174,7 +174,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    params, ckpt_cfg, _ = load_checkpoint(args.checkpoint)
+    params, ckpt_cfg = load_checkpoint(args.checkpoint)
     cfg = _build_config(args, base=ckpt_cfg)
     _echo_config(cfg, args)
     split = make_split(cfg)

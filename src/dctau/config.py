@@ -42,7 +42,6 @@ class TrainConfig:
     # loss
     temperature: float = 0.1
     gamma: float = 1.0
-    include_universum_term: bool = True
     # model
     hidden: tuple[int, ...] = (64, 64)
     proj_dim: int = 16
@@ -104,7 +103,7 @@ def _typed(key: str, kind: str, value):
     elif kind == "float":
         if isinstance(value, numbers.Real) and not isinstance(value, bool):
             return float(value)
-    elif isinstance(value, {"bool": bool, "str": str}[kind]):
+    elif isinstance(value, str):
         return value
     raise ConfigError(f"{key}: expected {kind}, got {value!r}")
 
@@ -124,8 +123,7 @@ CONFIG_DOC = {
     "lam": "universum blend weight on the targeted anchor, in [0, 1]",
     "pseudo_scheme": "universum labeling: k_plus_k (per-class), k_plus_one (single class), none (no universum)",
     "temperature": "contrastive temperature, > 0",
-    "gamma": "weight of the universum-anchored loss term, >= 0",
-    "include_universum_term": "false drops the universum-anchored term from the loss",
+    "gamma": "weight of the universum-anchored loss term, >= 0; 0 drops the term",
     "hidden": "comma-separated encoder widths, e.g. 64,64 (empty = identity encoder)",
     "proj_dim": "projection head output dimensionality",
     "contrastive_epochs": "epochs of representation training (step one)",
@@ -142,15 +140,6 @@ CONFIG_DOC = {
 
 _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 assert set(CONFIG_DOC) == set(_FIELDS)
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def _parse_hidden(raw: str) -> tuple[int, ...]:
@@ -175,8 +164,6 @@ def coerce_value(key: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            return _parse_bool(key, raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from exc
@@ -204,8 +191,6 @@ def serialize_config(cfg: TrainConfig) -> str:
         val = getattr(cfg, f.name)
         if f.name == "hidden":
             rendered = ",".join(str(h) for h in val)
-        elif isinstance(val, bool):
-            rendered = "true" if val else "false"
         else:
             rendered = repr(val) if isinstance(val, float) else str(val)
         lines.append(f"{f.name} = {rendered}")

@@ -204,7 +204,7 @@ def run_training(
     rng = np.random.default_rng(derive_seeds(cfg.seed)["train"])
     initial = None
     if cfg.resume_from:
-        initial, _, _ = load_checkpoint(cfg.resume_from)
+        initial, _ = load_checkpoint(cfg.resume_from)
     params, history = train_contrastive(split, cfg, rng, initial=initial)
     cls_history: list[float] = []
     params = train_classifier(params, split, cfg, rng, history_out=cls_history)
@@ -266,18 +266,19 @@ def run_sweep(
 ) -> list[SweepRow]:
     """One SweepRow per value, metrics averaged over the given seeds.
 
-    Rows keep the input value order. The percentile sweep trains once
-    per seed and refits only the thresholds, since training never sees
-    the percentile.
+    Rows keep the input value order; values and seeds must be distinct.
+    The percentile sweep trains once per seed and refits only the
+    thresholds, since training never sees the percentile.
     """
     if key not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {SWEEP_KEYS}, got {key!r}")
     values = tuple(values) if values is not None else DEFAULT_GRIDS[key]
-    if not values:
-        raise ConfigError("sweep values must be non-empty")
     seeds = tuple(seeds) if seeds is not None else (cfg.seed,)
-    if not seeds:
-        raise ConfigError("sweep seeds must be non-empty")
+    for name, items in (("values", values), ("seeds", seeds)):
+        if not items:
+            raise ConfigError(f"sweep {name} must be non-empty")
+        if len(set(items)) < len(items):
+            raise ConfigError(f"sweep {name} must be distinct, got {list(items)}")
     field = SWEEP_FIELDS[key]
 
     rows = []

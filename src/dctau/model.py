@@ -446,7 +446,7 @@ def train_contrastive(
     flat, layers = _flatten(params.encoder + params.projection)
     grad, grad_layers = _flatten(layers, copy=False)
     params = replace(params, encoder=layers[:n_enc], projection=layers[n_enc:])
-    loss_cfg = LossConfig(cfg.temperature, cfg.gamma, cfg.include_universum_term)
+    loss_cfg = LossConfig(cfg.temperature, cfg.gamma)
     state = OptimizerState(
         schedule=Schedule(cfg.learning_rate, cfg.warmup_epochs, max(1, cfg.contrastive_epochs)),
         weight_decay=cfg.weight_decay,

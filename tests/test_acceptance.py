@@ -418,7 +418,7 @@ def test_blend_weight_sweep_emits_full_grid():
 def test_dropping_the_universum_anchor_term_does_not_help():
     start = time.perf_counter()
     full_mean, full_vals = _mean_auroc(_OVERLAP_HEAVY, _OVERLAP_SEEDS)
-    ablated = dataclasses.replace(_OVERLAP_HEAVY, include_universum_term=False)
+    ablated = dataclasses.replace(_OVERLAP_HEAVY, gamma=0.0)
     wo_mean, wo_vals = _mean_auroc(ablated, _OVERLAP_SEEDS)
     elapsed = time.perf_counter() - start
 

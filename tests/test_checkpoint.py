@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ def _cfg():
 def test_roundtrip_is_bitwise(tmp_path):
     path = tmp_path / "model.bin"
     params = _params()
-    save_checkpoint(path, params, _cfg(), 17)
-    loaded, cfg, seed = load_checkpoint(path)
+    save_checkpoint(path, params, _cfg())
+    loaded, cfg = load_checkpoint(path)
 
     for section in ("encoder", "projection", "classifier"):
         orig = getattr(params, section)
@@ -44,28 +45,39 @@ def test_roundtrip_is_bitwise(tmp_path):
             assert a.weight.dtype == b.weight.dtype == np.float64
             assert np.array_equal(a.bias, b.bias)
 
-    assert seed == 17
     assert cfg == _cfg()
     assert isinstance(cfg.hidden, tuple)
 
 
 def test_sidecar_contents(tmp_path):
     path = tmp_path / "model.bin"
-    save_checkpoint(path, _params(), _cfg(), 5)
+    save_checkpoint(path, _params(), _cfg())
     with open(sidecar_path(path), encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    assert set(sidecar) == {"format_version", "config"}
     assert sidecar["format_version"] == FORMAT_VERSION
-    assert sidecar["seed"] == 5
+    assert sidecar["config"]["seed"] == 17
     assert sidecar["config"]["known_count"] == 4
     assert sidecar["config"]["hidden"] == [8, 6]
 
 
+def test_older_sidecar_with_a_top_level_seed_loads(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _params(), _cfg())
+    with open(sidecar_path(path), encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
+        json.dump({**sidecar, "seed": 5}, fh)
+    _, cfg = load_checkpoint(path)
+    assert cfg == _cfg() and cfg.seed == 17
+
+
 def test_missing_sidecar_loads_params_only(tmp_path):
     path = tmp_path / "model.bin"
-    save_checkpoint(path, _params(), _cfg(), 5)
+    save_checkpoint(path, _params(), _cfg())
     (tmp_path / "model.bin.json").unlink()
-    loaded, cfg, seed = load_checkpoint(path)
-    assert cfg is None and seed is None
+    loaded, cfg = load_checkpoint(path)
+    assert cfg is None
     assert np.array_equal(loaded.encoder[0].weight, _params().encoder[0].weight)
 
 
@@ -85,7 +97,7 @@ def test_bad_version_rejected(tmp_path):
 
 def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "model.bin"
-    save_checkpoint(path, _params(), _cfg(), 0)
+    save_checkpoint(path, _params(), _cfg())
     data = path.read_bytes()
     path.write_bytes(data[:-16])
     with pytest.raises(InvalidArgumentError, match="truncated"):
@@ -94,7 +106,7 @@ def test_truncated_payload_rejected(tmp_path):
 
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "model.bin"
-    save_checkpoint(path, _params(), _cfg(), 0)
+    save_checkpoint(path, _params(), _cfg())
     with open(path, "ab") as fh:
         fh.write(b"\x00" * 8)
     with pytest.raises(InvalidArgumentError, match="trailing"):
@@ -112,7 +124,7 @@ def test_corrupt_manifest_rejected(tmp_path):
 
 def test_incomplete_layer_rejected(tmp_path):
     path = tmp_path / "model.bin"
-    save_checkpoint(path, _params(), _cfg(), 0)
+    save_checkpoint(path, _params(), _cfg())
     data = bytearray(path.read_bytes())
     (manifest_len,) = struct.unpack_from("<I", data, len(MAGIC) + 4)
     start = len(MAGIC) + 8
@@ -133,8 +145,8 @@ def test_incomplete_layer_rejected(tmp_path):
 def test_empty_encoder_roundtrip(tmp_path):
     path = tmp_path / "id.bin"
     params = init_params(4, (), 3, 2, seed=0)
-    save_checkpoint(path, params, _cfg(), 1)
-    loaded, _, _ = load_checkpoint(path)
+    save_checkpoint(path, params, _cfg())
+    loaded, _ = load_checkpoint(path)
     assert loaded.encoder == ()
     assert np.array_equal(loaded.projection[0].weight, params.projection[0].weight)
 
@@ -167,7 +179,7 @@ class _FailingFile:
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "model.bin"
     params = _params()
-    save_checkpoint(path, params, _cfg(), 17)
+    save_checkpoint(path, params, _cfg())
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     newer = init_params(5, (8, 6), 4, 3, seed=43)
 
@@ -178,16 +190,16 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
             checkpoint, "open", lambda *a, **k: _FailingFile(open(*a, **k), fail_at), raising=False
         )
         try:
-            save_checkpoint(path, newer, _cfg(), 18)
+            save_checkpoint(path, newer, replace(_cfg(), seed=18))
             break
         except OSError as exc:
             assert "disk full" in str(exc)
         assert sorted(os.listdir(tmp_path)) == sorted(before), fail_at
         assert all((tmp_path / n).read_bytes() == b for n, b in before.items()), fail_at
-        loaded, _, seed = load_checkpoint(path)
-        assert seed == 17 and np.array_equal(loaded.encoder[0].weight, params.encoder[0].weight)
+        loaded, cfg = load_checkpoint(path)
+        assert cfg.seed == 17 and np.array_equal(loaded.encoder[0].weight, params.encoder[0].weight)
 
     assert fail_at > 3  # header, manifest, each block and the sidecar each failed once
-    loaded, _, seed = load_checkpoint(path)
-    assert seed == 18 and np.array_equal(loaded.encoder[0].weight, newer.encoder[0].weight)
+    loaded, cfg = load_checkpoint(path)
+    assert cfg.seed == 18 and np.array_equal(loaded.encoder[0].weight, newer.encoder[0].weight)
     assert sorted(os.listdir(tmp_path)) == sorted(before)

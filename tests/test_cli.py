@@ -134,14 +134,14 @@ def test_report_json_comes_from_the_patched_evaluate_params(tmp_path, monkeypatc
 
 def test_eval_with_overflowing_weights_exits_3(tmp_path, capsys):
     ckpt = _trained_checkpoint(tmp_path)
-    params, cfg, seed = load_checkpoint(ckpt)
+    params, cfg = load_checkpoint(ckpt)
 
     def scaled(layers):
         return tuple(dataclasses.replace(l, weight=l.weight * 1e200) for l in layers)
 
     huge = dataclasses.replace(params, encoder=scaled(params.encoder),
                                classifier=scaled(params.classifier))
-    save_checkpoint(ckpt, huge, cfg, seed)
+    save_checkpoint(ckpt, huge, cfg)
     code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval"), "--quiet"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
@@ -151,8 +151,8 @@ def test_train_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert _run(["train", "--out", str(a), "--seed", "7", "--quiet", *_FAST]) == 0
     assert _run(["train", "--out", str(b), "--seed", "7", "--quiet", *_FAST]) == 0
-    pa, _, _ = load_checkpoint(a / CHECKPOINT_FILE)
-    pb, _, _ = load_checkpoint(b / CHECKPOINT_FILE)
+    pa, _ = load_checkpoint(a / CHECKPOINT_FILE)
+    pb, _ = load_checkpoint(b / CHECKPOINT_FILE)
     assert np.array_equal(pa.projection[0].weight, pb.projection[0].weight)
     assert (a / HISTORY_FILE).read_text() == (b / HISTORY_FILE).read_text()
 
@@ -229,8 +229,8 @@ def test_train_resume_flag(tmp_path):
         "train", "--out", str(resumed), "--seed", "5", "--quiet", *_FAST,
         "--set", f"resume_from={warm / CHECKPOINT_FILE}",
     ]) == 0
-    cold, _, _ = load_checkpoint(warm / CHECKPOINT_FILE)
-    hot, _, _ = load_checkpoint(resumed / CHECKPOINT_FILE)
+    cold, _ = load_checkpoint(warm / CHECKPOINT_FILE)
+    hot, _ = load_checkpoint(resumed / CHECKPOINT_FILE)
     assert not np.array_equal(cold.projection[0].weight, hot.projection[0].weight)
     text = (resumed / EFFECTIVE_CONFIG_FILE).read_text(encoding="utf-8")
     assert f"resume_from = {warm / CHECKPOINT_FILE}" in text
@@ -289,6 +289,20 @@ def test_eval_malformed_sidecar_exits_2(tmp_path, capsys):
     code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
     assert code == 2
     assert "corrupt sidecar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sidecar", [{"seed": 9}, {}], ids=["seed-only", "empty"])
+def test_eval_sidecar_without_config_exits_2(tmp_path, capsys, sidecar):
+    # params shaped for the default config, so a fallback to TrainConfig()
+    # would score them and write the default percentile
+    ckpt = tmp_path / CHECKPOINT_FILE
+    save_checkpoint(ckpt, init_params(8, (64, 64), 16, 6, seed=0), TrainConfig(percentile=20.0))
+    (tmp_path / f"{CHECKPOINT_FILE}.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    out = tmp_path / "eval"
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(out), "--quiet"])
+    assert code == 2
+    assert "corrupt sidecar" in capsys.readouterr().err
+    assert not (out / REPORT_FILE).exists()
 
 
 def _first_feature(cell):
@@ -398,7 +412,7 @@ def _drop_key(key):
 )
 def test_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, edit):
     ckpt = tmp_path / CHECKPOINT_FILE
-    save_checkpoint(ckpt, init_params(4, (8,), 4, 3, seed=0), TrainConfig(), 0)
+    save_checkpoint(ckpt, init_params(4, (8,), 4, 3, seed=0), TrainConfig())
     _rewrite_manifest(ckpt, edit)
     code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
     assert code == 2
@@ -411,6 +425,18 @@ def test_ablate_unparseable_list_exits_2(tmp_path, capsys, flag, raw):
                  "--quiet", *_FAST])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep, flag, raw", [
+    ("percentile", "--values", "5,5.0,10"), ("percentile", "--seeds", "4,5,4"),
+    ("lambda", "--values", "0.3,0.3"), ("lambda", "--seeds", "4,4"),
+])
+def test_ablate_repeated_value_or_seed_exits_2(tmp_path, capsys, sweep, flag, raw):
+    code = _run(["ablate", "--sweep", sweep, flag, raw, "--out", str(tmp_path),
+                 "--quiet", *_FAST])
+    assert code == 2
+    assert f"sweep {flag[2:]} must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / f"sweep_{sweep}.csv").exists()
 
 
 def test_truncated_artifacts_never_raise(tmp_path, capsys):

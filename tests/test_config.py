@@ -24,7 +24,6 @@ _NON_DEFAULT = {
     "pseudo_scheme": "k_plus_one",
     "temperature": 0.07,
     "gamma": 2.5,
-    "include_universum_term": False,
     "hidden": (32, 16, 8),
     "proj_dim": 12,
     "contrastive_epochs": 11,
@@ -46,12 +45,13 @@ _REMOVED = {
     "optimizer": "adam",
     "per_class_thresholds": "false",
     "thresholds_on_correct_only": "false",
+    "include_universum_term": "false",
 }
 
 
 def test_non_default_values_cover_every_field():
     fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-    assert len(fields) == 24
+    assert len(fields) == 23
     assert set(_NON_DEFAULT) == set(fields)
     assert all(_NON_DEFAULT[k] != v for k, v in fields.items())
 
@@ -74,8 +74,8 @@ def test_declared_types_are_enforced_for_library_callers():
     assert type(cfg.spread) is float and cfg.spread == 1.0  # floats take ints
     assert cfg.hidden == (8, 4)  # any int sequence becomes a tuple
     for bad in ({"per_class": True}, {"dim": 4.0}, {"seed": 1.5}, {"data_dir": 5},
-                {"hidden": [8.5]}, {"hidden": 8}, {"include_universum_term": 1},
-                {"temperature": "0.1"}, {"pseudo_scheme": None}):
+                {"hidden": [8.5]}, {"hidden": 8}, {"temperature": "0.1"},
+                {"pseudo_scheme": None}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             TrainConfig(**bad)
 
@@ -84,6 +84,12 @@ def test_declared_types_are_enforced_for_library_callers():
 def test_set_of_a_removed_key_exits_2(tmp_path, capsys, key):
     code = main(["generate", "--out", str(tmp_path), "--quiet",
                  "--set", f"{key}={_REMOVED[key]}"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {_REMOVED[key]}\n", encoding="utf-8")
+    code = main(["generate", "--out", str(tmp_path), "--quiet", "--config", str(cfg_file)])
     assert code == 2
     assert key in capsys.readouterr().err
 
@@ -98,7 +104,7 @@ def test_train_has_no_flag_that_renames_a_key(tmp_path, capsys, flag):
 
 def _checkpoint_with_sidecar_config(tmp_path, edit):
     ckpt = tmp_path / CHECKPOINT_FILE
-    save_checkpoint(ckpt, init_params(4, (8,), 4, 3, seed=0), TrainConfig(), 0)
+    save_checkpoint(ckpt, init_params(4, (8,), 4, 3, seed=0), TrainConfig())
     path = sidecar_path(ckpt)
     with open(path, encoding="utf-8") as fh:
         sidecar = json.load(fh)
@@ -109,17 +115,18 @@ def _checkpoint_with_sidecar_config(tmp_path, edit):
 
 
 def test_sidecar_naming_a_removed_key_exits_2(tmp_path, capsys):
-    ckpt = _checkpoint_with_sidecar_config(tmp_path, lambda c: c.update(two_views=False))
-    code = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "corrupt sidecar" in err and "two_views" in err
+    for key in ("two_views", "include_universum_term"):
+        ckpt = _checkpoint_with_sidecar_config(tmp_path, lambda c: c.update({key: False}))
+        code = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+        assert code == 2, key
+        err = capsys.readouterr().err
+        assert "corrupt sidecar" in err and key in err
 
 
 @pytest.mark.parametrize(
     "key, value",
     [("data_dir", 5), ("seed", 1.5), ("dim", 4.0), ("hidden", [8.5]), ("batch_size", 16.5),
-     ("per_class", True), ("include_universum_term", 1)],
+     ("per_class", True)],
 )
 def test_ill_typed_sidecar_value_exits_2(tmp_path, capsys, key, value):
     ckpt = _checkpoint_with_sidecar_config(tmp_path, lambda c: c.update({key: value}))

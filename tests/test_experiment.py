@@ -206,7 +206,7 @@ def test_resume_from_checkpoint_changes_start(tmp_path):
     cfg = _tiny_cfg(contrastive_epochs=1, classifier_epochs=1)
     params, _, _, _ = run_experiment(cfg)
     ckpt = tmp_path / "warm.bin"
-    save_checkpoint(ckpt, params, cfg, cfg.seed)
+    save_checkpoint(ckpt, params, cfg)
 
     resumed_cfg = _tiny_cfg(
         contrastive_epochs=1, classifier_epochs=1, resume_from=str(ckpt)
@@ -216,11 +216,11 @@ def test_resume_from_checkpoint_changes_start(tmp_path):
     assert not np.array_equal(resumed.projection[0].weight, fresh.projection[0].weight)
 
 
-@pytest.mark.parametrize("dual_term", [True, False])
-def test_tiny_temperature_run_raises_no_numeric_warning(dual_term):
+@pytest.mark.parametrize("gamma", [1.0, 0.0])
+def test_tiny_temperature_run_raises_no_numeric_warning(gamma):
     # exp(z.z/tau) overflows at tau=1e-3; the training loss must stay on
     # the max-subtracted path and never build the plain-exponential oracle
-    cfg = _tiny_cfg(temperature=1e-3, include_universum_term=dual_term)
+    cfg = _tiny_cfg(temperature=1e-3, gamma=gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, report, histories = run_experiment(cfg)

@@ -528,7 +528,7 @@ def _reference_loss_step(params, view, k, cfg, loss_cfg, rng, work):
 
 
 def _reference_train_contrastive(split, cfg, rng, params):
-    loss_cfg = LossConfig(cfg.temperature, cfg.gamma, cfg.include_universum_term)
+    loss_cfg = LossConfig(cfg.temperature, cfg.gamma)
     adam = _ReferenceAdam(
         Schedule(cfg.learning_rate, cfg.warmup_epochs, max(1, cfg.contrastive_epochs)),
         cfg.weight_decay,
