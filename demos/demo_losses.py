@@ -23,19 +23,19 @@ def _unit_rows(rng, n, d):
 
 def main() -> None:
     rng = np.random.default_rng(3)
-    k, n, d = 3, 8, 5
+    n, d = 8, 5
     cfg = LossConfig(temperature=0.3, gamma=1.0)
-    known_cfg = dataclasses.replace(cfg, include_universum_term=False)
+    known_cfg = dataclasses.replace(cfg, gamma=0.0)
 
     z = _unit_rows(rng, n, d)
     labels = np.array([1, 1, 2, 2, 3, 3, 1, 2])
     u = _unit_rows(rng, n, d)
-    u_labels = labels + k
+    u_targets = labels  # universum row r targets its anchor's class
 
-    known = dc_total_loss_grad(z, labels, u, u_labels, known_cfg)
-    decomp = decompose(z, labels, u, u_labels, cfg)
-    dual = dc_universum_loss_grad(u, u_labels, z, labels, cfg)
-    total = dc_total_loss_grad(z, labels, u, u_labels, cfg)
+    known = dc_total_loss_grad(z, labels, u, u_targets, known_cfg)
+    decomp = decompose(z, labels, u, u_targets, cfg)
+    dual = dc_universum_loss_grad(u, u_targets, z, labels, cfg)
+    total = dc_total_loss_grad(z, labels, u, u_targets, cfg)
     print(f"known-anchor term      {known.value:10.4f}")
     print(f"universum-anchor term  {dual.value:10.4f}")
     print(f"combined (gamma=1)     {total.value:10.4f}")
@@ -43,9 +43,8 @@ def main() -> None:
     print()
 
     sup = supcon_loss_grad(z, labels, cfg)
-    empty = dc_total_loss_grad(
-        z, labels, np.empty((0, d)), np.empty(0, dtype=np.int64), known_cfg, num_known=k
-    )
+    no_u, no_targets = np.empty((0, d)), np.empty(0, dtype=np.int64)
+    empty = dc_total_loss_grad(z, labels, no_u, no_targets, known_cfg)
     print("with zero universum rows the known term is plain supcon:")
     print(f"  values {empty.value!r} == {sup.value!r}: {empty.value == sup.value}")
     print(f"  gradients bitwise equal: {np.array_equal(empty.grad_z, sup.grad_z)}")

@@ -58,13 +58,12 @@ MANIFEST_JSON = "manifest.json"
 class EvalReport:
     """Metrics of one trained model on one open split.
 
-    wall_seconds covers a different span in each producer: the
-    evaluation alone in evaluate_params, split + training + evaluation
-    in run_experiment, and training + evaluation in the percentile sweep
-    of run_sweep. known_posteriors and unknown_posteriors are the test
-    posteriors the metrics were computed from, kept so a caller can
-    score them again (dctau eval writes the OSCR curve from them); they
-    never enter to_json or report equality.
+    wall_seconds covers one of two spans: the evaluation alone in
+    evaluate_params, and split + training + evaluation in run_experiment
+    and in every run of run_sweep. known_posteriors and
+    unknown_posteriors are the test posteriors the metrics were computed
+    from, kept so a caller can score them again (dctau eval writes the
+    OSCR curve from them); they never enter to_json or report equality.
     """
 
     auroc: float
@@ -206,8 +205,7 @@ def run_training(
     if cfg.resume_from:
         initial, _ = load_checkpoint(cfg.resume_from)
     params, history = train_contrastive(split, cfg, rng, initial=initial)
-    cls_history: list[float] = []
-    params = train_classifier(params, split, cfg, rng, history_out=cls_history)
+    params, cls_history = train_classifier(params, split, cfg, rng)
     return params, history, cls_history
 
 
@@ -267,8 +265,10 @@ def run_sweep(
     """One SweepRow per value, metrics averaged over the given seeds.
 
     Rows keep the input value order; values and seeds must be distinct.
-    The percentile sweep trains once per seed and refits only the
-    thresholds, since training never sees the percentile.
+    Runs that differ only in the percentile share one split and one
+    training, since neither sees it: the percentile sweep trains once
+    per seed and refits only the thresholds. Each report's wall_seconds
+    covers the split, training and its evaluation.
     """
     if key not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {SWEEP_KEYS}, got {key!r}")
@@ -281,31 +281,21 @@ def run_sweep(
             raise ConfigError(f"sweep {name} must be distinct, got {list(items)}")
     field = SWEEP_FIELDS[key]
 
-    rows = []
-    if key == "percentile":
-        reports_per_value: dict[object, list[EvalReport]] = {v: [] for v in values}
-        for seed in seeds:
-            base = replace(cfg, seed=seed)
-            split = make_split(base)
-            start = time.perf_counter()
-            params, _, _ = run_training(split, base)
-            train_time = time.perf_counter() - start
-            for v in values:
-                report = evaluate_params(params, split, replace(base, percentile=float(v)))
-                report = replace(report, wall_seconds=report.wall_seconds + train_time)
-                reports_per_value[v].append(report)
+    reports: dict[object, list[EvalReport]] = {v: [] for v in values}
+    for seed in seeds:
+        trained: dict[TrainConfig, tuple] = {}
         for v in values:
-            rows.append(_mean_row(key, v, reports_per_value[v]))
-        return rows
-
-    for v in values:
-        reports = []
-        for seed in seeds:
             run_cfg = replace(cfg, **{field: v, "seed": seed})
-            _, _, report, _ = run_experiment(run_cfg)
-            reports.append(report)
-        rows.append(_mean_row(key, v, reports))
-    return rows
+            train_cfg = replace(run_cfg, percentile=cfg.percentile)
+            if train_cfg not in trained:
+                start = time.perf_counter()
+                split = make_split(run_cfg)
+                params, _, _ = run_training(split, run_cfg)
+                trained[train_cfg] = (split, params, time.perf_counter() - start)
+            split, params, seconds = trained[train_cfg]
+            report = evaluate_params(params, split, run_cfg)
+            reports[v].append(replace(report, wall_seconds=report.wall_seconds + seconds))
+    return [_mean_row(key, v, reports[v]) for v in values]
 
 
 def _mean_row(key: str, value, reports: list[EvalReport]) -> SweepRow:

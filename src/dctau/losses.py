@@ -1,9 +1,9 @@
 """Supervised and dual contrastive losses with analytic gradients.
 
 Every loss is one masked softmax over the stacked rows x = [z; u]: known
-embeddings z with their labels, then universum embeddings u with pseudo
-labels (targeted class + K). Row i, with anchor weight w_i and positive
-set P(i) (the other rows with its stacked label), contributes
+embeddings z with their labels, then universum embeddings u with the
+known class each one targets. Row i, with anchor weight w_i and positive
+set P(i) (the other rows on its side with its target), contributes
 
     w_i * (-1/|P(i)|) * sum_{p in P(i)} log[ exp(x_i.x_p/tau) / S_i ]
 
@@ -15,9 +15,8 @@ with softmax W and row-normalized positive mask P, the gradient is
 
 * supcon: no universum rows, every weight 1.
 * dual-contrastive total (the training loss): 1 for known anchors and
-  gamma for universum anchors (0 with include_universum_term off, which
-  leaves the known term alone), so each universum row repels exactly
-  the class it targets.
+  gamma for universum anchors (gamma 0 leaves the known term alone), so
+  each universum row repels exactly the class it targets.
 
 Log-sum-exp uses max subtraction, and since every loss shares this code
 the known term with zero universum rows is bitwise identical to supcon.
@@ -36,17 +35,24 @@ _UNIT_NORM_ATOL = 1e-3
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Temperature, universum balance, and the w/o-dual-term switch."""
+    """Temperature and universum balance; gamma 0 drops the dual term."""
 
     temperature: float = 0.1
     gamma: float = 1.0
-    include_universum_term: bool = True
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise InvalidArgumentError("temperature must be > 0")
         if self.gamma < 0:
             raise InvalidArgumentError("gamma must be >= 0")
+
+    @property
+    def include_universum_term(self) -> bool:
+        """Whether universum rows anchor, i.e. gamma > 0.
+
+        Read-only; the perfbench tracer reads it to count anchors.
+        """
+        return self.gamma > 0
 
 
 @dataclass(frozen=True)
@@ -122,10 +128,9 @@ def _stacked_core(
 ) -> _CoreResult:
     """One masked softmax over the stacked rows; see the module docstring.
 
-    Rows before n_known are known, the rest universum. Two rows share a
-    stacked label exactly when they are on the same side and target the
-    same class (pseudo labels are the targets offset past every known
-    label), so the positives and the denominator both come from one
+    Rows before n_known are known, the rest universum. Two rows are
+    positives exactly when they are on the same side and target the same
+    class, so the positives and the denominator both come from one
     comparison of the targets. Rows with zero weight do not anchor but
     still enter other anchors' softmaxes. Without a workspace the core
     makes a throwaway one.
@@ -211,39 +216,6 @@ def _stacked_core(
     )
 
 
-def _infer_num_known(
-    labels: np.ndarray, u_labels: np.ndarray, num_known: int | None
-) -> int:
-    """Recover K and validate that pseudo labels target classes in 1..K.
-
-    Without an explicit K the universum batch must be row-aligned with
-    the anchors, as in training, and K is the constant offset
-    u_labels - labels; anything else is a broken bijection. Either way
-    no known label may equal a pseudo label, so a stacked label names
-    one side and one targeted class.
-    """
-    if num_known is None:
-        if u_labels.shape != labels.shape or not u_labels.size:
-            raise InvalidArgumentError(
-                "universum rows not aligned with the anchors need an explicit num_known"
-            )
-        diffs = u_labels - labels
-        if not np.all(diffs == diffs[0]):
-            raise InvalidArgumentError(
-                "universum labels do not map to anchors by a constant class-count offset"
-            )
-        num_known = int(diffs[0])
-    if u_labels.size:
-        targets = u_labels - num_known
-        if targets.min() < 1 or targets.max() > num_known:
-            raise InvalidArgumentError(
-                "universum labels must equal a known label plus the class count"
-            )
-        if labels.max() > num_known:
-            raise InvalidArgumentError("known labels must not exceed the class count")
-    return num_known
-
-
 def supcon_loss_grad(
     z: np.ndarray, labels, cfg: LossConfig, *, work: LossWorkspace | None = None
 ) -> LossResult:
@@ -256,27 +228,26 @@ def supcon_loss_grad(
     return LossResult(core.value, core.grad, None, core.skipped, core.per_anchor, core.grad)
 
 
-def _dc_core(z, labels, u, u_labels, num_known, tau, known_weight, universum_weight,
-             work=None):
+def _dc_core(z, labels, u, u_targets, tau, known_weight, universum_weight, work=None):
     """Check the inputs once and run the core over [z; u] with these weights.
 
-    Returns the core result, the stacked rows, their targeted classes and
-    the number of known rows.
+    The sides are told apart by row position, so any int labels and
+    targets work. Returns the core result, the stacked rows, their
+    targeted classes and the number of known rows.
     """
     z = _check_rows("z", z)
     u = _check_rows("u", u)
     if z.shape[1] != u.shape[1]:
         raise InvalidArgumentError("z and u must share the embedding dimension")
     labels = np.asarray(labels, dtype=np.int64)
-    u_labels = np.asarray(u_labels, dtype=np.int64)
-    if labels.shape != (z.shape[0],) or u_labels.shape != (u.shape[0],):
+    u_targets = np.asarray(u_targets, dtype=np.int64)
+    if labels.shape != (z.shape[0],) or u_targets.shape != (u.shape[0],):
         raise InvalidArgumentError("labels must align with embedding rows")
-    k = _infer_num_known(labels, u_labels, num_known)
 
     nz = z.shape[0]
     x = np.concatenate([z, u])
     weight = np.repeat([known_weight, universum_weight], [nz, u.shape[0]])
-    targets = np.concatenate([labels, u_labels - k])
+    targets = np.concatenate([labels, u_targets])
     core = _stacked_core(x, targets, nz, weight, tau, work)
     return core, x, targets, nz
 
@@ -292,20 +263,17 @@ def dc_total_loss_grad(
     z: np.ndarray,
     labels,
     u: np.ndarray,
-    u_labels,
+    u_targets,
     cfg: LossConfig,
-    num_known: int | None = None,
     *,
     work: LossWorkspace | None = None,
 ) -> LossResult:
     """Combined loss: known term plus gamma times the universum term.
 
-    With include_universum_term off only the known term is evaluated
-    (universum rows still receive gradient through its denominators).
+    u_targets[r] is the known class universum row r targets. At gamma 0
+    only the known term is evaluated (universum rows still receive
+    gradient through its denominators).
     """
-    gamma = cfg.gamma if cfg.include_universum_term else 0.0
-    core, _, _, nz = _dc_core(
-        z, labels, u, u_labels, num_known, cfg.temperature, 1.0, gamma, work
-    )
-    per_anchor = None if gamma else core.per_anchor[:nz]
+    core, _, _, nz = _dc_core(z, labels, u, u_targets, cfg.temperature, 1.0, cfg.gamma, work)
+    per_anchor = None if cfg.gamma else core.per_anchor[:nz]
     return _split_result(core, nz, per_anchor)

@@ -413,10 +413,9 @@ def _loss_step(params: ModelParams, view: Batch, num_known: int, cfg: TrainConfi
             z_all, np.concatenate([view.labels, u_labels]), loss_cfg, work=work
         )
     else:
-        # k_plus_k: row r targets class y_r and carries pseudo label y_r + K
+        # k_plus_k: universum row r targets the class y_r of its anchor
         res = dc_total_loss_grad(
-            z_all[:nb], view.labels, z_all[nb:], view.labels + num_known, loss_cfg,
-            num_known=num_known, work=work,
+            z_all[:nb], view.labels, z_all[nb:], view.labels, loss_cfg, work=work
         )
     return res.value, res.grad / nb, trace
 
@@ -474,15 +473,15 @@ def train_classifier(
     split: OpenSplit,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    history_out: list | None = None,
-) -> ModelParams:
+) -> tuple[ModelParams, list[float]]:
     """Step two: fit the linear probe with cross entropy; the encoder is frozen.
 
-    The encoder features of the training rows are computed once, and
-    every batch fits the classifier layers on its rows of them. No
-    augmentation here: the classifier is calibrated on the same raw rows
-    the rejection thresholds will later be fit on. The classifier trains
-    as views into one flat copy of its parameters.
+    Returns the parameters with the trained probe and the per-epoch mean
+    batch loss. The encoder features of the training rows are computed
+    once, and every batch fits the classifier layers on its rows of them.
+    No augmentation here: the classifier is calibrated on the same raw
+    rows the rejection thresholds will later be fit on. The classifier
+    trains as views into one flat copy of its parameters.
     """
     train = split.train
     feats = _encode(params, train.features)
@@ -494,6 +493,7 @@ def train_classifier(
         names=_array_names(classifier=classifier),
     )
 
+    history: list[float] = []
     for epoch in range(cfg.classifier_epochs):
         perm = rng.permutation(train.n_rows)
         epoch_losses = []
@@ -508,6 +508,5 @@ def train_classifier(
             _chain_backward(classifier, cls_in, cls_pre, d_logits, grad_layers)
             optimizer_step(state, flat, grad, epoch)
             epoch_losses.append(value)
-        if history_out is not None:
-            history_out.append(float(np.mean(epoch_losses)))
-    return replace(params, classifier=classifier)
+        history.append(float(np.mean(epoch_losses)))
+    return replace(params, classifier=classifier), history

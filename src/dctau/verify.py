@@ -131,9 +131,8 @@ def decompose(
     z: np.ndarray,
     labels,
     u: np.ndarray,
-    u_labels,
+    u_targets,
     cfg: LossConfig,
-    num_known: int | None = None,
 ) -> GradientDecomposition:
     """Three-part split of each known anchor's own partial gradient.
 
@@ -142,7 +141,7 @@ def decompose(
     that reassembly against it crosses two arithmetic paths.
     """
     tau = cfg.temperature
-    core, x, targets, nz = _dc_core(z, labels, u, u_labels, num_known, tau, 1.0, 0.0)
+    core, x, targets, nz = _dc_core(z, labels, u, u_targets, tau, 1.0, 0.0)
     z, u = x[:nz], x[nz:]
     # a known row's target is its label; a universum row counts in a
     # known anchor's denominator when it targets the anchor's class
@@ -198,19 +197,18 @@ def hard_negative_weights(
 
 def dc_universum_loss_grad(
     u: np.ndarray,
-    u_labels,
+    u_targets,
     z: np.ndarray,
     labels,
     cfg: LossConfig,
-    num_known: int | None = None,
 ) -> LossResult:
     """Universum-anchor dual term: the known-anchor term with roles swapped.
 
-    Universum rows anchor; positives are other rows with the same pseudo
-    label; the denominator spans the other universum rows plus the known
-    rows of the anchor's targeted class.
+    Universum rows anchor; positives are other universum rows with the
+    same target; the denominator spans the other universum rows plus the
+    known rows of the anchor's targeted class.
     """
-    core, _, _, nz = _dc_core(z, labels, u, u_labels, num_known, cfg.temperature, 0.0, 1.0)
+    core, _, _, nz = _dc_core(z, labels, u, u_targets, cfg.temperature, 0.0, 1.0)
     return _split_result(core, nz, core.per_anchor[nz:])
 
 
@@ -233,33 +231,32 @@ def check_gradient_fd(inject_sign_error: bool = False) -> CheckResult:
     rng = np.random.default_rng(11)
     worst = 0.0
     cfg = LossConfig(temperature=0.3, gamma=0.7)
-    known_cfg = dc_replace(cfg, include_universum_term=False)
+    known_cfg = dc_replace(cfg, gamma=0.0)
     for _ in range(3):
         n, d, k = 10, 6, 3
         z = _unit_rows(rng, n, d)
         labels = _labels_with_positives(rng, n, k)
         u = _unit_rows(rng, n, d)
-        u_labels = labels + k
 
         res = supcon_loss_grad(z, labels, cfg)
         fd = _fd_grad(lambda zz: supcon_loss_grad(zz, labels, cfg).value, z.copy())
         worst = max(worst, _rel_err(res.grad_z, fd))
 
-        res = dc_total_loss_grad(z, labels, u, u_labels, known_cfg)
+        res = dc_total_loss_grad(z, labels, u, labels, known_cfg)
         res = _maybe_inject(res, inject_sign_error)
-        fd_z = _fd_grad(lambda zz: dc_total_loss_grad(zz, labels, u, u_labels, known_cfg).value, z.copy())
-        fd_u = _fd_grad(lambda uu: dc_total_loss_grad(z, labels, uu, u_labels, known_cfg).value, u.copy())
+        fd_z = _fd_grad(lambda zz: dc_total_loss_grad(zz, labels, u, labels, known_cfg).value, z.copy())
+        fd_u = _fd_grad(lambda uu: dc_total_loss_grad(z, labels, uu, labels, known_cfg).value, u.copy())
         worst = max(worst, _rel_err(res.grad_z, fd_z), _rel_err(res.grad_u, fd_u))
 
-        res = dc_universum_loss_grad(u, u_labels, z, labels, cfg)
-        fd_u = _fd_grad(lambda uu: dc_universum_loss_grad(uu, u_labels, z, labels, cfg).value, u.copy())
-        fd_z = _fd_grad(lambda zz: dc_universum_loss_grad(u, u_labels, zz, labels, cfg).value, z.copy())
+        res = dc_universum_loss_grad(u, labels, z, labels, cfg)
+        fd_u = _fd_grad(lambda uu: dc_universum_loss_grad(uu, labels, z, labels, cfg).value, u.copy())
+        fd_z = _fd_grad(lambda zz: dc_universum_loss_grad(u, labels, zz, labels, cfg).value, z.copy())
         worst = max(worst, _rel_err(res.grad_u, fd_u), _rel_err(res.grad_z, fd_z))
 
-        res = dc_total_loss_grad(z, labels, u, u_labels, cfg)
+        res = dc_total_loss_grad(z, labels, u, labels, cfg)
         res = _maybe_inject(res, inject_sign_error)
-        fd_z = _fd_grad(lambda zz: dc_total_loss_grad(zz, labels, u, u_labels, cfg).value, z.copy())
-        fd_u = _fd_grad(lambda uu: dc_total_loss_grad(z, labels, uu, u_labels, cfg).value, u.copy())
+        fd_z = _fd_grad(lambda zz: dc_total_loss_grad(zz, labels, u, labels, cfg).value, z.copy())
+        fd_u = _fd_grad(lambda uu: dc_total_loss_grad(z, labels, uu, labels, cfg).value, u.copy())
         worst = max(worst, _rel_err(res.grad_z, fd_z), _rel_err(res.grad_u, fd_u))
     ok = worst < _FD_RTOL
     return CheckResult("gradient_fd", ok, f"worst relative error {worst:.2e}")
@@ -303,14 +300,14 @@ def check_network_gradient_fd() -> CheckResult:
 
 def check_reduction_identity() -> CheckResult:
     rng = np.random.default_rng(23)
-    cfg = LossConfig(temperature=0.15, include_universum_term=False)
+    cfg = LossConfig(temperature=0.15, gamma=0.0)
     empty_u = np.zeros((0, 5))
     empty_labels = np.zeros(0, dtype=np.int64)
     for _ in range(20):
         z = _unit_rows(rng, 12, 5)
         labels = _labels_with_positives(rng, 12, 4)
         plain = supcon_loss_grad(z, labels, cfg)
-        dual = dc_total_loss_grad(z, labels, empty_u, empty_labels, cfg, num_known=4)
+        dual = dc_total_loss_grad(z, labels, empty_u, empty_labels, cfg)
         if plain.value != dual.value or not np.array_equal(plain.grad_z, dual.grad_z):
             return CheckResult("reduction_identity", False, "bitwise mismatch")
     return CheckResult("reduction_identity", True, "20/20 draws bitwise equal")
@@ -325,7 +322,7 @@ def check_decomposition(inject_sign_error: bool = False) -> CheckResult:
         z = _unit_rows(rng, 10, 6)
         labels = _labels_with_positives(rng, 10, 3)
         u = _unit_rows(rng, 10, 6)
-        decomp = decompose(z, labels, u, labels + 3, cfg)
+        decomp = decompose(z, labels, u, labels, cfg)
         injected = dc_replace(decomp, g_tau=-decomp.g_tau) if inject_sign_error else decomp
         rebuilt = reassemble_anchor_partial(injected)
         worst = max(worst, float(np.abs(rebuilt - decomp.anchor_partial).max()))
@@ -360,7 +357,7 @@ def check_hard_negative_situations() -> CheckResult:
     u[1, 3] = 1.0
     u[2, 4] = 1.0
     u[3, 5] = 1.0
-    decomp = decompose(z, labels, u, labels + 2, cfg)
+    decomp = decompose(z, labels, u, labels, cfg)
     known_w, tau_w = hard_negative_weights(decomp)
     ratio = known_w[0, 1] / tau_w[0, 0]
     expected = math.exp((1.0 - 0.0) / tau)
@@ -370,7 +367,7 @@ def check_hard_negative_situations() -> CheckResult:
     # 1/(number of denominator entries)
     basis = np.eye(8)
     z, u_all = basis[:4], basis[4:]
-    decomp = decompose(z, np.array([1, 1, 2, 2]), u_all, np.array([3, 3, 4, 4]), cfg)
+    decomp = decompose(z, np.array([1, 1, 2, 2]), u_all, np.array([1, 1, 2, 2]), cfg)
     known_w, tau_w = hard_negative_weights(decomp)
     per_anchor_entries = 3 + 2  # 3 other knowns + 2 matched universum rows
     expect_w = 1.0 / per_anchor_entries

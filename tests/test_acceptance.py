@@ -135,9 +135,9 @@ def test_analytic_gradients_match_finite_differences():
         zz = _unit_rows(rng, m, d)
         zl = _paired_labels(rng, m, k)
         u = _unit_rows(rng, m, d)
-        ul = zl + k
+        ul = zl.copy()
 
-        known_cfg = dataclasses.replace(cfg, include_universum_term=False)
+        known_cfg = dataclasses.replace(cfg, gamma=0.0)
         res = dc_total_loss_grad(zz, zl, u, ul, known_cfg)
         fd_z = _fd(lambda: dc_total_loss_grad(zz, zl, u, ul, known_cfg).value, zz)
         fd_u = _fd(lambda: dc_total_loss_grad(zz, zl, u, ul, known_cfg).value, u)
@@ -181,7 +181,7 @@ def _smooth_network_case(seed):
             for t in (tz, tu)
         )
         if margin > 2e-3 and min(tz.p_norm.min(), tu.p_norm.min()) > 1e-2:
-            return params, x, labels, xu, labels + k
+            return params, x, labels, xu, labels.copy()
     raise AssertionError(f"no smooth batch found for seed {seed}")
 
 
@@ -191,16 +191,16 @@ def test_loss_through_network_gradient_matches_finite_differences():
     cfg = LossConfig(temperature=0.4, gamma=0.8)
 
     for seed in range(20):
-        params, x, labels, xu, u_labels = _smooth_network_case(seed)
+        params, x, labels, xu, u_targets = _smooth_network_case(seed)
 
         def value():
             z, _ = embed(params, x)
             u, _ = embed(params, xu)
-            return dc_total_loss_grad(z, labels, u, u_labels, cfg).value
+            return dc_total_loss_grad(z, labels, u, u_targets, cfg).value
 
         z, tz = embed(params, x)
         u, tu = embed(params, xu)
-        res = dc_total_loss_grad(z, labels, u, u_labels, cfg)
+        res = dc_total_loss_grad(z, labels, u, u_targets, cfg)
         enc_z, proj_z = backprop_embedding(params, tz, res.grad_z)
         enc_u, proj_u = backprop_embedding(params, tu, res.grad_u)
         analytic = [
@@ -235,8 +235,7 @@ def test_known_term_with_no_universum_rows_is_bitwise_supcon():
         sup = supcon_loss_grad(z, labels, cfg)
         empty = np.empty((0, d))
         dc = dc_total_loss_grad(z, labels, empty, np.empty(0, dtype=np.int64),
-                                dataclasses.replace(cfg, include_universum_term=False),
-                                num_known=k)
+                                dataclasses.replace(cfg, gamma=0.0))
         assert dc.value == sup.value
         assert np.array_equal(dc.grad_z, sup.grad_z)
         assert dc.skipped_anchors == sup.skipped_anchors
@@ -256,7 +255,7 @@ def test_gradient_split_reassembles_and_universum_shrinks_weights():
         z = _unit_rows(rng, n, d)
         labels = _paired_labels(rng, n, k)
         u = _unit_rows(rng, n, d)
-        ul = labels + k
+        ul = labels.copy()
         decomp = decompose(z, labels, u, ul, LossConfig(temperature=tau))
 
         gap = np.abs(
@@ -268,7 +267,7 @@ def test_gradient_split_reassembles_and_universum_shrinks_weights():
         # shrinkage, from exponentials recomputed here
         my_known = np.exp((z @ z.T) / tau)
         np.fill_diagonal(my_known, 0.0)
-        match = ul[None, :] - k == labels[:, None]
+        match = ul[None, :] == labels[:, None]
         my_tau = np.where(match, np.exp((z @ u.T) / tau), 0.0)
         s_full = my_known.sum(axis=1) + my_tau.sum(axis=1)
         s_sup = my_known.sum(axis=1)
@@ -302,8 +301,7 @@ def test_hard_negative_weight_ratios():
         ])
         u = np.array([tau_neg])
         decomp = decompose(
-            z, np.array([1, 1, 2]), u, np.array([3]),
-            LossConfig(temperature=tau), num_known=k,
+            z, np.array([1, 1, 2]), u, np.array([1]), LossConfig(temperature=tau),
         )
         kw, tw = hard_negative_weights(decomp)
         return float(kw[0, 2]), float(tw[0, 0])

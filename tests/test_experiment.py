@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dctau.experiment
 from dctau.config import TrainConfig
 from dctau.errors import ConfigError, InvalidArgumentError
 from dctau.experiment import (
@@ -141,6 +142,24 @@ def test_percentile_sweep_shares_training():
     # the model is shared across percentile rows, so ranking metrics agree
     assert len({row.auroc for row in rows}) == 1
     assert len({row.closed_accuracy for row in rows}) == 1
+
+
+def test_sweep_trains_once_per_training_config(monkeypatch):
+    calls = []
+    real = dctau.experiment.run_training
+
+    def counting(split, cfg):
+        calls.append((cfg.lam, cfg.seed))
+        return real(split, cfg)
+
+    monkeypatch.setattr(dctau.experiment, "run_training", counting)
+    cfg = _tiny_cfg(hidden=(16,), contrastive_epochs=1, classifier_epochs=1)
+    run_sweep(cfg, "percentile", values=(5.0, 10.0, 25.0), seeds=(1, 2))
+    assert calls == [(cfg.lam, 1), (cfg.lam, 2)]
+
+    calls.clear()
+    run_sweep(cfg, "lambda", values=(0.3, 0.7), seeds=(1, 2))
+    assert sorted(calls) == [(0.3, 1), (0.3, 2), (0.7, 1), (0.7, 2)]
 
 
 def test_scheme_sweep_and_custom_values():

@@ -108,12 +108,12 @@ def reference_supcon(z, labels, tau):
     return _loop_reference(z, labels, np.zeros((0, z.shape[1])), np.zeros(0), tau)
 
 
-def reference_dc_known(z, labels, u, u_labels, tau, k):
-    return _loop_reference(z, labels, u, u_labels - k, tau)
+def reference_dc_known(z, labels, u, u_targets, tau):
+    return _loop_reference(z, labels, u, u_targets, tau)
 
 
-def reference_dc_universum(u, u_labels, z, labels, tau, k):
-    return _loop_reference(u, u_labels, z, labels + k, tau)
+def reference_dc_universum(u, u_targets, z, labels, tau):
+    return _loop_reference(u, u_targets, z, labels, tau)
 
 
 def _fd_grad(f, x):
@@ -139,23 +139,23 @@ def _rel_err(a, b):
 
 
 def _known_only(cfg):
-    """cfg with the dual term off: dc_total_loss_grad is then the known term."""
-    return dataclasses.replace(cfg, include_universum_term=False)
+    """cfg at gamma 0: dc_total_loss_grad is then the known term."""
+    return dataclasses.replace(cfg, gamma=0.0)
 
 
 def _draw(seed, n=8, d=5, k=3):
+    """Known rows, their labels, and universum rows targeting those labels."""
     rng = np.random.default_rng(seed)
     z = _unit_rows(rng, n, d)
     labels = _labels_with_positives(rng, n, k)
     u = _unit_rows(rng, n, d)
-    u_labels = labels + k
-    return z, labels, u, u_labels, k
+    return z, labels, u, labels.copy()
 
 
 def test_supcon_value_matches_loop_reference():
     cfg = LossConfig(temperature=0.37)
     for seed in range(10):
-        z, labels, _, _, _ = _draw(seed)
+        z, labels, _, _ = _draw(seed)
         res = supcon_loss_grad(z, labels, cfg)
         ref = reference_supcon(z, labels, cfg.temperature)
         assert abs(res.value - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -167,11 +167,11 @@ def test_supcon_value_matches_loop_reference():
 def test_dc_values_match_loop_references():
     cfg = LossConfig(temperature=0.21)
     for seed in range(10):
-        z, labels, u, u_labels, k = _draw(seed)
-        known = dc_total_loss_grad(z, labels, u, u_labels, _known_only(cfg))
-        dual = dc_universum_loss_grad(u, u_labels, z, labels, cfg)
-        ref_known = reference_dc_known(z, labels, u, u_labels, cfg.temperature, k)
-        ref_dual = reference_dc_universum(u, u_labels, z, labels, cfg.temperature, k)
+        z, labels, u, u_targets = _draw(seed)
+        known = dc_total_loss_grad(z, labels, u, u_targets, _known_only(cfg))
+        dual = dc_universum_loss_grad(u, u_targets, z, labels, cfg)
+        ref_known = reference_dc_known(z, labels, u, u_targets, cfg.temperature)
+        ref_dual = reference_dc_universum(u, u_targets, z, labels, cfg.temperature)
         assert abs(known.value - ref_known) <= 1e-9 * max(1.0, abs(ref_known))
         assert abs(dual.value - ref_dual) <= 1e-9 * max(1.0, abs(ref_dual))
 
@@ -179,40 +179,40 @@ def test_dc_values_match_loop_references():
 def test_gradients_match_finite_differences_of_reference():
     cfg = LossConfig(temperature=0.3, gamma=0.7)
     for seed in range(5):
-        z, labels, u, u_labels, k = _draw(seed, n=7, d=4)
+        z, labels, u, u_targets = _draw(seed, n=7, d=4)
 
         res = supcon_loss_grad(z, labels, cfg)
         fd = _fd_grad(lambda: reference_supcon(z, labels, cfg.temperature), z)
         assert _rel_err(res.grad_z, fd) < _FD_RTOL
 
-        known = dc_total_loss_grad(z, labels, u, u_labels, _known_only(cfg))
-        fd_z = _fd_grad(lambda: reference_dc_known(z, labels, u, u_labels, cfg.temperature, k), z)
-        fd_u = _fd_grad(lambda: reference_dc_known(z, labels, u, u_labels, cfg.temperature, k), u)
+        known = dc_total_loss_grad(z, labels, u, u_targets, _known_only(cfg))
+        fd_z = _fd_grad(lambda: reference_dc_known(z, labels, u, u_targets, cfg.temperature), z)
+        fd_u = _fd_grad(lambda: reference_dc_known(z, labels, u, u_targets, cfg.temperature), u)
         assert _rel_err(known.grad_z, fd_z) < _FD_RTOL
         assert _rel_err(known.grad_u, fd_u) < _FD_RTOL
 
-        dual = dc_universum_loss_grad(u, u_labels, z, labels, cfg)
-        fd_z = _fd_grad(lambda: reference_dc_universum(u, u_labels, z, labels, cfg.temperature, k), z)
-        fd_u = _fd_grad(lambda: reference_dc_universum(u, u_labels, z, labels, cfg.temperature, k), u)
+        dual = dc_universum_loss_grad(u, u_targets, z, labels, cfg)
+        fd_z = _fd_grad(lambda: reference_dc_universum(u, u_targets, z, labels, cfg.temperature), z)
+        fd_u = _fd_grad(lambda: reference_dc_universum(u, u_targets, z, labels, cfg.temperature), u)
         assert _rel_err(dual.grad_z, fd_z) < _FD_RTOL
         assert _rel_err(dual.grad_u, fd_u) < _FD_RTOL
 
         def ref_total():
             return reference_dc_known(
-                z, labels, u, u_labels, cfg.temperature, k
-            ) + cfg.gamma * reference_dc_universum(u, u_labels, z, labels, cfg.temperature, k)
+                z, labels, u, u_targets, cfg.temperature
+            ) + cfg.gamma * reference_dc_universum(u, u_targets, z, labels, cfg.temperature)
 
-        total = dc_total_loss_grad(z, labels, u, u_labels, cfg)
+        total = dc_total_loss_grad(z, labels, u, u_targets, cfg)
         assert _rel_err(total.grad_z, _fd_grad(ref_total, z)) < _FD_RTOL
         assert _rel_err(total.grad_u, _fd_grad(ref_total, u)) < _FD_RTOL
 
 
 def test_total_is_linear_combination():
     cfg = LossConfig(temperature=0.15, gamma=1.7)
-    z, labels, u, u_labels, _ = _draw(3)
-    known = dc_total_loss_grad(z, labels, u, u_labels, _known_only(cfg))
-    dual = dc_universum_loss_grad(u, u_labels, z, labels, cfg)
-    total = dc_total_loss_grad(z, labels, u, u_labels, cfg)
+    z, labels, u, u_targets = _draw(3)
+    known = dc_total_loss_grad(z, labels, u, u_targets, _known_only(cfg))
+    dual = dc_universum_loss_grad(u, u_targets, z, labels, cfg)
+    total = dc_total_loss_grad(z, labels, u, u_targets, cfg)
     assert total.value == pytest.approx(known.value + cfg.gamma * dual.value, rel=1e-12)
     assert np.allclose(total.grad_z, known.grad_z + cfg.gamma * dual.grad_z, atol=1e-12)
     assert np.allclose(total.grad_u, known.grad_u + cfg.gamma * dual.grad_u, atol=1e-12)
@@ -220,34 +220,34 @@ def test_total_is_linear_combination():
 
 
 def test_without_universum_term_keeps_known_term_only():
-    cfg_on = LossConfig(temperature=0.2, gamma=1.0, include_universum_term=True)
-    cfg_off = LossConfig(temperature=0.2, gamma=1.0, include_universum_term=False)
-    cfg_zero = LossConfig(temperature=0.2, gamma=0.0, include_universum_term=True)
-    z, labels, u, u_labels, k = _draw(4)
-    off = dc_total_loss_grad(z, labels, u, u_labels, cfg_off)
-    zero = dc_total_loss_grad(z, labels, u, u_labels, cfg_zero)
-    on = dc_total_loss_grad(z, labels, u, u_labels, cfg_on)
-    # the dual term off and gamma 0 are one computation
-    assert np.float64(off.value).tobytes() == np.float64(zero.value).tobytes()
-    for field in ("grad", "grad_z", "grad_u", "per_anchor"):
-        assert getattr(off, field).tobytes() == getattr(zero, field).tobytes(), field
-    assert off.skipped_anchors == zero.skipped_anchors
-    # and it is the known-anchored term of the loop reference
-    ref = reference_dc_known(z, labels, u, u_labels, cfg_off.temperature, k)
-    assert abs(off.value - ref) <= 1e-9 * max(1.0, abs(ref))
+    cfg_on = LossConfig(temperature=0.2, gamma=1.0)
+    cfg_zero = LossConfig(temperature=0.2, gamma=0.0)
+    z, labels, u, u_targets = _draw(4)
+    zero = dc_total_loss_grad(z, labels, u, u_targets, cfg_zero)
+    on = dc_total_loss_grad(z, labels, u, u_targets, cfg_on)
+    # gamma 0 is the known-anchored term of the loop reference
+    ref = reference_dc_known(z, labels, u, u_targets, cfg_zero.temperature)
+    assert abs(zero.value - ref) <= 1e-9 * max(1.0, abs(ref))
     # universum rows still matter through the known denominators
-    assert np.linalg.norm(off.grad_u) > 0
-    assert on.value != off.value
+    assert np.linalg.norm(zero.grad_u) > 0
+    assert on.value != zero.value
+
+
+def test_dual_term_switch_is_gamma():
+    assert LossConfig(gamma=0.0).include_universum_term is False
+    assert LossConfig(gamma=0.5).include_universum_term is True
+    with pytest.raises(TypeError):
+        LossConfig(include_universum_term=False)
 
 
 def test_reduction_to_supcon_is_bitwise():
-    cfg = LossConfig(temperature=0.11, include_universum_term=False)
+    cfg = LossConfig(temperature=0.11, gamma=0.0)
     for seed in range(20):
-        z, labels, _, _, k = _draw(seed)
+        z, labels, _, _ = _draw(seed)
         empty_u = np.zeros((0, z.shape[1]))
         empty_labels = np.zeros(0, dtype=np.int64)
         sup = supcon_loss_grad(z, labels, cfg)
-        red = dc_total_loss_grad(z, labels, empty_u, empty_labels, cfg, num_known=k)
+        red = dc_total_loss_grad(z, labels, empty_u, empty_labels, cfg)
         assert red.value == sup.value
         assert np.array_equal(red.grad_z, sup.grad_z)
 
@@ -278,58 +278,32 @@ def test_input_validation():
     with pytest.raises(InvalidArgumentError):
         supcon_loss_grad(z, labels[:-1], cfg)  # label misalignment
     with pytest.raises(InvalidArgumentError):
-        dc_total_loss_grad(z, labels, _unit_rows(rng, 6, 3), labels + 3, cfg)  # dim mismatch
+        dc_total_loss_grad(z, labels, _unit_rows(rng, 6, 3), labels, cfg)  # dim mismatch
+    with pytest.raises(InvalidArgumentError):
+        dc_total_loss_grad(z, labels, u, labels[:-1], cfg)  # target misalignment
     with pytest.raises(InvalidArgumentError):
         LossConfig(temperature=0.0)
     with pytest.raises(InvalidArgumentError):
         LossConfig(gamma=-0.1)
 
-    # row-aligned pseudo labels must be a constant offset of the labels
-    bad = labels + 3
-    bad[0] += 1
-    with pytest.raises(InvalidArgumentError):
-        dc_total_loss_grad(z, labels, u, bad, cfg)
-    # collapsed single pseudo class is not a valid bijection either
-    with pytest.raises(InvalidArgumentError):
-        dc_total_loss_grad(z, labels, u, np.full(6, 4), cfg)
-    # offset below the class count cannot be the class count
-    with pytest.raises(InvalidArgumentError):
-        dc_total_loss_grad(z, labels, u, labels + 2, cfg)
-    # pseudo labels must target real classes even with explicit num_known
-    with pytest.raises(InvalidArgumentError):
-        dc_total_loss_grad(z, labels, u[:2], np.array([8, 9]), cfg, num_known=3)
-    # a known label above K would share a stacked label with a pseudo label
-    with pytest.raises(InvalidArgumentError):
-        dc_total_loss_grad(z, labels, u[:2], np.array([3, 4]), cfg, num_known=2)
-    # K is not guessed from the labels when the rows are not aligned
-    with pytest.raises(InvalidArgumentError, match="num_known"):
-        dc_total_loss_grad(z, labels, u[:2], np.array([4, 6]), cfg)
-    with pytest.raises(InvalidArgumentError, match="num_known"):
-        dc_total_loss_grad(z, labels, u[:0], np.zeros(0, dtype=np.int64), cfg)
-    # an inferred K meets the same range rules as an explicit one: with a
-    # known label 0, the known label 2 would equal the pseudo label 0 + 2
-    zero = np.array([0, 0, 2, 2, 1, 1])
-    with pytest.raises(InvalidArgumentError):
-        dc_total_loss_grad(z, zero, u, zero + 2, cfg)
 
-
-def test_unaligned_universum_with_explicit_num_known():
+def test_unaligned_universum_targets():
     cfg = LossConfig(temperature=0.4)
     rng = np.random.default_rng(6)
     z = _unit_rows(rng, 6, 5)
     labels = np.array([1, 1, 2, 2, 3, 3])
     u = _unit_rows(rng, 2, 5)
-    u_labels = np.array([4, 6])  # targets classes 1 and 3 of K=3
-    res = dc_total_loss_grad(z, labels, u, u_labels, _known_only(cfg), num_known=3)
-    ref = reference_dc_known(z, labels, u, u_labels, cfg.temperature, 3)
+    u_targets = np.array([1, 3])
+    res = dc_total_loss_grad(z, labels, u, u_targets, _known_only(cfg))
+    ref = reference_dc_known(z, labels, u, u_targets, cfg.temperature)
     assert abs(res.value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_decomposition_identities():
     cfg = LossConfig(temperature=0.25)
     for seed in range(20):
-        z, labels, u, u_labels, _ = _draw(seed)
-        decomp = decompose(z, labels, u, u_labels, cfg)
+        z, labels, u, u_targets = _draw(seed)
+        decomp = decompose(z, labels, u, u_targets, cfg)
 
         # reassembly crosses the stabilized and raw arithmetic paths
         err = np.abs(reassemble_anchor_partial(decomp) - decomp.anchor_partial).max()
@@ -361,8 +335,8 @@ def test_harder_negatives_get_larger_weights():
     ])
     labels = np.array([1, 2, 2])
     u = np.array([[0.0, 0.0, 1.0]])
-    u_labels = np.array([3])  # targets class 1 with K = 2
-    decomp = decompose(z, labels, u, u_labels, cfg, num_known=2)
+    u_targets = np.array([1])
+    decomp = decompose(z, labels, u, u_targets, cfg)
     known_w, tau_w = hard_negative_weights(decomp)
     # similarity 1 vs 0 at tau 0.5: weight ratio must be e^2
     ratio = known_w[0, 1] / known_w[0, 2]
@@ -425,16 +399,16 @@ def test_workspace_core_matches_reference_bitwise():
 def test_results_do_not_alias_the_workspace():
     cfg = LossConfig(temperature=0.2, gamma=0.5)
     work = LossWorkspace()
-    z, labels, u, u_labels, k = _draw(0, n=40, d=6, k=4)
-    first = dc_total_loss_grad(z, labels, u, u_labels, cfg, num_known=k, work=work)
-    alone = dc_total_loss_grad(z, labels, u, u_labels, cfg, num_known=k)
+    z, labels, u, u_targets = _draw(0, n=40, d=6, k=4)
+    first = dc_total_loss_grad(z, labels, u, u_targets, cfg, work=work)
+    alone = dc_total_loss_grad(z, labels, u, u_targets, cfg)
     kept = (first.grad_z.tobytes(), first.grad_u.tobytes())
     assert kept == (alone.grad_z.tobytes(), alone.grad_u.tobytes())
     assert first.value == alone.value
 
     # a second call on the same workspace, at fewer and then more rows
-    z2, labels2, u2, u_labels2, k2 = _draw(1, n=10, d=6, k=3)
-    dc_total_loss_grad(z2, labels2, u2, u_labels2, cfg, num_known=k2, work=work)
+    z2, labels2, u2, u_targets2 = _draw(1, n=10, d=6, k=3)
+    dc_total_loss_grad(z2, labels2, u2, u_targets2, cfg, work=work)
     sup = supcon_loss_grad(z, labels, cfg, work=work)
     before = sup.per_anchor.copy()
     supcon_loss_grad(z2, labels2, cfg, work=work)
@@ -488,6 +462,23 @@ def test_supcon_core_takes_any_int_labels(label_set, tau):
     # the gradient are under 100 kB), never by label value
     assert peak < 2**20
 
+    # the dual loss tells the sides apart by row position, so universum
+    # rows may target these same labels, 0 and 10**12 included
+    u = _unit_rows(rng, 60, 8)
+    u_targets = rng.permutation(labels)
+    cfg = LossConfig(temperature=tau, gamma=0.5)
+    res, peak = _strict_peak(lambda: dc_total_loss_grad(z, labels, u, u_targets, cfg))
+    targets = np.concatenate([labels, u_targets])
+    _, codes = np.unique(targets, return_inverse=True)
+    stacked = codes + np.repeat([0, 120], 60)  # one reference label per (side, target)
+    value, _, grad, skipped = _reference_core(
+        np.concatenate([z, u]), stacked, targets, 60, np.repeat([1.0, 0.5], 60), tau
+    )
+    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+    assert res.grad.tobytes() == grad.tobytes()
+    assert res.skipped_anchors == skipped == 2
+    assert peak < 2**20
+
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("tau", [1e-3, 0.2])
@@ -505,8 +496,8 @@ def test_k_plus_k_core_with_a_single_row_class(gamma, tau):
     _assert_core_matches_reference(core, args)
     # the lone known row and, when universum rows anchor, its pseudo row
     assert core.skipped == (2 if gamma else 1)
-    cfg = LossConfig(temperature=tau, gamma=gamma, include_universum_term=gamma > 0)
-    res, _ = _strict_peak(lambda: dc_total_loss_grad(x[:nb], y, x[nb:], y + k, cfg, num_known=k))
+    cfg = LossConfig(temperature=tau, gamma=gamma)
+    res, _ = _strict_peak(lambda: dc_total_loss_grad(x[:nb], y, x[nb:], y, cfg))
     assert res.grad.tobytes() == core.grad.tobytes()
     assert res.grad_z.tobytes() == core.grad[:nb].tobytes()
     assert res.grad_u.tobytes() == core.grad[nb:].tobytes()

@@ -371,15 +371,15 @@ def test_training_step_pseudo_label_schemes(monkeypatch):
     split = _easy_split()
     k = split.num_known
 
-    # k_plus_k: universum row r carries pseudo label y_r + K in the dual loss
+    # k_plus_k: universum row r targets its anchor's class y_r in the dual loss
     train_contrastive(split, _tiny_cfg(contrastive_epochs=1), np.random.default_rng(3))
-    _, labels, u, u_labels, _ = calls.pop("dc_total")
+    _, labels, u, u_targets, _ = calls.pop("dc_total")
     assert "supcon" not in calls
     assert u.shape[0] == labels.size
-    assert np.array_equal(u_labels, labels + k)
-    # K is passed, not guessed, and every step of a run shares one workspace
+    assert np.array_equal(u_targets, labels)
+    # the workspace is the only keyword, and every step of a run shares it
     dc_kwargs = keywords.pop("dc_total")
-    assert all(kw["num_known"] == k for kw in dc_kwargs)
+    assert all(set(kw) == {"work"} for kw in dc_kwargs)
     assert len(dc_kwargs) > 1 and len({id(kw["work"]) for kw in dc_kwargs}) == 1
     assert isinstance(dc_kwargs[0]["work"], LossWorkspace)
 
@@ -408,8 +408,7 @@ def test_train_classifier_freezes_encoder():
     cfg = _tiny_cfg(classifier_epochs=5)
     params = init_params(4, cfg.hidden, cfg.proj_dim, 3, seed=7)
 
-    history = []
-    trained = train_classifier(params, split, cfg, np.random.default_rng(0), history_out=history)
+    trained, history = train_classifier(params, split, cfg, np.random.default_rng(0))
     assert len(history) == 5
     assert history[-1] < history[0]
     for before, after in zip(params.encoder, trained.encoder):
@@ -425,7 +424,7 @@ def test_trained_probe_separates_easy_blobs():
     cfg = _tiny_cfg(contrastive_epochs=60, classifier_epochs=200, learning_rate=3e-3)
     rng = np.random.default_rng(0)
     params, _ = train_contrastive(split, cfg, rng)
-    params = train_classifier(params, split, cfg, rng)
+    params, _ = train_classifier(params, split, cfg, rng)
     pred = posteriors(params, split.test_known.features).argmax(axis=1) + 1
     acc = float(np.mean(pred == split.test_known.labels))
     assert acc > 0.9
@@ -521,9 +520,7 @@ def _reference_loss_step(params, view, k, cfg, loss_cfg, rng, work):
         labels = np.concatenate([view.labels, np.full(nb, k + 1)])
         res = supcon_loss_grad(z_all, labels, loss_cfg, work=work)
         return res.value, res.grad_z / nb, trace
-    res = dc_total_loss_grad(
-        z_all[:nb], view.labels, z_all[nb:], view.labels + k, loss_cfg, num_known=k, work=work
-    )
+    res = dc_total_loss_grad(z_all[:nb], view.labels, z_all[nb:], view.labels, loss_cfg, work=work)
     return res.value, np.vstack([res.grad_z, res.grad_u]) / nb, trace
 
 
@@ -595,8 +592,8 @@ def test_flat_training_matches_per_array_reference_bitwise(scheme):
     assert _param_bytes(start) == before
 
     trained_before = _param_bytes(params)
-    cls_history, ref_cls_history = [], []
-    probe = train_classifier(params, split, cfg, np.random.default_rng(7), cls_history)
+    ref_cls_history = []
+    probe, cls_history = train_classifier(params, split, cfg, np.random.default_rng(7))
     ref_probe = _reference_train_classifier(ref, split, cfg, np.random.default_rng(7), ref_cls_history)
     assert _param_bytes(probe) == _param_bytes(ref_probe)
     assert np.array(cls_history).tobytes() == np.array(ref_cls_history).tobytes()
