@@ -30,12 +30,13 @@ def main() -> None:
     print("pushes it toward the other classes' average.")
     print()
 
-    # row r targets class y_r: k_plus_k labels it y_r + K, k_plus_one
-    # collapses every row to K + 1
+    # row r targets class y_r: k_plus_k hands the loss that target and
+    # tells the sides apart by position, giving K target-aligned universum
+    # classes; k_plus_one collapses every row into one class, K + 1
     k = ds.class_count
-    schemes = {"k_plus_k": batch.labels + k, "k_plus_one": np.full(batch.size, k + 1)}
-    for scheme, labels in schemes.items():
-        print(f"scheme {scheme:10s} pseudo labels: {sorted(set(labels.tolist()))}")
+    schemes = {"k_plus_k": batch.labels, "k_plus_one": np.full(batch.size, k + 1)}
+    for scheme, classes in schemes.items():
+        print(f"scheme {scheme:10s} universum classes: {sorted(set(classes.tolist()))}")
 
 
 if __name__ == "__main__":

@@ -57,31 +57,24 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossResult:
-    """Loss value and analytic gradients.
+    """Loss value and analytic gradients over the stacked rows [z; u].
 
-    grad is d(loss)/d(stacked rows [z; u]); grad_z and grad_u are its
-    known and universum slices, and grad_u is None when no universum rows
-    were involved. per_anchor holds each anchor's term (0 for skipped
-    anchors) and is None for combined losses whose anchors span two sets.
+    grad is d(loss)/d([z; u]); grad_z and grad_u are its known and
+    universum slices, and grad_u is None when there are no universum
+    rows. per_anchor holds each stacked row's weighted term (0 where the
+    row does not anchor), so it sums to value and its known and universum
+    slices are the two sides' terms. anchor_partial[i] is the part of
+    grad[i] that row i's own term gives; skipped_anchors counts anchors
+    without positives.
     """
 
     value: float
+    grad: np.ndarray
     grad_z: np.ndarray
     grad_u: np.ndarray | None
-    skipped_anchors: int
-    per_anchor: np.ndarray | None
-    grad: np.ndarray
-
-
-@dataclass(frozen=True)
-class _CoreResult:
-    """Core output over all stacked rows; inactive anchors hold zeros."""
-
-    value: float
     per_anchor: np.ndarray
-    grad: np.ndarray
     anchor_partial: np.ndarray
-    skipped: int
+    skipped_anchors: int
 
 
 class LossWorkspace:
@@ -125,7 +118,7 @@ def _stacked_core(
     weight: np.ndarray,
     tau: float,
     work: LossWorkspace | None = None,
-) -> _CoreResult:
+) -> LossResult:
     """One masked softmax over the stacked rows; see the module docstring.
 
     Rows before n_known are known, the rest universum. Two rows are
@@ -194,8 +187,8 @@ def _stacked_core(
     denom[invalid] = 1.0
     log_s = mx + np.log(denom)
 
-    per_anchor = np.where(valid, log_s - pos_sim / np.maximum(pos_count, 1), 0.0)
-    value = float((weight * per_anchor).sum())
+    per_anchor = weight * np.where(valid, log_s - pos_sim / np.maximum(pos_count, 1), 0.0)
+    value = float(per_anchor.sum())
     if not np.isfinite(value):
         raise NumericError("contrastive loss is non-finite")
 
@@ -207,12 +200,14 @@ def _stacked_core(
     anchor_partial = (w @ x) / tau
     grad = anchor_partial + (w.T @ x) / tau
 
-    return _CoreResult(
+    return LossResult(
         value=value,
-        per_anchor=per_anchor,
         grad=grad,
+        grad_z=grad[:n_known],
+        grad_u=grad[n_known:] if n_known < n else None,
+        per_anchor=per_anchor,
         anchor_partial=anchor_partial,
-        skipped=int(np.count_nonzero(active & (pos_count == 0))),
+        skipped_anchors=int(np.count_nonzero(active & (pos_count == 0))),
     )
 
 
@@ -224,16 +219,14 @@ def supcon_loss_grad(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (z.shape[0],):
         raise InvalidArgumentError("labels must align with embedding rows")
-    core = _stacked_core(z, labels, len(z), np.ones(len(z)), cfg.temperature, work)
-    return LossResult(core.value, core.grad, None, core.skipped, core.per_anchor, core.grad)
+    return _stacked_core(z, labels, len(z), np.ones(len(z)), cfg.temperature, work)
 
 
 def _dc_core(z, labels, u, u_targets, tau, known_weight, universum_weight, work=None):
     """Check the inputs once and run the core over [z; u] with these weights.
 
     The sides are told apart by row position, so any int labels and
-    targets work. Returns the core result, the stacked rows, their
-    targeted classes and the number of known rows.
+    targets work.
     """
     z = _check_rows("z", z)
     u = _check_rows("u", u)
@@ -244,19 +237,10 @@ def _dc_core(z, labels, u, u_targets, tau, known_weight, universum_weight, work=
     if labels.shape != (z.shape[0],) or u_targets.shape != (u.shape[0],):
         raise InvalidArgumentError("labels must align with embedding rows")
 
-    nz = z.shape[0]
     x = np.concatenate([z, u])
-    weight = np.repeat([known_weight, universum_weight], [nz, u.shape[0]])
+    weight = np.repeat([known_weight, universum_weight], [len(z), len(u)])
     targets = np.concatenate([labels, u_targets])
-    core = _stacked_core(x, targets, nz, weight, tau, work)
-    return core, x, targets, nz
-
-
-def _split_result(core: _CoreResult, nz: int, per_anchor) -> LossResult:
-    """The core's stacked gradient with its first nz rows as grad_z."""
-    return LossResult(
-        core.value, core.grad[:nz], core.grad[nz:], core.skipped, per_anchor, core.grad
-    )
+    return _stacked_core(x, targets, len(z), weight, tau, work)
 
 
 def dc_total_loss_grad(
@@ -274,6 +258,4 @@ def dc_total_loss_grad(
     only the known term is evaluated (universum rows still receive
     gradient through its denominators).
     """
-    core, _, _, nz = _dc_core(z, labels, u, u_targets, cfg.temperature, 1.0, cfg.gamma, work)
-    per_anchor = None if cfg.gamma else core.per_anchor[:nz]
-    return _split_result(core, nz, per_anchor)
+    return _dc_core(z, labels, u, u_targets, cfg.temperature, 1.0, cfg.gamma, work)

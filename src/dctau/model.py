@@ -58,18 +58,6 @@ class ModelParams:
         chain = self.encoder or self.projection
         return chain[0].weight.shape[0]
 
-    @property
-    def encoder_dim(self) -> int:
-        return self.encoder[-1].weight.shape[1] if self.encoder else self.input_dim
-
-    @property
-    def proj_dim(self) -> int:
-        return self.projection[-1].weight.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.classifier[-1].weight.shape[1]
-
 
 @dataclass
 class ForwardTrace:

@@ -6,12 +6,15 @@ class present in the batch:
 
     u_i = lam * x_i + (1 - lam) * mean_{c != y_i} x_draw(c)
 
-Because lam weights the anchor more than any single donor row, each
-universum row stays near its targeted class: it is a hard negative for
-class y_i specifically, hence "target-aware". The trainer labels the
-rows: under the default k-plus-k scheme row i carries pseudo label
-y_i + K, giving K synthetic classes alongside the K known ones;
-k-plus-one collapses them all to K + 1.
+Row i targets class y_i, hence "target-aware". With C classes in the
+batch each donor row gets weight (1 - lam)/(C - 1), so the anchor
+outweighs every single donor exactly when lam > 1/C; the row then stays
+near its targeted class, a hard negative for class y_i specifically.
+At lam = 0.1 with 6 classes, say, every donor outweighs the anchor.
+Under the default k-plus-k scheme the trainer hands the loss each row's
+target class, and the loss tells the known and universum rows apart by
+position, which gives K target-aligned universum classes; k-plus-one
+collapses every row into one class, K + 1.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from .losses import (
     LossConfig,
     LossResult,
     _dc_core,
-    _split_result,
     dc_total_loss_grad,
     supcon_loss_grad,
 )
@@ -141,11 +140,12 @@ def decompose(
     that reassembly against it crosses two arithmetic paths.
     """
     tau = cfg.temperature
-    core, x, targets, nz = _dc_core(z, labels, u, u_targets, tau, 1.0, 0.0)
-    z, u = x[:nz], x[nz:]
+    anchor_partial = _dc_core(z, labels, u, u_targets, tau, 1.0, 0.0).anchor_partial[: len(z)]
+    z, u = np.asarray(z, dtype=np.float64), np.asarray(u, dtype=np.float64)
     # a known row's target is its label; a universum row counts in a
     # known anchor's denominator when it targets the anchor's class
-    z_targets, u_targets = targets[:nz], targets[nz:]
+    z_targets = np.asarray(labels, dtype=np.int64)
+    u_targets = np.asarray(u_targets, dtype=np.int64)
     pos_mask = z_targets[:, None] == z_targets[None, :]
     np.fill_diagonal(pos_mask, False)
     pos_count = pos_mask.sum(axis=1)
@@ -169,7 +169,7 @@ def decompose(
         known_exp=known_exp,
         tau_exp=tau_exp,
         normalizer=normalizer,
-        anchor_partial=core.anchor_partial[:nz],
+        anchor_partial=anchor_partial,
         temperature=tau,
     )
 
@@ -208,8 +208,7 @@ def dc_universum_loss_grad(
     same target; the denominator spans the other universum rows plus the
     known rows of the anchor's targeted class.
     """
-    core, _, _, nz = _dc_core(z, labels, u, u_targets, cfg.temperature, 0.0, 1.0)
-    return _split_result(core, nz, core.per_anchor[nz:])
+    return _dc_core(z, labels, u, u_targets, cfg.temperature, 0.0, 1.0)
 
 
 # --- individual checks --------------------------------------------------

@@ -94,8 +94,8 @@ def _reference_core(x, labels, targets, n_known, weight, tau):
     log_s = mx + np.log(denom)
 
     pos_sim = np.where(pos_mask, sims, 0.0).sum(axis=1)
-    per_anchor = np.where(valid, log_s - pos_sim / np.maximum(pos_count, 1), 0.0)
-    value = float((weight * per_anchor).sum())
+    per_anchor = weight * np.where(valid, log_s - pos_sim / np.maximum(pos_count, 1), 0.0)
+    value = float(per_anchor.sum())
 
     w /= denom[:, None]
     w -= pos_mask * (valid / np.maximum(pos_count, 1))[:, None]
@@ -216,7 +216,11 @@ def test_total_is_linear_combination():
     assert total.value == pytest.approx(known.value + cfg.gamma * dual.value, rel=1e-12)
     assert np.allclose(total.grad_z, known.grad_z + cfg.gamma * dual.grad_z, atol=1e-12)
     assert np.allclose(total.grad_u, known.grad_u + cfg.gamma * dual.grad_u, atol=1e-12)
-    assert total.per_anchor is None
+    assert total.value == total.per_anchor.sum()
+    nz = len(z)
+    assert total.per_anchor[:nz].sum() == pytest.approx(known.value, rel=1e-12)
+    assert total.per_anchor[nz:].sum() == pytest.approx(cfg.gamma * dual.value, rel=1e-12)
+    assert len(total.per_anchor) == nz + len(u)
 
 
 def test_without_universum_term_keeps_known_term_only():
@@ -250,6 +254,7 @@ def test_reduction_to_supcon_is_bitwise():
         red = dc_total_loss_grad(z, labels, empty_u, empty_labels, cfg)
         assert red.value == sup.value
         assert np.array_equal(red.grad_z, sup.grad_z)
+        assert red.grad_u is None
 
 
 def test_skipped_anchors_and_degenerate_batch():
@@ -389,7 +394,7 @@ def test_workspace_core_matches_reference_bitwise():
         assert np.float64(core.value).tobytes() == np.float64(value).tobytes(), seed
         assert core.per_anchor.tobytes() == per_anchor.tobytes(), seed
         assert core.grad.tobytes() == grad.tobytes(), seed
-        assert core.skipped == skip, seed
+        assert core.skipped_anchors == skip, seed
         sizes.add(len(args[0]))
         skipped += skip
     # the cases reach both ends of the row range and skip some anchors
@@ -427,7 +432,7 @@ def _assert_core_matches_reference(core, args):
     assert np.float64(core.value).tobytes() == np.float64(value).tobytes()
     assert core.per_anchor.tobytes() == per_anchor.tobytes()
     assert core.grad.tobytes() == grad.tobytes()
-    assert core.skipped == skipped
+    assert core.skipped_anchors == skipped
 
 
 def _strict_peak(fn):
@@ -495,7 +500,7 @@ def test_k_plus_k_core_with_a_single_row_class(gamma, tau):
     core, _ = _strict_peak(lambda: _core(args, LossWorkspace()))
     _assert_core_matches_reference(core, args)
     # the lone known row and, when universum rows anchor, its pseudo row
-    assert core.skipped == (2 if gamma else 1)
+    assert core.skipped_anchors == (2 if gamma else 1)
     cfg = LossConfig(temperature=tau, gamma=gamma)
     res, _ = _strict_peak(lambda: dc_total_loss_grad(x[:nb], y, x[nb:], y, cfg))
     assert res.grad.tobytes() == core.grad.tobytes()

@@ -75,7 +75,7 @@ def test_init_params_shapes_and_bounds():
     assert [l.weight.shape for l in a.encoder] == [(5, 8), (8, 6)]
     assert [l.weight.shape for l in a.projection] == [(6, 6), (6, 3)]
     assert [l.weight.shape for l in a.classifier] == [(6, 4)]
-    assert a.input_dim == 5 and a.encoder_dim == 6 and a.proj_dim == 3 and a.num_classes == 4
+    assert a.input_dim == 5
 
     for section in (a.encoder, a.projection, a.classifier):
         for layer in section:
@@ -87,7 +87,7 @@ def test_init_params_shapes_and_bounds():
 def test_init_params_variants_and_validation():
     ident = init_params(4, (), 3, 2, seed=0)
     assert ident.encoder == ()
-    assert ident.encoder_dim == 4
+    assert ident.projection[0].weight.shape[0] == 4
 
     with pytest.raises(InvalidArgumentError):
         init_params(0, (4,), 3, 2, seed=0)
