@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="average each row over these seeds (default: the master seed)")
 
     p = subs.add_parser("verify", help="run the numeric oracle suite")
-    _add_common_flags(p)
+    p.add_argument("--quiet", action="store_true", help="print only failures")
 
     return parser
 

@@ -61,12 +61,11 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Cached layer inputs and pre-activations of embed, for exact backprop."""
+    """Each layer's input and pre-activation in embed's chain of encoder
+    then projection layers, for exact backprop."""
 
-    encoder_inputs: list[np.ndarray]
-    encoder_pre: list[np.ndarray]
-    proj_inputs: list[np.ndarray]
-    proj_pre: list[np.ndarray]
+    inputs: list[np.ndarray]
+    pres: list[np.ndarray]
     p_norm: np.ndarray
     z: np.ndarray
 
@@ -99,22 +98,21 @@ def init_params(dim: int, hidden, proj_dim: int, num_classes: int, seed: int) ->
     return ModelParams(tuple(encoder), projection, (make_layer(width, num_classes),))
 
 
-def _chain_forward(layers, x, relu_last: bool):
-    """Run x through dense layers with ReLU between (and after, if asked)."""
+def _chain_forward(layers, x):
+    """Run x through dense layers with a ReLU between consecutive ones."""
     inputs, pres = [], []
-    for idx, layer in enumerate(layers):
+    for layer in layers:
+        if pres:
+            x = np.maximum(pres[-1], 0.0)
         inputs.append(x)
-        s = x @ layer.weight + layer.bias
-        pres.append(s)
-        last = idx == len(layers) - 1
-        x = s if (last and not relu_last) else np.maximum(s, 0.0)
-    return x, inputs, pres
+        pres.append(x @ layer.weight + layer.bias)
+    return (pres[-1] if pres else x), inputs, pres
 
 
 def _chain_backward(layers, inputs, pres, d_out, grads) -> None:
-    """Backward through _chain_forward of a chain with no ReLU after its
-    last layer; writes each layer's d_weight and d_bias into the matching
-    layer of grads.
+    """Backward through _chain_forward, whose chains never end in a ReLU;
+    writes each layer's d_weight and d_bias into the matching layer of
+    grads.
 
     No caller needs the gradient with respect to the chain's input, so
     it is never computed.
@@ -173,23 +171,14 @@ def _check_inputs(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 def embed(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """Encoder + projection + L2 normalization; rows of z are unit-norm."""
     inputs = _check_inputs(params, inputs)
-    enc_out, enc_in, enc_pre = _chain_forward(params.encoder, inputs, relu_last=True)
-    p, proj_in, proj_pre = _chain_forward(params.projection, enc_out, relu_last=False)
+    p, layer_inputs, pres = _chain_forward(params.encoder + params.projection, inputs)
     if not np.isfinite(p).all():
         raise NumericError("projection output is non-finite")
     norms = np.linalg.norm(p, axis=1)
     if np.any(norms < _NORM_FLOOR):
         raise NumericError("projection output has (near-)zero norm; cannot normalize")
     z = p / norms[:, None]
-    trace = ForwardTrace(
-        encoder_inputs=enc_in,
-        encoder_pre=enc_pre,
-        proj_inputs=proj_in,
-        proj_pre=proj_pre,
-        p_norm=norms,
-        z=z,
-    )
-    return z, trace
+    return z, ForwardTrace(layer_inputs, pres, norms, z)
 
 
 def backprop_embedding(
@@ -199,38 +188,28 @@ def backprop_embedding(
 
     The gradients are written into grads, dense layers laid out as the
     encoder then the projection (in training, views into one flat
-    gradient vector); without it a throwaway one is made. Returns
-    (encoder_grads, projection_grads), each a list of (d_weight, d_bias)
-    pairs of those arrays aligned with the parameter layers. The
-    normalization Jacobian (I - z z^T)/|p| is applied first, so any
-    gradient component parallel to z is discarded.
+    gradient vector); without it a throwaway one is made. Returns grads,
+    one DenseLayer per encoder and projection layer. The normalization
+    Jacobian (I - z z^T)/|p| is applied first, so any gradient component
+    parallel to z is discarded.
     """
     d_z = np.asarray(d_z, dtype=np.float64)
     if d_z.shape != trace.z.shape:
         raise InvalidArgumentError("d_z shape must match the embedding rows")
     d_p = (d_z - (d_z * trace.z).sum(axis=1, keepdims=True) * trace.z) / trace.p_norm[:, None]
-    # encoder and projection backprop as one chain: a ReLU follows every
-    # layer but the last projection layer
     layers = params.encoder + params.projection
     if grads is None:
         grads = _flatten(layers, copy=False)[1]
-    _chain_backward(
-        layers,
-        trace.encoder_inputs + trace.proj_inputs,
-        trace.encoder_pre + trace.proj_pre,
-        d_p,
-        grads,
-    )
-    pairs = [(g.weight, g.bias) for g in grads]
-    n_enc = len(params.encoder)
-    return pairs[:n_enc], pairs[n_enc:]
+    _chain_backward(layers, trace.inputs, trace.pres, d_p, grads)
+    return grads
 
 
 def _encode(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Encoder features E(x) of checked inputs.
 
-    The bits of _chain_forward, but with nothing kept for backprop: each
-    layer makes one array and adds its bias and applies its ReLU in place.
+    The bits embed's chain feeds the first projection layer, but with
+    nothing kept for backprop: each layer makes one array and adds its
+    bias and applies its ReLU in place.
     """
     x = _check_inputs(params, inputs)
     for layer in params.encoder:
@@ -242,7 +221,7 @@ def _encode(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 def _classify(classifier, feats: np.ndarray):
     """Classifier forward on encoder features; returns (logits, inputs, pres)."""
-    logits, cls_in, cls_pre = _chain_forward(classifier, feats, relu_last=False)
+    logits, cls_in, cls_pre = _chain_forward(classifier, feats)
     if not np.isfinite(logits).all():
         raise NumericError("classifier logits are non-finite")
     return logits, cls_in, cls_pre
@@ -417,8 +396,9 @@ def train_contrastive(
     """Step one: fit encoder + projection with the contrastive loss.
 
     Returns the trained parameters and the per-epoch mean of
-    (batch loss / batch rows). Aborts with a diagnostic naming the
-    epoch and batch if the loss ever turns non-finite. Encoder and
+    (batch loss / batch rows). A NumericError in a step's forward pass
+    or loss (a zero-norm projection, a non-finite loss) is re-raised
+    with the epoch and batch in front of its message. Encoder and
     projection train as views into one flat copy of their parameters,
     so initial is never changed.
     """
@@ -446,9 +426,11 @@ def train_contrastive(
         batch_means = []
         for b_idx, batch in enumerate(epoch_batches(split.train, cfg.batch_size, rng)):
             view = augment_gaussian(batch, cfg.sigma, rng)
-            value, d_z_all, trace = _loss_step(params, view, num_known, cfg, loss_cfg, rng, work)
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
+            try:
+                value, d_z_all, trace = _loss_step(
+                    params, view, num_known, cfg, loss_cfg, rng, work)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, batch {b_idx}: {exc}") from exc
             backprop_embedding(params, trace, d_z_all, grad_layers)
             optimizer_step(state, flat, grad, epoch)
             batch_means.append(value / view.size)

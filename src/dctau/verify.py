@@ -275,24 +275,21 @@ def check_network_gradient_fd() -> CheckResult:
 
     z, trace = embed(params, x)
     res = supcon_loss_grad(z, labels, cfg)
-    enc_grads, proj_grads = backprop_embedding(params, trace, res.grad_z)
+    grads = backprop_embedding(params, trace, res.grad_z)
 
+    layers, n_enc = params.encoder + params.projection, len(params.encoder)
     worst = 0.0
-    for section, grads in (("encoder", enc_grads), ("projection", proj_grads)):
-        layers = getattr(params, section)
-        for li, (dw, db) in enumerate(grads):
-            for kind, analytic in (("weight", dw), ("bias", db)):
-                arr = getattr(layers[li], kind)
+    for li, grad in enumerate(grads):
+        for kind in ("weight", "bias"):
 
-                def fn(a, _section=section, _li=li, _kind=kind):
-                    new_layer = dc_replace(layers[_li], **{_kind: a})
-                    new_layers = tuple(
-                        new_layer if j == _li else lay for j, lay in enumerate(layers)
-                    )
-                    return loss_of(dc_replace(params, **{_section: new_layers}))
+            def fn(a, _li=li, _kind=kind):
+                chain = list(layers)
+                chain[_li] = dc_replace(chain[_li], **{_kind: a})
+                return loss_of(dc_replace(
+                    params, encoder=tuple(chain[:n_enc]), projection=tuple(chain[n_enc:])))
 
-                fd = _fd_grad(fn, arr.copy())
-                worst = max(worst, _rel_err(analytic, fd))
+            fd = _fd_grad(fn, getattr(layers[li], kind).copy())
+            worst = max(worst, _rel_err(getattr(grad, kind), fd))
     ok = worst < _FD_RTOL
     return CheckResult("network_gradient_fd", ok, f"worst relative error {worst:.2e}")
 

@@ -177,7 +177,7 @@ def _smooth_network_case(seed):
         except Exception:
             continue
         margin = min(
-            min(np.abs(p).min() for p in list(t.encoder_pre) + list(t.proj_pre[:-1]))
+            min(np.abs(p).min() for p in t.pres[:-1])
             for t in (tz, tu)
         )
         if margin > 2e-3 and min(tz.p_norm.min(), tu.p_norm.min()) > 1e-2:
@@ -201,12 +201,12 @@ def test_loss_through_network_gradient_matches_finite_differences():
         z, tz = embed(params, x)
         u, tu = embed(params, xu)
         res = dc_total_loss_grad(z, labels, u, u_targets, cfg)
-        enc_z, proj_z = backprop_embedding(params, tz, res.grad_z)
-        enc_u, proj_u = backprop_embedding(params, tu, res.grad_u)
+        grads_z = backprop_embedding(params, tz, res.grad_z)
+        grads_u = backprop_embedding(params, tu, res.grad_u)
         analytic = [
-            gz + gu
-            for (dwz, dbz), (dwu, dbu) in zip(enc_z + proj_z, enc_u + proj_u)
-            for gz, gu in ((dwz, dwu), (dbz, dbu))
+            getattr(gz, kind) + getattr(gu, kind)
+            for gz, gu in zip(grads_z, grads_u)
+            for kind in ("weight", "bias")
         ]
 
         arrays = []

@@ -482,3 +482,12 @@ def test_missing_subcommand_raises_systemexit():
 def test_verify_command_passes(capsys):
     assert _run(["verify", "--quiet"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "flag", [["--set", "x=1"], ["--seed", "3"], ["--out", "o"], ["--config", "c.txt"]]
+)
+def test_verify_takes_only_quiet(flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", *flag])
+    assert excinfo.value.code == 2

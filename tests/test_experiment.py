@@ -11,7 +11,7 @@ import pytest
 
 import dctau.experiment
 from dctau.config import TrainConfig
-from dctau.errors import ConfigError, InvalidArgumentError
+from dctau.errors import ConfigError, InvalidArgumentError, NumericError
 from dctau.experiment import (
     DEFAULT_GRIDS,
     SWEEP_KEYS,
@@ -45,6 +45,14 @@ def test_derive_seeds_named_and_deterministic():
     assert seeds != derive_seeds(124)
     rng = np.random.default_rng(123)
     assert seeds["data"] == int(rng.integers(2**63))
+
+
+def test_a_zero_norm_projection_names_its_epoch_and_batch():
+    # at seed 1 the ReLU after projection layer 0 is off on every unit for
+    # some rows of the first step, so their projection output is all zero
+    with pytest.raises(NumericError, match=r"^epoch 0, batch 0: .*zero norm") as excinfo:
+        run_experiment(_tiny_cfg(contrastive_epochs=1, classifier_epochs=1, seed=1))
+    assert isinstance(excinfo.value.__cause__, NumericError)
 
 
 def test_make_split_deterministic_and_sized():

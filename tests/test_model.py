@@ -96,12 +96,19 @@ def test_init_params_variants_and_validation():
 
 
 def test_embed_unit_norm_and_validation():
-    params = init_params(4, (6,), 5, 3, seed=3)
     x = np.random.default_rng(0).standard_normal((7, 4))
-    z, trace = embed(params, x)
-    assert z.shape == (7, 5)
-    assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
-    assert trace.z is z and trace.p_norm.shape == (7,)
+    for hidden in [(), (7,), (9, 5, 6)]:
+        params = init_params(4, hidden, 5, 3, seed=3)
+        z, trace = embed(params, x)
+        assert z.shape == (7, 5)
+        assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
+        assert trace.z is z and trace.p_norm.shape == (7,)
+        # one chain of encoder then projection layers, a ReLU between each two
+        n_layers = len(params.encoder + params.projection)
+        assert len(trace.inputs) == len(trace.pres) == n_layers
+        assert trace.inputs[0].tobytes() == x.tobytes()
+        for k in range(n_layers - 1):
+            assert trace.inputs[k + 1].tobytes() == np.maximum(trace.pres[k], 0).tobytes()
 
     with pytest.raises(InvalidArgumentError):
         embed(params, np.zeros((3, 5)))
@@ -126,8 +133,9 @@ def test_backprop_embedding_matches_finite_differences():
     g = np.random.default_rng(9).standard_normal((6, 4))
 
     z, trace = embed(params, x)
-    enc_grads, proj_grads = backprop_embedding(params, trace, g)
-    analytic = [a for dw, db in enc_grads + proj_grads for a in (dw, db)]
+    grads = backprop_embedding(params, trace, g)
+    assert len(grads) == len(params.encoder + params.projection)
+    analytic = [a for layer in grads for a in (layer.weight, layer.bias)]
 
     def value():
         z2, _ = embed(params, x)
@@ -159,10 +167,10 @@ def test_classifier_backprop_matches_finite_differences():
     params = init_params(3, (5,), 4, 3, seed=21)
     x = np.random.default_rng(2).standard_normal((8, 3))
     labels = np.array([1, 2, 3, 1, 2, 3, 1, 2])
-    feats, _, _ = _chain_forward(params.encoder, x, relu_last=True)
+    feats = _encode(params, x)
     (probe,) = params.classifier
 
-    logits, cls_in, cls_pre = _chain_forward(params.classifier, feats, relu_last=False)
+    logits, cls_in, cls_pre = _chain_forward(params.classifier, feats)
     assert np.array_equal(logits, forward_classifier(params, x))
     _, d_logits = cross_entropy_loss_grad(logits, labels)
     _, (probe_grad,) = _flatten(params.classifier, copy=False)
@@ -226,8 +234,8 @@ def _with_random_biases(params, seed):
 def _reference_inference(params, x):
     """Probe features, logits and posteriors from _chain_forward and the
     allocating softmax."""
-    feats, _, _ = _chain_forward(params.encoder, x, relu_last=True)
-    logits, _, _ = _chain_forward(params.classifier, feats, relu_last=False)
+    feats = np.maximum(_chain_forward(params.encoder, x)[0], 0.0) if params.encoder else x
+    logits, _, _ = _chain_forward(params.classifier, feats)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return feats, logits, e / e.sum(axis=1, keepdims=True)
@@ -435,11 +443,11 @@ def test_non_finite_gradient_names_the_layer_and_step(monkeypatch):
     calls = []
 
     def poisoned_backprop(*args, **kwargs):
-        enc_grads, proj_grads = real_backprop(*args, **kwargs)
+        grads = real_backprop(*args, **kwargs)
         calls.append(None)
         if len(calls) == 3:
-            proj_grads[1][0][0, 0] = np.nan
-        return enc_grads, proj_grads
+            grads[-1].weight[0, 0] = np.nan
+        return grads
 
     monkeypatch.setattr(dctau.model, "backprop_embedding", poisoned_backprop)
     split, cfg = _easy_split(), _tiny_cfg(contrastive_epochs=2)
@@ -539,11 +547,7 @@ def _reference_train_contrastive(split, cfg, rng, params):
                 params, view, split.num_known, cfg, loss_cfg, rng, work)
             d_p = (d_z - (d_z * trace.z).sum(axis=1, keepdims=True) * trace.z) / trace.p_norm[:, None]
             grads = _reference_backward(
-                params.encoder + params.projection,
-                trace.encoder_inputs + trace.proj_inputs,
-                trace.encoder_pre + trace.proj_pre,
-                d_p,
-            )
+                params.encoder + params.projection, trace.inputs, trace.pres, d_p)
             arrays = adam.step(_arrays(params.encoder + params.projection),
                                [a for pair in grads for a in pair], epoch)
             params = replace(
@@ -564,7 +568,7 @@ def _reference_train_classifier(params, split, cfg, rng, history):
         losses = []
         for lo in range(0, train.n_rows, cfg.batch_size):
             rows = perm[lo : lo + cfg.batch_size]
-            logits, cls_in, cls_pre = _chain_forward(classifier, feats[rows], relu_last=False)
+            logits, cls_in, cls_pre = _chain_forward(classifier, feats[rows])
             value, d_logits = cross_entropy_loss_grad(logits, train.labels[rows])
             grads = _reference_backward(classifier, cls_in, cls_pre, d_logits)
             classifier = _layers(
