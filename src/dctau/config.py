@@ -79,7 +79,7 @@ class TrainConfig:
             (self.proj_dim >= 1, "proj_dim must be >= 1"),
             (self.contrastive_epochs >= 0, "contrastive_epochs must be >= 0"),
             (self.classifier_epochs >= 0, "classifier_epochs must be >= 0"),
-            (self.batch_size >= 2, "batch_size must be >= 2"),
+            (self.batch_size >= 3, "batch_size must be >= 3"),
             (self.learning_rate > 0, "learning_rate must be > 0"),
             (self.weight_decay >= 0, "weight_decay must be >= 0"),
             (self.warmup_epochs >= 0, "warmup_epochs must be >= 0"),
@@ -128,7 +128,7 @@ CONFIG_DOC = {
     "proj_dim": "projection head output dimensionality",
     "contrastive_epochs": "epochs of representation training (step one)",
     "classifier_epochs": "epochs of classifier training (step two)",
-    "batch_size": "training batch size",
+    "batch_size": "training batch size, >= 3",
     "learning_rate": "base learning rate",
     "weight_decay": "decoupled weight decay coefficient",
     "warmup_epochs": "linear warmup epochs before cosine decay (step one)",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,9 +173,9 @@ def epoch_batches(train: Dataset, batch_size: int, rng: np.random.Generator) -> 
     """Split one shuffled epoch into batches, each with >= 2 classes.
 
     Every training row appears exactly once across the returned batches.
-    A trailing chunk too small to hold two rows is merged into its
-    predecessor; if any chunk ends up single-class the whole epoch is
-    reshuffled (bounded retries).
+    A trailing chunk with no repeated label (no positive pair, such as a
+    1-row tail) is merged into its predecessor; if any chunk ends up
+    single-class the whole epoch is reshuffled (bounded retries).
     """
     if batch_size < 2:
         raise InvalidArgumentError("batch_size must be >= 2")
@@ -183,7 +184,7 @@ def epoch_batches(train: Dataset, batch_size: int, rng: np.random.Generator) -> 
         perm = rng.permutation(n)
         bounds = list(range(0, n, batch_size))
         chunks = [perm[lo : lo + batch_size] for lo in bounds]
-        if len(chunks) > 1 and chunks[-1].size < 2:
+        if len(chunks) > 1 and np.unique(train.labels[chunks[-1]]).size == chunks[-1].size:
             chunks[-2] = np.concatenate([chunks[-2], chunks[-1]])
             chunks.pop()
         if all(np.unique(train.labels[c]).size >= 2 for c in chunks):
@@ -204,29 +205,100 @@ def augment_gaussian(batch: Batch, sigma: float, rng: np.random.Generator) -> Ba
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:
-    """Write ``f0,...,f{d-1},label`` rows; UTF-8, LF line endings."""
+    """Write ``f0,...,f{d-1},label`` rows; UTF-8, LF line endings.
+
+    Beside the CSV goes its binary companion ``<path>.npz`` (``np.savez``):
+    ``features`` (float64), ``labels`` (int64) and ``csv_sha256``, the
+    SHA-256 hex digest of the CSV bytes just written. ``read_dataset_csv``
+    takes the arrays from it instead of parsing the CSV while that digest
+    matches. The CSV stays the interchange format; deleting the companion
+    is always safe.
+    """
     lines = [",".join([f"f{j}" for j in range(ds.dim)] + ["label"])]
     lines += [
         ",".join(map(repr, row + [label]))
         for row, label in zip(ds.features.tolist(), ds.labels.tolist())
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    np.savez(f"{path}.npz", features=ds.features, labels=ds.labels, csv_sha256=_sha256(data))
 
 
 def read_dataset_csv(path) -> Dataset:
     """Read a dataset written by ``write_dataset_csv``.
 
-    The header's last cell must be ``label``. Body rows are parsed by
-    numpy's C reader: features as floats, labels as integers (``1.0`` is
+    The CSV bytes are read once. When the companion ``<path>.npz`` is
+    intact (every zip member's CRC holds), loads with
+    ``allow_pickle=False``, holds exactly ``features`` (2-d float64),
+    ``labels`` (int64, one per row) and ``csv_sha256``, and that digest is
+    the SHA-256 of these bytes, the arrays come from it and no cell is
+    parsed. Any other companion (missing, stale, torn, bit-flipped) is
+    ignored and the CSV is parsed. Either way the same finite-feature
+    check, ``class_count`` rule and ``Dataset`` checks follow, so the
+    outcome is the one parsing gives.
+
+    Parsing: the header's last cell must be ``label``. Body rows are parsed
+    by numpy's C reader: features as floats, labels as integers (``1.0`` is
     not a label), blank lines skipped, and ``#`` is data, not a comment.
     A malformed file (empty, not UTF-8, a row whose cell count differs
     from the header, a non-numeric cell, a non-finite feature such as
     ``nan`` or ``inf``, an ASCII separator character 0x1c-0x1f anywhere
     in the body) raises InvalidArgumentError naming the file.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    arrays = _read_companion(path, data)
+    feats, labels = _parse_csv(path, data) if arrays is None else arrays
+    if not np.isfinite(feats).all():
+        raise InvalidArgumentError(f"{path}: non-finite feature value")
+    class_count = 0 if np.all(labels == UNKNOWN_LABEL) else int(labels.max())
+    return Dataset(feats, labels, class_count)
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # here, not at module level: importing dctau should not pay for it
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read_companion(path, data: bytes):
+    """``(features, labels)`` from ``<path>.npz`` if it is what
+    ``write_dataset_csv`` wrote beside these CSV bytes, else None."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with zipfile.ZipFile(f"{path}.npz") as zf:
+            arrays = {}
+            for name in zf.namelist():
+                with zf.open(name) as fh:
+                    arrays[name] = np.lib.format.read_array(fh, allow_pickle=False)
+                    # reading a member to its end checks its CRC over every
+                    # byte, npy header included; bytes left over mean a header
+                    # that undercounts its array
+                    if fh.read():
+                        return None
+    except Exception:
+        # the companion only saves a parse: whatever makes it unreadable (a
+        # zip, zlib or npy error, a missing file) means parse the CSV instead
+        return None
+    names = ["csv_sha256.npy", "features.npy", "labels.npy"]
+    if sorted(arrays) != names:
+        return None
+    digest, feats, labels = (arrays[n] for n in names)
+    if not (
+        digest.shape == () and digest.dtype.kind == "U"
+        and feats.dtype == np.float64 and feats.ndim == 2
+        and labels.dtype == np.int64 and labels.shape == (feats.shape[0],)
+    ):
+        return None
+    if str(digest) != _sha256(data):
+        return None
+    return np.ascontiguousarray(feats), labels
+
+
+def _parse_csv(path, data: bytes):
+    """``(features, labels)`` parsed from the CSV bytes ``data``."""
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
             header = next(csv.reader(fh), [])
             body = fh.read()
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -239,7 +311,7 @@ def read_dataset_csv(path) -> Dataset:
         raise InvalidArgumentError(f"{path}: ASCII separator character in a row")
     if not body.strip("\n"):
         # no rows, only the header and maybe blank lines: loadtxt would warn
-        return Dataset(np.empty((0, width - 1)), np.empty(0, dtype=np.int64), 0)
+        return np.empty((0, width - 1)), np.empty(0, dtype=np.int64)
     try:
         table = np.loadtxt(
             io.StringIO(body),
@@ -251,9 +323,4 @@ def read_dataset_csv(path) -> Dataset:
         )
     except ValueError as exc:
         raise InvalidArgumentError(f"{path}: malformed row ({exc})") from exc
-    feats = np.ascontiguousarray(table["f"])
-    if not np.isfinite(feats).all():
-        raise InvalidArgumentError(f"{path}: non-finite feature value")
-    labels = np.ascontiguousarray(table["y"])
-    class_count = 0 if np.all(labels == UNKNOWN_LABEL) else int(labels.max())
-    return Dataset(feats, labels, class_count)
+    return np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["y"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import struct
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import dctau.cli
+import dctau.data
 import dctau.metrics
 import dctau.model
 from dctau.cli import (
@@ -132,6 +134,40 @@ def test_report_json_comes_from_the_patched_evaluate_params(tmp_path, monkeypatc
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_a_generated_split_is_read_back_without_parsing(tmp_path, monkeypatch):
+    parsed = []
+    real = dctau.data._parse_csv
+
+    def counted(path, data):
+        parsed.append(os.path.basename(path))
+        return real(path, data)
+
+    monkeypatch.setattr(dctau.data, "_parse_csv", counted)
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
+    assert _run(["train", "--out", str(run), "--quiet", *_FAST,
+                 "--set", f"data_dir={data}"]) == 0
+
+    def evaluate(out):
+        argv = ["eval", "--checkpoint", str(run / CHECKPOINT_FILE), "--out", str(out), "--quiet"]
+        assert _run(argv) == 0
+        report = json.loads((out / REPORT_FILE).read_text(encoding="utf-8"))
+        del report["wall_seconds"]
+        return report, (out / THRESHOLDS_FILE).read_bytes(), (out / CURVE_FILE).read_bytes()
+
+    from_companions = evaluate(tmp_path / "a")
+    assert parsed == []
+    # a trailing blank line changes the bytes but not the rows
+    with open(data / "test_known.csv", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert evaluate(tmp_path / "b") == from_companions
+    assert parsed == ["test_known.csv"]
+    for companion in data.glob("*.csv.npz"):
+        companion.unlink()
+    assert evaluate(tmp_path / "c") == from_companions
+    assert sorted(parsed) == ["test_known.csv", "test_known.csv", "test_unknown.csv", "train.csv"]
+
+
 def test_eval_with_overflowing_weights_exits_3(tmp_path, capsys):
     ckpt = _trained_checkpoint(tmp_path)
     params, cfg = load_checkpoint(ckpt)
@@ -246,6 +282,12 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
     code = _run(["generate", "--out", str(tmp_path), "--set", "oops"])
     assert code == 2
+
+    # a 2-row batch of two classes can never hold a positive pair
+    capsys.readouterr()
+    code = _run(["generate", "--out", str(tmp_path), *_FAST, "--set", "batch_size=2"])
+    assert code == 2
+    assert "batch_size must be >= 3" in capsys.readouterr().err
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

@@ -1,11 +1,17 @@
 """Blob generation, open splits, epoch batching, augmentation, CSV round trips."""
 
 import csv
+import io
+import os
+import subprocess
+import sys
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
+import dctau.data
 from dctau.data import (
     UNKNOWN_LABEL,
     Batch,
@@ -172,6 +178,19 @@ def test_epoch_batches_merge_small_tail():
     assert sorted(b.size for b in batches) == [4, 5]
 
 
+def test_epoch_batches_merge_a_tail_without_a_positive_pair():
+    # 11 rows over 3 classes at batch 4 leave a 3-row tail; it stays only
+    # when a label repeats in it, so every batch holds a positive pair
+    ds = Dataset(np.zeros((11, 2)), np.array([1, 2, 3] * 3 + [1, 2]), 3)
+    sizes = set()
+    for seed in range(20):
+        batches = epoch_batches(ds, 4, np.random.default_rng(seed))
+        sizes.add(tuple(b.size for b in batches))
+        for b in batches:
+            assert np.unique(b.labels).size < b.size, seed
+    assert sizes == {(4, 4, 3), (4, 7)}
+
+
 def test_epoch_batches_unsatisfiable():
     ds = Dataset(np.zeros((6, 2)), np.ones(6, dtype=np.int64), 1)
     with pytest.raises(UnsatisfiableBatchError):
@@ -250,11 +269,18 @@ def _edge_dataset():
     return Dataset(feats, ds.labels, 3)
 
 
+def _edge_datasets():
+    return {
+        "edge": _edge_dataset(),
+        "unknown": Dataset(np.array([[1e300, -0.0], [5e-324, 0.1]]),
+                           np.zeros(2, dtype=np.int64), 0),
+        "empty": Dataset(np.empty((0, 4)), np.empty(0, dtype=np.int64), 0),
+        "featureless": Dataset(np.empty((2, 0)), np.zeros(2, dtype=np.int64), 0),
+    }
+
+
 def test_csv_writer_matches_csv_module_bytes(tmp_path):
-    unknown = Dataset(np.array([[1e300, -0.0], [5e-324, 0.1]]), np.zeros(2, dtype=np.int64), 0)
-    empty = Dataset(np.empty((0, 4)), np.empty(0, dtype=np.int64), 0)
-    featureless = Dataset(np.empty((2, 0)), np.zeros(2, dtype=np.int64), 0)
-    for n, ds in enumerate([_edge_dataset(), unknown, empty, featureless]):
+    for n, ds in enumerate(_edge_datasets().values()):
         got, want = tmp_path / f"got{n}.csv", tmp_path / f"want{n}.csv"
         write_dataset_csv(ds, got)
         _reference_write(ds, want)
@@ -262,10 +288,8 @@ def test_csv_writer_matches_csv_module_bytes(tmp_path):
         assert _read_outcome(read_dataset_csv, got) == _read_outcome(_reference_read, want), n
 
 
-def test_csv_reader_matches_reference_on_cuts_and_flips(tmp_path):
-    source = tmp_path / "source.csv"
-    write_dataset_csv(_edge_dataset(), source)
-    original = source.read_bytes()
+def _cuts_and_flips(original):
+    """Every prefix of ``original``, and each byte flipped in full and in one bit."""
     bits = np.random.default_rng(5).integers(0, 8, size=len(original))
     variants = [original[:cut] for cut in range(len(original) + 1)]
     for i, bit in enumerate(bits.tolist()):
@@ -273,7 +297,10 @@ def test_csv_reader_matches_reference_on_cuts_and_flips(tmp_path):
             flipped = bytearray(original)
             flipped[i] ^= mask
             variants.append(bytes(flipped))
-    path = tmp_path / "variant.csv"
+    return variants
+
+
+def _assert_reads_match_reference(path, variants):
     accepted = 0
     for n, data in enumerate(variants):
         path.write_bytes(data)
@@ -282,6 +309,118 @@ def test_csv_reader_matches_reference_on_cuts_and_flips(tmp_path):
         accepted += expected is not None
     # both sides of the comparison are exercised
     assert 0 < accepted < len(variants)
+
+
+def test_csv_reader_matches_reference_on_cuts_and_flips(tmp_path):
+    source = tmp_path / "source.csv"
+    write_dataset_csv(_edge_dataset(), source)
+    _assert_reads_match_reference(tmp_path / "variant.csv", _cuts_and_flips(source.read_bytes()))
+
+
+def test_a_stale_companion_never_leaks_into_a_cut_or_flipped_csv(tmp_path):
+    # each variant overwrites a CSV whose companion still holds the original
+    path = tmp_path / "variant.csv"
+    write_dataset_csv(_edge_dataset(), path)
+    _assert_reads_match_reference(path, _cuts_and_flips(path.read_bytes()))
+    assert (tmp_path / "variant.csv.npz").exists()
+
+
+def _read_or_error(path):
+    """read_dataset_csv's result as comparable bits, or its error."""
+    try:
+        ds = read_dataset_csv(path)
+    except InvalidArgumentError as exc:
+        return type(exc), str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.class_count
+
+
+def _counting_parses(monkeypatch):
+    parsed = []
+    real = dctau.data._parse_csv
+
+    def counted(path, data):
+        parsed.append(path)
+        return real(path, data)
+
+    monkeypatch.setattr(dctau.data, "_parse_csv", counted)
+    return parsed
+
+
+@pytest.mark.parametrize("name", ["edge", "unknown", "empty", "featureless", "nan"])
+def test_the_companion_reads_as_the_parse(tmp_path, monkeypatch, name):
+    datasets = _edge_datasets()
+    nan = _edge_dataset().features.copy()
+    nan[2, 1] = np.nan
+    datasets["nan"] = Dataset(nan, _edge_dataset().labels, 3)
+    path = tmp_path / "ds.csv"
+    write_dataset_csv(datasets[name], path)
+    parsed = _counting_parses(monkeypatch)
+    from_companion = _read_or_error(path)
+    assert parsed == []
+    (tmp_path / "ds.csv.npz").unlink()
+    assert _read_or_error(path) == from_companion
+    assert parsed == [path]
+    if name == "nan":
+        assert from_companion[0] is InvalidArgumentError
+        assert "non-finite feature value" in from_companion[1]
+
+
+def test_a_torn_or_flipped_companion_reads_as_the_parse(tmp_path, monkeypatch):
+    path = tmp_path / "ds.csv"
+    write_dataset_csv(_edge_dataset(), path)
+    companion = tmp_path / "ds.csv.npz"
+    original = companion.read_bytes()
+    companion.unlink()
+    expected = _read_or_error(path)
+    parsed = _counting_parses(monkeypatch)
+    cuts = np.linspace(0, len(original) - 1, 64).astype(int).tolist()
+    bits = np.random.default_rng(6).integers(0, 8, size=len(original)).tolist()
+    for cut in cuts:
+        companion.write_bytes(original[:cut])
+        assert _read_or_error(path) == expected, cut
+    # a cut loses the zip directory, so the CSV is parsed
+    assert len(parsed) == len(cuts)
+    for i, bit in enumerate(bits):
+        flipped = bytearray(original)
+        flipped[i] ^= 1 << bit
+        companion.write_bytes(bytes(flipped))
+        assert _read_or_error(path) == expected, (i, bit)
+    # a flip inside a member fails its CRC; one in an unread zip field
+    # (a timestamp, say) leaves the companion in use
+    assert len(cuts) < len(parsed) < len(cuts) + len(original)
+
+
+def test_importing_dctau_does_not_load_hashlib():
+    # the digest is taken only where a CSV is read or written
+    src = os.path.dirname(os.path.dirname(dctau.data.__file__))
+    code = "import sys, dctau; sys.exit('hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, check=False).returncode == 0
+
+
+def test_a_companion_whose_header_undercounts_its_array_is_not_used(tmp_path, monkeypatch):
+    # CRCs and digest hold, but features.npy declares one column of three
+    ds = _edge_dataset()
+    path = tmp_path / "ds.csv"
+    write_dataset_csv(ds, path)
+    companion = tmp_path / "ds.csv.npz"
+    with np.load(companion) as npz:
+        members = {name: npz[name] for name in ("labels", "csv_sha256")}
+    undercounted = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        undercounted, {"descr": "<f8", "fortran_order": False, "shape": (ds.n_rows, 1)}
+    )
+    undercounted.write(ds.features.tobytes())
+    with zipfile.ZipFile(companion, "w") as zf:
+        zf.writestr("features.npy", undercounted.getvalue())
+        for name, array in members.items():
+            buf = io.BytesIO()
+            np.save(buf, array)
+            zf.writestr(f"{name}.npy", buf.getvalue())
+    parsed = _counting_parses(monkeypatch)
+    back = read_dataset_csv(path)
+    assert parsed == [path]
+    assert back.features.tobytes() == ds.features.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,18 @@ def test_a_zero_norm_projection_names_its_epoch_and_batch():
     assert isinstance(excinfo.value.__cause__, NumericError)
 
 
+@pytest.mark.parametrize("scheme", ["none", "k_plus_k", "k_plus_one"])
+def test_a_trailing_chunk_without_a_pair_trains(scheme):
+    # 66 train rows at batch 32 leave a 2-row tail of two classes, which
+    # holds no positive pair unless it is merged into its predecessor
+    for seed in range(4):
+        cfg = _tiny_cfg(per_class=31, batch_size=32, hidden=(16,), contrastive_epochs=2,
+                        classifier_epochs=1, pseudo_scheme=scheme, seed=seed)
+        _, split, report, _ = run_experiment(cfg)
+        assert split.train.n_rows == 66
+        assert 0.0 <= report.auroc <= 1.0
+
+
 def test_make_split_deterministic_and_sized():
     cfg = _tiny_cfg()
     a = make_split(cfg)
