@@ -12,13 +12,13 @@ Binary layout, all integers little-endian:
               concatenated in manifest order
 
 The sidecar (<path>.json) records the full config, whose ``seed`` is the
-master seed, so a checkpoint is reproducible and resumable without
-guessing. A sidecar with no config, or whose config names an unknown key
-(one a newer version removed, say) or holds a value of the wrong type,
-is rejected as corrupt; the top-level ``seed`` older versions wrote is
-ignored. Both files are written to temporaries in the same directory and
-renamed into place, so an interrupted save never leaves a half-written
-checkpoint.
+master seed, so a checkpoint is reproducible without guessing; a load
+without it raises FileNotFoundError. A sidecar with no config, or whose
+config names an unknown key (one a newer version removed, say) or holds
+a value of the wrong type, is rejected as corrupt; the top-level
+``seed`` older versions wrote is ignored. Both files are written to
+temporaries in the same directory and renamed into place, so an
+interrupted save never leaves a half-written checkpoint.
 """
 
 from __future__ import annotations
@@ -104,11 +104,8 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:
         os.replace(tmp, target)
 
 
-def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None]:
-    """Read a checkpoint; returns (params, config).
-
-    The config comes from the sidecar and is None if it is absent.
-    """
+def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
+    """Read a checkpoint and its required sidecar; returns (params, config)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if header[: len(MAGIC)] != MAGIC:
@@ -168,7 +165,5 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig | None]:
         with open(sidecar_path(path), "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
         return params, TrainConfig(**sidecar["config"])
-    except FileNotFoundError:
-        return params, None
     except (ValueError, TypeError, KeyError) as exc:
         raise InvalidArgumentError(f"{sidecar_path(path)}: corrupt sidecar ({exc})") from exc

@@ -8,7 +8,8 @@ Config precedence: built-in defaults < --config file < flags (--seed
 and repeated --set key=value). Every config key is set through --set;
 no subcommand has a flag of its own for one. eval takes the checkpoint
 sidecar's config as its base, and a sidecar that lacks a config, names
-an unknown key or holds a value of the wrong type is rejected. The
+an unknown key or holds a value of the wrong type is rejected, as is a
+hidden or proj_dim that differs from the checkpoint's weights. The
 effective config is echoed to stdout (unless --quiet) and always written
 to <out>/effective_config.txt.
 
@@ -176,6 +177,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     params, ckpt_cfg = load_checkpoint(args.checkpoint)
     cfg = _build_config(args, base=ckpt_cfg)
+    # dim and known_count may come from data_dir; the architecture may not
+    widths = {"hidden": tuple(layer.weight.shape[1] for layer in params.encoder),
+              "proj_dim": params.projection[-1].weight.shape[1]}
+    for key, width in widths.items():
+        if getattr(cfg, key) != width:
+            raise ConfigError(f"{key}: config has {getattr(cfg, key)!r}, weights have {width!r}")
     _echo_config(cfg, args)
     split = make_split(cfg)
     report = evaluate_params(params, split, cfg)

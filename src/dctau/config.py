@@ -53,7 +53,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     warmup_epochs: int = 10
     sigma: float = 0.1
-    resume_from: str = ""
     # rejection
     percentile: float = 5.0
     # reproducibility
@@ -133,7 +132,6 @@ CONFIG_DOC = {
     "weight_decay": "decoupled weight decay coefficient",
     "warmup_epochs": "linear warmup epochs before cosine decay (step one)",
     "sigma": "Gaussian augmentation noise std; 0 disables augmentation",
-    "resume_from": "checkpoint path to initialize step-one training from",
     "percentile": "rejection threshold percentile in (0, 100)",
     "seed": "master seed; every random draw derives from it",
 }

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
 from .config import PSEUDO_SCHEMES, TrainConfig
 from .data import (
     UNKNOWN_LABEL,
@@ -201,10 +200,7 @@ def run_training(
 ) -> tuple[ModelParams, list[float], list[float]]:
     """Both training steps; returns (params, step-one history, step-two history)."""
     rng = np.random.default_rng(derive_seeds(cfg.seed)["train"])
-    initial = None
-    if cfg.resume_from:
-        initial, _ = load_checkpoint(cfg.resume_from)
-    params, history = train_contrastive(split, cfg, rng, initial=initial)
+    params, history = train_contrastive(split, cfg, rng)
     params, cls_history = train_classifier(params, split, cfg, rng)
     return params, history, cls_history
 

@@ -72,13 +72,12 @@ def test_older_sidecar_with_a_top_level_seed_loads(tmp_path):
     assert cfg == _cfg() and cfg.seed == 17
 
 
-def test_missing_sidecar_loads_params_only(tmp_path):
+def test_missing_sidecar_is_not_found(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _params(), _cfg())
     (tmp_path / "model.bin.json").unlink()
-    loaded, cfg = load_checkpoint(path)
-    assert cfg is None
-    assert np.array_equal(loaded.encoder[0].weight, _params().encoder[0].weight)
+    with pytest.raises(FileNotFoundError, match="model.bin.json"):
+        load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):

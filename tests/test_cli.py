@@ -206,6 +206,29 @@ def test_eval_flags_override_sidecar(tmp_path):
     assert report["config"]["class_count"] == 5  # untouched keys keep sidecar values
 
 
+@pytest.mark.parametrize(
+    "key, value", [("hidden", "16"), ("hidden", "8,8"), ("hidden", ""), ("proj_dim", "3")]
+)
+def test_eval_rejects_an_architecture_the_checkpoint_lacks(tmp_path, capsys, key, value):
+    ckpt = _trained_checkpoint(tmp_path)
+    out = tmp_path / "eval"
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(out), "--quiet",
+                 "--set", f"{key}={value}"])
+    assert code == 2
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not (out / REPORT_FILE).exists()
+
+
+def test_a_trained_sidecar_describes_its_weights(tmp_path):
+    run_dir = tmp_path / "run"
+    assert _run(["train", "--out", str(run_dir), "--quiet", *_FAST,
+                 "--set", "hidden=8,4", "--set", "proj_dim=3"]) == 0
+    params, cfg = load_checkpoint(run_dir / CHECKPOINT_FILE)
+    widths = tuple(layer.weight.shape[1] for layer in params.encoder)
+    assert widths == cfg.hidden == (8, 4)
+    assert params.projection[-1].weight.shape[1] == cfg.proj_dim == 3
+
+
 def test_quiet_suppresses_stdout_but_writes_config(tmp_path, capsys):
     out = tmp_path / "q"
     assert _run(["generate", "--out", str(out), "--quiet", *_FAST]) == 0
@@ -257,21 +280,6 @@ def test_ablate_scheme_values_stay_strings(tmp_path):
     assert lines[2].startswith("scheme,k_plus_k,")
 
 
-def test_train_resume_flag(tmp_path):
-    warm = tmp_path / "warm"
-    assert _run(["train", "--out", str(warm), "--seed", "5", "--quiet", *_FAST]) == 0
-    resumed = tmp_path / "resumed"
-    assert _run([
-        "train", "--out", str(resumed), "--seed", "5", "--quiet", *_FAST,
-        "--set", f"resume_from={warm / CHECKPOINT_FILE}",
-    ]) == 0
-    cold, _ = load_checkpoint(warm / CHECKPOINT_FILE)
-    hot, _ = load_checkpoint(resumed / CHECKPOINT_FILE)
-    assert not np.array_equal(cold.projection[0].weight, hot.projection[0].weight)
-    text = (resumed / EFFECTIVE_CONFIG_FILE).read_text(encoding="utf-8")
-    assert f"resume_from = {warm / CHECKPOINT_FILE}" in text
-
-
 def test_bad_config_exits_2(tmp_path, capsys):
     code = _run(["generate", "--out", str(tmp_path), *_FAST, "--set", "known_count=99"])
     assert code == 2
@@ -308,6 +316,16 @@ def test_missing_files_exit_codes(tmp_path, capsys):
     code = _run(["eval", "--checkpoint", str(tmp_path / "absent.bin"),
                  "--out", str(tmp_path)])
     assert code == 4
+
+    # a checkpoint without its sidecar is not scored under defaults
+    ckpt = tmp_path / CHECKPOINT_FILE
+    save_checkpoint(ckpt, init_params(8, (64, 64), 16, 6, seed=0), TrainConfig())
+    (tmp_path / f"{CHECKPOINT_FILE}.json").unlink()
+    out = tmp_path / "eval"
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(out), "--quiet"])
+    assert code == 4
+    assert f"{CHECKPOINT_FILE}.json" in capsys.readouterr().err
+    assert not (out / REPORT_FILE).exists()
 
     code = _run(["generate", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path)])

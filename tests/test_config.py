@@ -33,7 +33,6 @@ _NON_DEFAULT = {
     "weight_decay": 0.0,
     "warmup_epochs": 0,
     "sigma": 0.0,
-    "resume_from": "warm.bin",
     "percentile": 12.5,
     "seed": 4242,
 }
@@ -46,12 +45,13 @@ _REMOVED = {
     "per_class_thresholds": "false",
     "thresholds_on_correct_only": "false",
     "include_universum_term": "false",
+    "resume_from": "run/checkpoint.bin",
 }
 
 
 def test_non_default_values_cover_every_field():
     fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-    assert len(fields) == 23
+    assert len(fields) == 22
     assert set(_NON_DEFAULT) == set(fields)
     assert all(_NON_DEFAULT[k] != v for k, v in fields.items())
 
@@ -115,8 +115,8 @@ def _checkpoint_with_sidecar_config(tmp_path, edit):
 
 
 def test_sidecar_naming_a_removed_key_exits_2(tmp_path, capsys):
-    for key in ("two_views", "include_universum_term"):
-        ckpt = _checkpoint_with_sidecar_config(tmp_path, lambda c: c.update({key: False}))
+    for key in ("two_views", "include_universum_term", "resume_from"):
+        ckpt = _checkpoint_with_sidecar_config(tmp_path, lambda c: c.update({key: _REMOVED[key]}))
         code = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
         assert code == 2, key
         err = capsys.readouterr().err

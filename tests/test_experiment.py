@@ -239,22 +239,6 @@ def test_sweep_csv_round_numbers(tmp_path):
     assert path.read_bytes() == _csv_module_sweep_bytes(rows)
 
 
-def test_resume_from_checkpoint_changes_start(tmp_path):
-    from dctau.checkpoint import save_checkpoint
-
-    cfg = _tiny_cfg(contrastive_epochs=1, classifier_epochs=1)
-    params, _, _, _ = run_experiment(cfg)
-    ckpt = tmp_path / "warm.bin"
-    save_checkpoint(ckpt, params, cfg)
-
-    resumed_cfg = _tiny_cfg(
-        contrastive_epochs=1, classifier_epochs=1, resume_from=str(ckpt)
-    )
-    resumed, _, _, _ = run_experiment(resumed_cfg)
-    fresh, _, _, _ = run_experiment(cfg)
-    assert not np.array_equal(resumed.projection[0].weight, fresh.projection[0].weight)
-
-
 @pytest.mark.parametrize("gamma", [1.0, 0.0])
 def test_tiny_temperature_run_raises_no_numeric_warning(gamma):
     # exp(z.z/tau) overflows at tau=1e-3; the training loss must stay on
