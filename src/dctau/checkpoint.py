@@ -1,22 +1,16 @@
-"""Model checkpointing: one binary file plus a JSON sidecar.
+"""Model checkpointing: an ``np.savez`` archive plus a JSON sidecar.
 
-Binary layout, all integers little-endian:
+The archive holds one float64 member per parameter, named
+``<section>.<layer>.<kind>`` (``encoder.0.weight``, ``classifier.0.bias``);
+the member names are the format, and ``numpy.load(path, allow_pickle=False)``
+reads it. It is read through ``data.read_npz``, the split companions'
+reader, so a damaged, truncated or extended file is rejected.
 
-    8 bytes   magic b"DCTAUCKP"
-    u32       format version (currently 1)
-    u32       manifest length in bytes
-    ...       manifest: UTF-8 JSON listing each parameter block's
-              section (encoder/projection/classifier), layer index,
-              kind (weight/bias), and shape, in file order
-    ...       parameter blocks: float64 little-endian, row-major,
-              concatenated in manifest order
-
-The sidecar (<path>.json) records the full config, whose ``seed`` is the
-master seed, so a checkpoint is reproducible without guessing; a load
-without it raises FileNotFoundError. A sidecar with no config, or whose
-config names an unknown key (one a newer version removed, say) or holds
-a value of the wrong type, is rejected as corrupt; the top-level
-``seed`` older versions wrote is ignored. Both files are written to
+The sidecar (<path>.json) is ``{"config": ...}``, whose ``seed`` is the
+master seed; a load without it raises FileNotFoundError. A sidecar with no
+config, or whose config names an unknown key (one a newer version removed,
+say) or holds a value of the wrong type, is rejected as corrupt; other
+top-level keys older versions wrote are ignored. Both files are written to
 temporaries in the same directory and renamed into place, so an
 interrupted save never leaves a half-written checkpoint.
 """
@@ -26,34 +20,18 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
 import os
-import struct
+import re
 
 import numpy as np
 
 from .config import TrainConfig
+from .data import read_npz
 from .errors import InvalidArgumentError
 from .model import DenseLayer, ModelParams
 
-MAGIC = b"DCTAUCKP"
-FORMAT_VERSION = 1
-
 _SECTIONS = ("encoder", "projection", "classifier")
-_HEADER = struct.Struct("<8sII")  # magic, format version, manifest length
-
-
-def _valid_entry(entry) -> bool:
-    """One manifest block: a known section and kind, a layer index, a shape."""
-    return (
-        isinstance(entry, dict)
-        and entry.get("section") in _SECTIONS
-        and entry.get("kind") in ("weight", "bias")
-        and type(entry.get("layer")) is int
-        and entry["layer"] >= 0
-        and isinstance(entry.get("shape"), list)
-        and all(type(d) is int and d >= 0 for d in entry["shape"])
-    )
+_MEMBER = re.compile(rf"({'|'.join(_SECTIONS)})\.(0|[1-9][0-9]*)\.(weight|bias)")
 
 
 def sidecar_path(path) -> str:
@@ -61,40 +39,27 @@ def sidecar_path(path) -> str:
 
 
 def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:
-    manifest = []
-    blocks = []
-    for section in _SECTIONS:
-        for layer_idx, layer in enumerate(getattr(params, section)):
-            for kind in ("weight", "bias"):
-                arr = np.asarray(getattr(layer, kind), dtype=np.float64)
-                manifest.append(
-                    {
-                        "section": section,
-                        "layer": layer_idx,
-                        "kind": kind,
-                        "shape": list(arr.shape),
-                    }
-                )
-                blocks.append(arr.astype("<f8").tobytes(order="C"))
-
-    manifest_bytes = json.dumps({"blocks": manifest}).encode("utf-8")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(manifest_bytes))
-    sidecar = {"format_version": FORMAT_VERSION, "config": dataclasses.asdict(cfg)}
+    arrays = {
+        f"{section}.{idx}.{kind}": np.ascontiguousarray(getattr(layer, kind), dtype=np.float64)
+        for section in _SECTIONS
+        for idx, layer in enumerate(getattr(params, section))
+        for kind in ("weight", "bias")
+    }
+    sidecar = {"config": dataclasses.asdict(cfg)}
     sidecar_bytes = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
     # Stage both files beside their targets, then rename each over its
     # target: a failed write leaves the previous checkpoint and no
-    # temporary file behind.
+    # temporary file behind. np.savez on an open file adds no suffix.
     staged = {}
     try:
-        for target, chunks in (
-            (path, [header, manifest_bytes, *blocks]),
-            (sidecar_path(path), [sidecar_bytes]),
+        for target, write in (
+            (path, lambda fh: np.savez(fh, **arrays)),
+            (sidecar_path(path), lambda fh: fh.write(sidecar_bytes)),
         ):
             staged[target] = tmp = f"{target}.tmp{os.getpid()}"
             with open(tmp, "wb") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
+                write(fh)
     except BaseException:
         for tmp in staged.values():
             with contextlib.suppress(FileNotFoundError):
@@ -106,36 +71,20 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     """Read a checkpoint and its required sidecar; returns (params, config)."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if header[: len(MAGIC)] != MAGIC:
-            raise InvalidArgumentError(f"{path}: not a checkpoint file")
-        if len(header) < _HEADER.size:
-            raise InvalidArgumentError(f"{path}: checkpoint header truncated")
-        _, version, manifest_len = _HEADER.unpack(header)
-        if version != FORMAT_VERSION:
-            raise InvalidArgumentError(f"{path}: unsupported checkpoint version {version}")
-        try:
-            manifest = json.loads(fh.read(manifest_len).decode("utf-8"))["blocks"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidArgumentError(f"{path}: corrupt checkpoint manifest") from exc
-        payload = fh.read()
-    if not isinstance(manifest, list) or not all(_valid_entry(e) for e in manifest):
-        raise InvalidArgumentError(f"{path}: corrupt checkpoint manifest")
+    try:
+        arrays = read_npz(path)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: not a checkpoint file ({exc})") from exc
 
     sections: dict[str, dict[int, dict[str, np.ndarray]]] = {s: {} for s in _SECTIONS}
-    offset = 0
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = math.prod(shape)
-        nbytes = count * 8
-        if offset + nbytes > len(payload):
-            raise InvalidArgumentError(f"{path}: checkpoint payload truncated")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += nbytes
-        sections[entry["section"]].setdefault(entry["layer"], {})[entry["kind"]] = arr.copy()
-    if offset != len(payload):
-        raise InvalidArgumentError(f"{path}: trailing bytes in checkpoint payload")
+    for name, arr in arrays.items():
+        match = _MEMBER.fullmatch(name)
+        if match is None:
+            raise InvalidArgumentError(f"{path}: unexpected checkpoint member {name!r}")
+        if arr.dtype != np.float64:
+            raise InvalidArgumentError(f"{path}: {name} is {arr.dtype}, not float64")
+        section, idx, kind = match.groups()
+        sections[section].setdefault(int(idx), {})[kind] = arr
 
     def build(section: str, fan_in: int | None) -> tuple[DenseLayer, ...]:
         layers = sections[section]

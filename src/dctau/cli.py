@@ -6,12 +6,13 @@ knob into a CSV table), verify (run the numeric oracle suite).
 
 Config precedence: built-in defaults < --config file < flags (--seed
 and repeated --set key=value). Every config key is set through --set;
-no subcommand has a flag of its own for one. eval takes the checkpoint
-sidecar's config as its base, and a sidecar that lacks a config, names
-an unknown key or holds a value of the wrong type is rejected, as is a
-hidden or proj_dim that differs from the checkpoint's weights. The
-effective config is echoed to stdout (unless --quiet) and always written
-to <out>/effective_config.txt.
+the one with a flag of its own as well is seed (--seed). eval takes the
+checkpoint sidecar's config as its base, and a sidecar that lacks a
+config, names an unknown key or holds a value of the wrong type is
+rejected, as is a hidden or proj_dim that differs from the checkpoint's
+weights, or a split whose known class count differs from the
+classifier's outputs. The effective config is echoed to stdout (unless
+--quiet) and always written to <out>/effective_config.txt.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 numeric
 failure, 4 I/O failure.
@@ -185,6 +186,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError(f"{key}: config has {getattr(cfg, key)!r}, weights have {width!r}")
     _echo_config(cfg, args)
     split = make_split(cfg)
+    outputs = params.classifier[-1].weight.shape[1]
+    if split.num_known != outputs:
+        raise ConfigError(
+            f"the split has {split.num_known} known classes, the classifier has {outputs} outputs"
+        )
     report = evaluate_params(params, split, cfg)
 
     with open(os.path.join(args.out, REPORT_FILE), "w", encoding="utf-8") as fh:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import zipfile
 from dataclasses import dataclass
 
@@ -228,12 +229,11 @@ def write_dataset_csv(ds: Dataset, path) -> None:
 def read_dataset_csv(path) -> Dataset:
     """Read a dataset written by ``write_dataset_csv``.
 
-    The CSV bytes are read once. When the companion ``<path>.npz`` is
-    intact (every zip member's CRC holds), loads with
-    ``allow_pickle=False``, holds exactly ``features`` (2-d float64),
-    ``labels`` (int64, one per row) and ``csv_sha256``, and that digest is
-    the SHA-256 of these bytes, the arrays come from it and no cell is
-    parsed. Any other companion (missing, stale, torn, bit-flipped) is
+    The CSV bytes are read once. When ``read_npz`` reads the companion
+    ``<path>.npz`` as an intact archive, it holds exactly ``features``
+    (2-d float64), ``labels`` (int64, one per row) and ``csv_sha256``, and
+    that digest is the SHA-256 of these bytes, the arrays come from it and
+    no cell is parsed. Any other companion (missing, stale, torn, bit-flipped) is
     ignored and the CSV is parsed. Either way the same finite-feature
     check, ``class_count`` rule and ``Dataset`` checks follow, so the
     outcome is the one parsing gives.
@@ -262,25 +262,55 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def read_npz(path) -> dict[str, np.ndarray]:
+    """The arrays of an ``np.savez`` archive, keyed by member name less ``.npy``.
+
+    Each member is read with ``allow_pickle=False`` to its end, so its CRC
+    covers every byte, npy header included. A file that cannot be opened
+    raises OSError. Anything but an intact archive raises
+    InvalidArgumentError naming the fault, not the file: a file that does
+    not end with a zip end record, a zip, zlib or npy error, a member not
+    named ``<name>.npy`` or named twice, or bytes left in a member after
+    its array.
+    """
+    with open(path, "rb") as fh:
+        # np.savez writes no zip comment, so its end record is the last 22 bytes
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 22, 0))
+        end = fh.read()
+        if len(end) != 22 or end[:4] != b"PK\x05\x06" or end[-2:] != b"\0\0":
+            raise InvalidArgumentError(
+                "no zip end record at the end of the file (truncated, trailing bytes, "
+                "or not an archive)"
+            )
+        arrays = {}
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                for info in zf.infolist():
+                    with zf.open(info) as member:
+                        array = np.lib.format.read_array(member, allow_pickle=False)
+                        if member.read():  # a header that undercounts its array
+                            raise ValueError(f"bytes left in member {info.filename!r}")
+                    name = info.filename.removesuffix(".npy")
+                    if name == info.filename or name in arrays:
+                        raise ValueError(f"unexpected member {info.filename!r}")
+                    arrays[name] = array
+        except Exception as exc:
+            # whatever a damaged archive makes zipfile, zlib or numpy raise;
+            # a corrupt offset can even surface as an OSError from seek
+            raise InvalidArgumentError(f"{type(exc).__name__}: {exc}") from exc
+    return arrays
+
+
 def _read_companion(path, data: bytes):
     """``(features, labels)`` from ``<path>.npz`` if it is what
     ``write_dataset_csv`` wrote beside these CSV bytes, else None."""
     try:
-        with zipfile.ZipFile(f"{path}.npz") as zf:
-            arrays = {}
-            for name in zf.namelist():
-                with zf.open(name) as fh:
-                    arrays[name] = np.lib.format.read_array(fh, allow_pickle=False)
-                    # reading a member to its end checks its CRC over every
-                    # byte, npy header included; bytes left over mean a header
-                    # that undercounts its array
-                    if fh.read():
-                        return None
-    except Exception:
-        # the companion only saves a parse: whatever makes it unreadable (a
-        # zip, zlib or npy error, a missing file) means parse the CSV instead
+        arrays = read_npz(f"{path}.npz")
+    except (OSError, InvalidArgumentError):
+        # the companion only saves a parse: a missing or damaged one means
+        # parse the CSV instead
         return None
-    names = ["csv_sha256.npy", "features.npy", "labels.npy"]
+    names = ["csv_sha256", "features", "labels"]
     if sorted(arrays) != names:
         return None
     digest, feats, labels = (arrays[n] for n in names)

@@ -177,7 +177,10 @@ def load_split(data_dir) -> OpenSplit:
         try:
             with open(manifest_path, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
-            original = tuple(int(c) for c in manifest.get("original_known_ids", original))
+            ids = manifest.get("original_known_ids", original)
+            if not (len(set(ids)) == len(ids) == k and all(type(c) is int and c > 0 for c in ids)):
+                raise ValueError(f"original_known_ids must be {k} distinct positive integers")
+            original = tuple(ids)
             rows = manifest.get("rows", {})
             if not isinstance(rows, dict):
                 raise TypeError("rows is not an object")
@@ -222,7 +225,7 @@ def evaluate_params(params: ModelParams, split: OpenSplit, cfg: TrainConfig) -> 
     closed = closed_accuracy(known_post.argmax(axis=1) + 1, split.test_known.labels)
 
     all_post = np.vstack([known_post, unknown_post])
-    predicted, _ = predict_open_many(all_post, table)
+    predicted = predict_open_many(all_post, table)
     truth = np.concatenate(
         [split.test_known.labels, np.full(split.test_unknown.n_rows, UNKNOWN_LABEL)]
     )

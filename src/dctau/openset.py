@@ -92,10 +92,8 @@ def fit_thresholds(
     return ThresholdTable(eps, percentile)
 
 
-def predict_open_many(
-    posteriors: np.ndarray, table: ThresholdTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row argmax with per-class acceptance; returns (labels, confidences).
+def predict_open_many(posteriors: np.ndarray, table: ThresholdTable) -> np.ndarray:
+    """Per-row argmax with per-class acceptance; returns the int64 labels.
 
     A row keeps its argmax class (ties break to the smallest class) only
     if that confidence meets the class's threshold; otherwise it is
@@ -107,7 +105,7 @@ def predict_open_many(
     best = posteriors.argmax(axis=1)
     conf = posteriors[np.arange(posteriors.shape[0]), best]
     labels = np.where(conf >= table.thresholds[best], best + 1, UNKNOWN_LABEL)
-    return labels.astype(np.int64), conf
+    return labels.astype(np.int64)
 
 
 def write_thresholds_csv(table: ThresholdTable, path) -> None:

@@ -461,8 +461,8 @@ def check_threshold_rules() -> CheckResult:
     interp_ok = abs(direct - 0.6) < 1e-12
 
     row = np.array([[0.55, 0.45]])
-    reject, _ = predict_open_many(row, ThresholdTable(np.array([0.6, 0.5]), 5.0))
-    accept, _ = predict_open_many(row, ThresholdTable(np.array([0.5, 0.5]), 5.0))
+    reject = predict_open_many(row, ThresholdTable(np.array([0.6, 0.5]), 5.0))
+    accept = predict_open_many(row, ThresholdTable(np.array([0.5, 0.5]), 5.0))
     rule_ok = reject[0] == 0 and accept[0] == 1
 
     ok = bool(fit_ok and interp_ok and rule_ok)

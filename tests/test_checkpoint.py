@@ -1,22 +1,18 @@
-"""Binary checkpoint format: roundtrips and corruption handling."""
+"""npz checkpoint format: roundtrips and corruption handling."""
 
+import io
 import itertools
 import json
 import os
 import struct
+import zipfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dctau import checkpoint
-from dctau.checkpoint import (
-    FORMAT_VERSION,
-    MAGIC,
-    load_checkpoint,
-    save_checkpoint,
-    sidecar_path,
-)
+from dctau.checkpoint import load_checkpoint, save_checkpoint, sidecar_path
 from dctau.config import TrainConfig
 from dctau.errors import InvalidArgumentError
 from dctau.model import init_params
@@ -54,8 +50,7 @@ def test_sidecar_contents(tmp_path):
     save_checkpoint(path, _params(), _cfg())
     with open(sidecar_path(path), encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    assert set(sidecar) == {"format_version", "config"}
-    assert sidecar["format_version"] == FORMAT_VERSION
+    assert set(sidecar) == {"config"}
     assert sidecar["config"]["seed"] == 17
     assert sidecar["config"]["known_count"] == 4
     assert sidecar["config"]["hidden"] == [8, 6]
@@ -80,18 +75,36 @@ def test_missing_sidecar_is_not_found(tmp_path):
         load_checkpoint(path)
 
 
+def _assert_same_params(a, b):
+    for section in ("encoder", "projection", "classifier"):
+        assert len(getattr(a, section)) == len(getattr(b, section))
+        for la, lb in zip(getattr(a, section), getattr(b, section)):
+            for kind in ("weight", "bias"):
+                x, y = getattr(la, kind), getattr(lb, kind)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def _rewrite_members(path, edit):
+    """Rewrite the checkpoint archive with its members ``edit(members)``."""
+    with np.load(path) as npz:
+        members = edit(dict(npz))
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in members.items():
+            buf = io.BytesIO()
+            np.save(buf, array)
+            zf.writestr(f"{name}.npy", buf.getvalue())
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "model.bin"
-    path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
-    with pytest.raises(InvalidArgumentError, match="not a checkpoint"):
-        load_checkpoint(path)
-
-
-def test_bad_version_rejected(tmp_path):
-    path = tmp_path / "model.bin"
-    path.write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION + 9) + b"\x00" * 8)
-    with pytest.raises(InvalidArgumentError, match="version"):
-        load_checkpoint(path)
+    save_checkpoint(path, _params(), _cfg())
+    # a file that is no zip archive, and the header of the raw binary
+    # format checkpoints had before they became npz archives
+    old_format = b"DCTAUCKP" + struct.pack("<II", 1, 2) + b"{}"
+    for data in (b"NOTACKPT" + b"\x00" * 16, old_format):
+        path.write_bytes(data)
+        with pytest.raises(InvalidArgumentError, match="not a checkpoint"):
+            load_checkpoint(path)
 
 
 def test_truncated_payload_rejected(tmp_path):
@@ -112,33 +125,84 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_corrupt_manifest_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: {**m, "encoder.0.scale": m["encoder.0.bias"]},
+        lambda m: {**m, "encoder.0.weight.extra": m["encoder.0.bias"]},
+        lambda m: {("encoder.00.weight" if k == "encoder.0.weight" else k): v
+                   for k, v in m.items()},
+        lambda m: {k.replace("classifier", "Classifier"): v for k, v in m.items()},
+    ],
+    ids=["extra-kind", "extra-suffix", "padded-index", "misnamed-section"],
+)
+def test_extra_or_misnamed_member_rejected(tmp_path, edit):
     path = tmp_path / "model.bin"
-    garbage = b"{not json"
-    path.write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION)
-                     + struct.pack("<I", len(garbage)) + garbage)
-    with pytest.raises(InvalidArgumentError, match="manifest"):
+    save_checkpoint(path, _params(), _cfg())
+    _rewrite_members(path, edit)
+    with pytest.raises(InvalidArgumentError, match="unexpected checkpoint member"):
         load_checkpoint(path)
 
 
 def test_incomplete_layer_rejected(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _params(), _cfg())
-    data = bytearray(path.read_bytes())
-    (manifest_len,) = struct.unpack_from("<I", data, len(MAGIC) + 4)
-    start = len(MAGIC) + 8
-    manifest = json.loads(data[start : start + manifest_len].decode("utf-8"))
-    manifest["blocks"][1]["kind"] = "weight"  # duplicate kind, bias now missing
-    new_manifest = json.dumps(manifest).encode("utf-8")
-    rebuilt = (
-        bytes(data[: len(MAGIC) + 4])
-        + struct.pack("<I", len(new_manifest))
-        + new_manifest
-        + bytes(data[start + manifest_len :])
-    )
-    path.write_bytes(rebuilt)
-    with pytest.raises(InvalidArgumentError, match="incomplete"):
+    _rewrite_members(path, lambda m: {k: v for k, v in m.items() if k != "encoder.1.bias"})
+    with pytest.raises(InvalidArgumentError, match="incomplete encoder layer 1"):
         load_checkpoint(path)
+
+
+def test_a_rewritten_archive_of_the_same_members_loads(tmp_path):
+    # the member edits above change only what they name
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _params(), _cfg())
+    _rewrite_members(path, lambda m: m)
+    _assert_same_params(load_checkpoint(path)[0], _params())
+
+
+def test_a_checkpoint_is_a_standard_npz(tmp_path):
+    path = tmp_path / "model.bin"
+    params = _params()
+    save_checkpoint(path, params, _cfg())
+    assert not (tmp_path / "model.bin.npz").exists()
+    with np.load(path, allow_pickle=False) as npz:
+        members = dict(npz)
+    expected = {
+        f"{section}.{idx}.{kind}": getattr(layer, kind)
+        for section in ("encoder", "projection", "classifier")
+        for idx, layer in enumerate(getattr(params, section))
+        for kind in ("weight", "bias")
+    }
+    assert list(members) == list(expected)
+    for name, array in expected.items():
+        assert members[name].dtype == np.float64
+        assert members[name].tobytes() == array.tobytes(), name
+
+
+def test_every_flipped_byte_loads_the_same_params_or_is_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    params = init_params(4, (8,), 4, 3, seed=0)
+    save_checkpoint(path, params, _cfg())
+    original = path.read_bytes()
+    masks = np.random.default_rng(1).integers(1, 256, size=len(original)).tolist()
+    loaded = 0
+    for offset, mask in enumerate(masks):
+        flipped = bytearray(original)
+        flipped[offset] ^= mask
+        path.write_bytes(bytes(flipped))
+        try:
+            back, _ = load_checkpoint(path)
+        except InvalidArgumentError:
+            continue
+        _assert_same_params(back, params)
+        loaded += 1
+    # a flip in a zip field the reader does not use (a timestamp, say) is
+    # harmless; every other flip is caught
+    assert 0 < loaded < len(original)
+    for cut in range(len(original)):
+        path.write_bytes(original[:cut])
+        with pytest.raises(InvalidArgumentError):
+            load_checkpoint(path)
 
 
 def test_empty_encoder_roundtrip(tmp_path):
@@ -198,7 +262,7 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
         loaded, cfg = load_checkpoint(path)
         assert cfg.seed == 17 and np.array_equal(loaded.encoder[0].weight, params.encoder[0].weight)
 
-    assert fail_at > 3  # header, manifest, each block and the sidecar each failed once
+    assert fail_at > 3  # each write of the archive and of the sidecar failed once
     loaded, cfg = load_checkpoint(path)
     assert cfg.seed == 18 and np.array_equal(loaded.encoder[0].weight, newer.encoder[0].weight)
     assert sorted(os.listdir(tmp_path)) == sorted(before)

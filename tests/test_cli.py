@@ -1,10 +1,12 @@
 """Command-line entry point, exercised in process through main(argv)."""
 
 import dataclasses
+import io
 import json
 import os
 import struct
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from dctau.cli import (
     THRESHOLDS_FILE,
     main,
 )
-from dctau.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from dctau.checkpoint import load_checkpoint, save_checkpoint
 from dctau.config import TrainConfig
 from dctau.model import init_params
 
@@ -219,6 +221,24 @@ def test_eval_rejects_an_architecture_the_checkpoint_lacks(tmp_path, capsys, key
     assert not (out / REPORT_FILE).exists()
 
 
+@pytest.mark.parametrize("source", ["set", "data_dir"])
+def test_eval_rejects_a_split_of_another_class_count(tmp_path, capsys, source):
+    ckpt = _trained_checkpoint(tmp_path)  # known_count=3: a 3-output classifier
+    if source == "set":
+        flags = ["--set", "known_count=2"]
+    else:
+        data = tmp_path / "data"
+        assert _run(["generate", "--out", str(data), "--quiet", *_FAST,
+                     "--set", "known_count=2"]) == 0
+        flags = ["--set", f"data_dir={data}"]
+    out = tmp_path / "eval"
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(out), "--quiet", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "the split has 2 known classes, the classifier has 3 outputs" in err
+    assert not (out / REPORT_FILE).exists()
+
+
 def test_a_trained_sidecar_describes_its_weights(tmp_path):
     run_dir = tmp_path / "run"
     assert _run(["train", "--out", str(run_dir), "--quiet", *_FAST,
@@ -335,10 +355,13 @@ def test_missing_files_exit_codes(tmp_path, capsys):
 
 def test_eval_truncated_checkpoint_header_exits_2(tmp_path, capsys):
     ckpt = tmp_path / CHECKPOINT_FILE
-    ckpt.write_bytes(MAGIC + b"\x01\x00")  # shorter than the 16-byte header
-    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+    save_checkpoint(ckpt, init_params(8, (64, 64), 16, 6, seed=0), TrainConfig())
+    ckpt.write_bytes(ckpt.read_bytes()[:20])  # inside the first member's 30-byte zip header
+    out = tmp_path / "eval"
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(out)])
     assert code == 2
-    assert "header truncated" in capsys.readouterr().err
+    assert "truncated" in capsys.readouterr().err
+    assert not (out / REPORT_FILE).exists()
 
 
 def test_eval_malformed_sidecar_exits_2(tmp_path, capsys):
@@ -400,7 +423,12 @@ def test_malformed_split_csv_exits_2(tmp_path, capsys, name, text):
 
 
 @pytest.mark.parametrize(
-    "text", ["{", "[1, 2]", '{"original_known_ids": 3}', '{"rows": [1, 2]}', '{"dim": 99}']
+    "text",
+    [
+        "{", "[1, 2]", '{"original_known_ids": 3}', '{"rows": [1, 2]}', '{"dim": 99}',
+        '{"original_known_ids": [1.5, 2, 3]}', '{"original_known_ids": [1]}',
+        '{"original_known_ids": [2, 2, 2]}', '{"original_known_ids": [true, 2, 3]}',
+    ],
 )
 def test_malformed_split_manifest_exits_2(tmp_path, capsys, text):
     data = tmp_path / "data"
@@ -425,58 +453,70 @@ def test_split_csv_missing_a_row_exits_2(tmp_path, capsys, name):
     assert name in err and "rows" in err
 
 
-def _rewrite_manifest(path, edit):
-    """Replace the checkpoint's JSON manifest with ``edit(manifest)``."""
-    data = path.read_bytes()
-    (manifest_len,) = struct.unpack_from("<I", data, len(MAGIC) + 4)
-    start = len(MAGIC) + 8
-    manifest = json.loads(data[start : start + manifest_len].decode("utf-8"))
-    new_manifest = json.dumps(edit(manifest)).encode("utf-8")
-    path.write_bytes(
-        data[: len(MAGIC) + 4] + struct.pack("<I", len(new_manifest))
-        + new_manifest + data[start + manifest_len :]
-    )
+def _npy_header(text):
+    """An npy member whose header is the dict literal ``text``, over 32 doubles."""
+    header = text.encode("latin1")
+    header += b" " * (-(10 + len(header) + 1) % 64) + b"\n"
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header + bytes(256)
 
 
-def _set_block(key, value):
-    def edit(manifest):
-        manifest["blocks"][0][key] = value
-        return manifest
+def _rewrite_members(path, edit):
+    """Rewrite the checkpoint archive with its members ``edit(members)``;
+    a member given as bytes is written as those npy bytes."""
+    with np.load(path) as npz:
+        members = edit(dict(npz))
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in members.items():
+            if not isinstance(value, bytes):
+                buf = io.BytesIO()
+                np.save(buf, value)
+                value = buf.getvalue()
+            zf.writestr(f"{name}.npy", value)
+
+
+def _set_member(name, value):
+    def edit(members):
+        members[name] = value(members[name]) if callable(value) else value
+        return members
     return edit
 
 
-def _drop_key(key):
-    def edit(manifest):
-        del manifest["blocks"][0][key]
-        return manifest
-    return edit
+def _rename(old, new):
+    return lambda members: {new if k == old else k: v for k, v in members.items()}
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda m: {"blocks": 5},
-        lambda m: {"blocks": [1, 2]},
-        lambda m: [m],
-        _set_block("section", "decoder"),
-        _drop_key("layer"),
-        _drop_key("kind"),
-        _drop_key("shape"),
-        _set_block("shape", "4x8"),
-        _set_block("shape", [-4, -8]),
-        _set_block("shape", [8, 4]),  # same byte count, transposed
+        _set_member("encoder.0.weight", lambda w: w.T),
+        _set_member("encoder.0.bias", lambda b: b.astype(np.int64)),
+        _set_member("encoder.0.weight", np.ravel),
+        lambda m: {k.replace("encoder.0", "encoder.1"): v for k, v in m.items()},
+        _rename("encoder.0.weight", "decoder.0.weight"),
+        _rename("encoder.0.weight", "encoder.0"),
+        _set_member("encoder.0.bias", np.array([[1.0]], dtype=object)),
+        _set_member("encoder.0.weight",
+                    _npy_header("{'descr': '<f8', 'fortran_order': False, }")),
+        _set_member("encoder.0.weight",
+                    _npy_header("{'descr': '<f8', 'fortran_order': False, 'shape': '4x8', }")),
+        _set_member("encoder.0.weight",
+                    _npy_header("{'descr': '<f8', 'fortran_order': False, 'shape': (-4, -8), }")),
     ],
-    ids=["blocks-int", "blocks-of-ints", "top-level-list", "unknown-section",
-         "no-layer", "no-kind", "no-shape", "string-shape", "negative-shape",
-         "transposed-shape"],
+    ids=["transposed-shape", "int64-member", "1d-weight", "no-layer", "unknown-section",
+         "no-kind", "pickled-member", "no-shape", "string-shape", "negative-shape"],
 )
 def test_malformed_checkpoint_manifest_exits_2(tmp_path, capsys, edit):
+    # the member names and npy headers are the checkpoint's manifest
     ckpt = tmp_path / CHECKPOINT_FILE
-    save_checkpoint(ckpt, init_params(4, (8,), 4, 3, seed=0), TrainConfig())
-    _rewrite_manifest(ckpt, edit)
-    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+    cfg = TrainConfig(dim=4, hidden=(8,), proj_dim=4, class_count=5, known_count=3)
+    save_checkpoint(ckpt, init_params(4, (8,), 4, 3, seed=0), cfg)
+    load_checkpoint(ckpt)
+    _rewrite_members(ckpt, edit)
+    out = tmp_path / "eval"
+    code = _run(["eval", "--checkpoint", str(ckpt), "--out", str(out), "--quiet"])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {ckpt}: " in capsys.readouterr().err
+    assert not (out / REPORT_FILE).exists()
 
 
 @pytest.mark.parametrize("flag, raw", [("--values", "a,b"), ("--seeds", "x"), ("--seeds", ",")])

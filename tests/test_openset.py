@@ -90,17 +90,15 @@ def test_fit_validation():
 
 def test_predict_open_accepts_and_rejects():
     table = ThresholdTable(np.array([0.6, 0.9]), 50.0)
-    labels, conf = predict_open_many(np.array([[0.7, 0.3]]), table)
-    assert labels.tolist() == [1] and conf.tolist() == [0.7]
-    labels, conf = predict_open_many(np.array([[0.2, 0.8]]), table)
-    assert labels.tolist() == [UNKNOWN_LABEL] and conf.tolist() == [0.8]
-    labels, _ = predict_open_many(np.array([[0.6, 0.4]]), table)
-    assert labels.tolist() == [1]  # meeting the threshold exactly is acceptance
+    labels = predict_open_many(np.array([[0.7, 0.3], [0.2, 0.8], [0.6, 0.4]]), table)
+    # meeting the threshold exactly is acceptance
+    assert labels.tolist() == [1, UNKNOWN_LABEL, 1]
+    assert labels.dtype == np.int64
 
 
 def test_predict_open_tie_breaks_to_smallest_class():
     table = ThresholdTable(np.array([0.1, 0.1]), 50.0)
-    labels, _ = predict_open_many(np.array([[0.5, 0.5]]), table)
+    labels = predict_open_many(np.array([[0.5, 0.5]]), table)
     assert labels.tolist() == [1]
 
 
@@ -108,13 +106,12 @@ def test_predict_open_many_matches_loop():
     rng = np.random.default_rng(9)
     post = rng.dirichlet(np.ones(4), size=50)
     table = ThresholdTable(rng.uniform(0.2, 0.8, 4), 50.0)
-    labels, conf = predict_open_many(post, table)
+    labels = predict_open_many(post, table)
     for i in range(50):
         # one row at a time: argmax, then the class's threshold
         best = int(post[i].argmax())
         accepted = post[i, best] >= table.thresholds[best]
         assert labels[i] == (best + 1 if accepted else UNKNOWN_LABEL)
-        assert conf[i] == post[i, best]
 
 
 def test_predict_validation():
