@@ -174,20 +174,30 @@ def epoch_batches(train: Dataset, batch_size: int, rng: np.random.Generator) -> 
     """Split one shuffled epoch into batches, each with >= 2 classes.
 
     Every training row appears exactly once across the returned batches.
-    A trailing chunk with no repeated label (no positive pair, such as a
-    1-row tail) is merged into its predecessor; if any chunk ends up
-    single-class the whole epoch is reshuffled (bounded retries).
+    The shuffled rows are cut into chunks of ``batch_size``; a chunk whose
+    labels are all distinct (no positive pair) absorbs the next chunk, and
+    a last chunk still without a repeated label joins its predecessor, so
+    a batch can hold more than ``batch_size`` rows. If any batch then
+    holds a single class the whole epoch is reshuffled (bounded retries).
     """
     if batch_size < 2:
         raise InvalidArgumentError("batch_size must be >= 2")
+
+    def distinct(chunk: np.ndarray) -> bool:
+        return np.unique(train.labels[chunk]).size == chunk.size
+
     n = train.n_rows
     for _ in range(_EPOCH_RESHUFFLE_LIMIT):
         perm = rng.permutation(n)
-        bounds = list(range(0, n, batch_size))
-        chunks = [perm[lo : lo + batch_size] for lo in bounds]
-        if len(chunks) > 1 and np.unique(train.labels[chunks[-1]]).size == chunks[-1].size:
-            chunks[-2] = np.concatenate([chunks[-2], chunks[-1]])
-            chunks.pop()
+        chunks: list[np.ndarray] = []
+        for lo in range(0, n, batch_size):
+            if chunks and distinct(chunks[-1]):
+                chunks[-1] = np.concatenate([chunks[-1], perm[lo : lo + batch_size]])
+            else:
+                chunks.append(perm[lo : lo + batch_size])
+        if len(chunks) > 1 and distinct(chunks[-1]):
+            tail = chunks.pop()
+            chunks[-1] = np.concatenate([chunks[-1], tail])
         if all(np.unique(train.labels[c]).size >= 2 for c in chunks):
             return [Batch(train.features[c], train.labels[c]) for c in chunks]
     raise UnsatisfiableBatchError(

@@ -158,8 +158,8 @@ def save_split(split: OpenSplit, out_dir) -> dict:
 def load_split(data_dir) -> OpenSplit:
     """Read the CSVs written by save_split (manifest optional).
 
-    When manifest.json is present, the row counts and dim it records
-    must match the CSVs, so a file cut at a row boundary is rejected
+    When manifest.json is present, the num_known, row counts and dim it
+    records must match the CSVs, so a file cut at a row boundary is rejected
     rather than evaluated on fewer rows.
     """
     names = {"train": TRAIN_CSV, "test_known": TEST_KNOWN_CSV, "test_unknown": TEST_UNKNOWN_CSV}
@@ -181,6 +181,9 @@ def load_split(data_dir) -> OpenSplit:
             if not (len(set(ids)) == len(ids) == k and all(type(c) is int and c > 0 for c in ids)):
                 raise ValueError(f"original_known_ids must be {k} distinct positive integers")
             original = tuple(ids)
+            num_known = manifest.get("num_known", k)
+            if type(num_known) is not int or num_known != k:
+                raise ValueError(f"num_known must be {k}, the CSVs' known class count")
             rows = manifest.get("rows", {})
             if not isinstance(rows, dict):
                 raise TypeError("rows is not an object")

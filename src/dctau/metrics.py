@@ -11,8 +11,9 @@ Three views of the same test run:
 * macro_f1 scores the final hard decisions over K known classes plus
   the unknown class, each class weighted equally.
 
-auroc uses the exact rank formulation rather than curve integration,
-so there is no binning to argue about.
+auroc and macro_f1 are exact counts divided once, and oscr integrates
+the curve it sweeps at every distinct score, so there is no binning to
+argue about.
 """
 
 from __future__ import annotations
@@ -50,28 +51,13 @@ def _scores(name: str, values) -> np.ndarray:
     return arr
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their group's mean rank."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    new_group = np.r_[True, sorted_vals[1:] != sorted_vals[:-1]]
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    first_rank = np.cumsum(counts) - counts + 1
-    mean_rank = first_rank + (counts - 1) / 2.0
-    ranks = np.empty(values.size)
-    ranks[order] = mean_rank[group]
-    return ranks
-
-
 def auroc(known_scores, unknown_scores) -> float:
     """P(known score > unknown score), counting ties as half."""
     known = _scores("known_scores", known_scores)
-    unknown = _scores("unknown_scores", unknown_scores)
-    ranks = _average_ranks(np.concatenate([known, unknown]))
-    n_k, n_u = known.size, unknown.size
-    u_stat = ranks[:n_k].sum() - n_k * (n_k + 1) / 2.0
-    return float(u_stat / (n_k * n_u))
+    unknown = np.sort(_scores("unknown_scores", unknown_scores))
+    below = np.searchsorted(unknown, known, side="left").sum()
+    at_or_below = np.searchsorted(unknown, known, side="right").sum()
+    return float((below + at_or_below) / (2 * known.size * unknown.size))
 
 
 def oscr_curve(known_posteriors, known_true_labels, unknown_posteriors) -> OscrCurve:
@@ -112,11 +98,10 @@ def oscr(known_posteriors, known_true_labels, unknown_posteriors) -> float:
     and integrated with the trapezoid rule.
     """
     curve = oscr_curve(known_posteriors, known_true_labels, unknown_posteriors)
-    order = np.argsort(curve.fpr, kind="stable")
-    fpr = curve.fpr[order]
+    fpr = curve.fpr[::-1]  # fpr falls as delta rises: reversed, it is sorted
     starts = np.flatnonzero(np.r_[True, fpr[1:] != fpr[:-1]])
     xs = fpr[starts]
-    ys = np.maximum.reduceat(curve.ccr[order], starts)
+    ys = np.maximum.reduceat(curve.ccr[::-1], starts)
     if xs[0] > 0.0:
         xs, ys = np.r_[0.0, xs], np.r_[ys[0], ys]
     if xs[-1] < 1.0:
@@ -127,7 +112,8 @@ def oscr(known_posteriors, known_true_labels, unknown_posteriors) -> float:
 def macro_f1(predicted, truth, num_known: int) -> float:
     """Unweighted mean F1 over the K known classes plus the unknown class.
 
-    A class absent from both prediction and truth scores 0 and still
+    Every label must lie in 0..num_known (0 is the unknown class). A
+    class absent from both prediction and truth scores 0 and still
     counts toward the mean.
     """
     pred = np.asarray(predicted, dtype=np.int64)
@@ -136,14 +122,14 @@ def macro_f1(predicted, truth, num_known: int) -> float:
         raise InvalidArgumentError("predicted and truth must have equal length")
     if num_known < 1:
         raise InvalidArgumentError("num_known must be >= 1")
+    if np.any((pred < 0) | (pred > num_known) | (true < 0) | (true > num_known)):
+        raise InvalidArgumentError(f"labels must lie in 0..{num_known}")
 
-    f1s = []
-    for c in [UNKNOWN_LABEL] + list(range(1, num_known + 1)):
-        tp = np.sum((pred == c) & (true == c))
-        fp = np.sum((pred == c) & (true != c))
-        fn = np.sum((true == c) & (pred != c))
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom else 0.0)
+    m = num_known + 1
+    hits = np.bincount(pred[pred == true], minlength=m)
+    # 2tp + fp + fn of a class is its predicted count plus its true count
+    denom = np.bincount(pred.ravel(), minlength=m) + np.bincount(true.ravel(), minlength=m)
+    f1s = np.divide(2 * hits, denom, out=np.zeros(m), where=denom > 0)
     return float(np.mean(f1s))
 
 

@@ -440,6 +440,25 @@ def test_malformed_split_manifest_exits_2(tmp_path, capsys, text):
     assert "manifest.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("num_known, code", [(99, 2), (2, 2), ("3", 2), (None, 0)])
+def test_eval_checks_the_split_manifest_num_known(tmp_path, capsys, num_known, code):
+    ckpt = _trained_checkpoint(tmp_path)  # known_count=3
+    data = tmp_path / "data"
+    assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
+    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    if num_known is None:
+        del manifest["num_known"]  # a manifest without the key still loads
+    else:
+        manifest["num_known"] = num_known
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert _run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval"),
+                 "--quiet", "--set", f"data_dir={data}"]) == code
+    if code:
+        assert "manifest.json: corrupt split manifest (num_known must be 3" in (
+            capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("name", ["train.csv", "test_known.csv", "test_unknown.csv"])
 def test_split_csv_missing_a_row_exits_2(tmp_path, capsys, name):
     data = tmp_path / "data"

@@ -191,6 +191,22 @@ def test_epoch_batches_merge_a_tail_without_a_positive_pair():
     assert sizes == {(4, 4, 3), (4, 7)}
 
 
+def test_epoch_batches_merge_every_chunk_without_a_positive_pair():
+    # 70 rows over 10 classes at batch 4: many 4-row chunks hold four
+    # distinct labels; each absorbs the next chunk, so every batch holds a pair
+    feats = np.arange(140, dtype=np.float64).reshape(70, 2)
+    ds = Dataset(feats, np.arange(70) % 10 + 1, 10)
+    merged = False
+    for seed in range(20):
+        batches = epoch_batches(ds, 4, np.random.default_rng(seed))
+        seen = np.sort(np.concatenate([b.features[:, 0] for b in batches]))
+        assert np.array_equal(seen, feats[:, 0]), seed
+        for b in batches:
+            assert 2 <= np.unique(b.labels).size < b.size, seed
+        merged |= any(b.size > 4 for b in batches[:-1])
+    assert merged
+
+
 def test_epoch_batches_unsatisfiable():
     ds = Dataset(np.zeros((6, 2)), np.ones(6, dtype=np.int64), 1)
     with pytest.raises(UnsatisfiableBatchError):

@@ -249,3 +249,16 @@ def test_tiny_temperature_run_raises_no_numeric_warning(gamma):
         _, _, report, histories = run_experiment(cfg)
     assert all(np.isfinite(histories["contrastive"]))
     assert 0.0 <= report.auroc <= 1.0
+
+
+@pytest.mark.parametrize("scheme", ["none", "k_plus_one", "k_plus_k"])
+def test_batches_of_four_over_ten_known_classes_train(scheme):
+    # most 4-row chunks over 10 known classes hold no positive pair; merged
+    # into the next chunk they never reach the loss as a degenerate batch
+    for seed in range(8):
+        cfg = TrainConfig(class_count=12, known_count=10, per_class=10, dim=4, hidden=(16,),
+                          proj_dim=4, batch_size=4, contrastive_epochs=1, classifier_epochs=1,
+                          warmup_epochs=0, pseudo_scheme=scheme, seed=seed)
+        _, _, report, histories = run_experiment(cfg)
+        assert len(histories["contrastive"]) == 1, seed
+        assert 0.0 <= report.auroc <= 1.0, seed

@@ -82,6 +82,19 @@ def test_auroc_matches_pairwise_oracle_with_ties():
         )
 
 
+def test_auroc_equals_pair_count_exactly_under_heavy_ties():
+    rng = np.random.default_rng(19)
+    for trial in range(1000):
+        # integer scores over a small denominator make many pairs tie
+        den = int(rng.integers(1, 6))
+        known = rng.integers(0, den + 1, size=rng.integers(1, 40)) / den
+        unknown = rng.integers(0, den + 1, size=rng.integers(1, 40)) / den
+        wins = int(np.sum(known[:, None] > unknown[None, :]))
+        ties = int(np.sum(known[:, None] == unknown[None, :]))
+        want = (wins + ties / 2) / (known.size * unknown.size)
+        assert auroc(known, unknown) == want, trial
+
+
 def test_auroc_trivia_exact():
     assert auroc([0.9, 0.8], [0.2, 0.1]) == 1.0
     assert auroc([0.1, 0.2], [0.8, 0.9]) == 0.0
@@ -212,9 +225,7 @@ def test_macro_f1_matches_loop_oracle():
         n = int(rng.integers(4, 150))
         pred = rng.integers(0, k + 1, n)
         true = rng.integers(0, k + 1, n)
-        assert macro_f1(pred, true, k) == pytest.approx(
-            _macro_f1_loops(pred, true, k), abs=1e-12
-        )
+        assert macro_f1(pred, true, k) == _macro_f1_loops(pred, true, k)
 
 
 def test_macro_f1_hand_case():
@@ -230,6 +241,16 @@ def test_macro_f1_counts_absent_classes():
         macro_f1([1], [1, 2], 2)
     with pytest.raises(InvalidArgumentError):
         macro_f1([1], [1], 0)
+
+
+@pytest.mark.parametrize(
+    "pred, true",
+    [([1, 3], [1, 2]), ([1, -1], [1, 2]), ([1, 2], [3, 2]), ([1, 2], [1, -1])],
+    ids=["pred-above", "pred-negative", "truth-above", "truth-negative"],
+)
+def test_macro_f1_rejects_a_label_outside_0_to_k(pred, true):
+    with pytest.raises(InvalidArgumentError, match=r"0\.\.2"):
+        macro_f1(pred, true, 2)
 
 
 def test_closed_accuracy():
