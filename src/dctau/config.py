@@ -9,16 +9,18 @@ defaults < file values < command-line flags.
 Every value is checked against its field's declared type when a
 ``TrainConfig`` is built, so config files, ``--set`` flags, checkpoint
 sidecars and library callers share one typed path: a float field takes
-an int, an int field rejects a bool, and ``hidden`` takes any sequence
-of ints.
+an int but not an infinity or NaN, an int field rejects a bool, and
+``hidden`` takes any sequence of ints.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import numbers
+import sys
 from dataclasses import dataclass
 
+from .data import held_out_count
 from .errors import ConfigError
 
 PSEUDO_SCHEMES = ("k_plus_k", "k_plus_one", "none")
@@ -61,6 +63,7 @@ class TrainConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             object.__setattr__(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
+        n_test = held_out_count(self.per_class, self.test_fraction)
         checks = [
             (self.class_count >= 2, "class_count must be >= 2"),
             (self.per_class >= 1, "per_class must be >= 1"),
@@ -69,6 +72,9 @@ class TrainConfig:
             (1 <= self.known_count < self.class_count,
              "known_count must be in 1..class_count-1"),
             (0.0 < self.test_fraction < 1.0, "test_fraction must lie in (0, 1)"),
+            (self.data_dir or 1 <= n_test <= self.per_class - 2,
+             f"per_class={self.per_class} with test_fraction={self.test_fraction} leaves a known "
+             f"class {n_test} test and {self.per_class - n_test} training rows, not >= 1 and >= 2"),
             (0.0 <= self.lam <= 1.0, "lam must lie in [0, 1]"),
             (self.pseudo_scheme in PSEUDO_SCHEMES,
              f"pseudo_scheme must be one of {PSEUDO_SCHEMES}"),
@@ -101,7 +107,9 @@ def _typed(key: str, kind: str, value):
             return int(value)
     elif kind == "float":
         if isinstance(value, numbers.Real) and not isinstance(value, bool):
-            return float(value)
+            if abs(value) <= sys.float_info.max:  # finite, and an int that fits a float
+                return float(value)
+            kind = "finite float"
     elif isinstance(value, str):
         return value
     raise ConfigError(f"{key}: expected {kind}, got {value!r}")
@@ -113,11 +121,11 @@ def _is_int(value) -> bool:
 
 CONFIG_DOC = {
     "class_count": "total number of blob classes in the synthetic dataset",
-    "per_class": "rows generated per class",
+    "per_class": "rows generated per class; each known class needs >= 1 test and >= 2 training rows",
     "dim": "feature dimensionality of the blobs",
     "spread": "standard deviation of each class blob (controls overlap)",
     "known_count": "how many classes are treated as known (the rest are unknown)",
-    "test_fraction": "fraction of each known class held out as test rows",
+    "test_fraction": "fraction of each known class held out as test rows, floor(per_class * test_fraction)",
     "data_dir": "directory with train/test_known/test_unknown CSVs; empty = synthesize",
     "lam": "universum blend weight on the targeted anchor, in [0, 1]",
     "pseudo_scheme": "universum labeling: k_plus_k (per-class), k_plus_one (single class), none (no universum)",

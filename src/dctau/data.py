@@ -127,6 +127,11 @@ def generate_blobs(class_count: int, per_class: int, dim: int, spread: float, se
     return Dataset(feats, labels, class_count)
 
 
+def held_out_count(class_rows: int, test_fraction: float) -> int:
+    """Test rows ``split_open_set`` takes from a known class of that size."""
+    return int(np.floor(class_rows * test_fraction))
+
+
 def split_open_set(ds: Dataset, known_ids, test_fraction: float, seed: int) -> OpenSplit:
     """Partition a dataset into train / test_known / test_unknown.
 
@@ -151,7 +156,7 @@ def split_open_set(ds: Dataset, known_ids, test_fraction: float, seed: int) -> O
     for orig in known:
         idx = np.flatnonzero(ds.labels == orig)
         idx = rng.permutation(idx)
-        n_test = int(np.floor(idx.size * test_fraction))
+        n_test = held_out_count(idx.size, test_fraction)
         test_rows.append(idx[:n_test])
         train_rows.append(idx[n_test:])
         test_labels.append(np.full(n_test, remap[orig]))

@@ -292,11 +292,11 @@ class Schedule:
 class OptimizerState:
     """Adam over one flat float64 parameter vector, updated in place.
 
-    The moments m and v and two scratch vectors are created at the first
-    step, shaped like the vector. Weight decay is decoupled: applied
-    directly to parameters, scaled by the current learning rate, never
-    entering the moments. names holds each array's name and end offset
-    in the vector, so a non-finite gradient is reported by layer.
+    The moments m and v are created at the first step, shaped like the
+    vector. Weight decay is decoupled: applied directly to parameters,
+    scaled by the current learning rate, never entering the moments.
+    names holds each array's name and end offset in the vector, so a
+    non-finite gradient is reported by layer.
     """
 
     schedule: Schedule = field(default_factory=Schedule)
@@ -305,7 +305,6 @@ class OptimizerState:
     names: tuple[tuple[str, int], ...] = ()
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _locate(names, grads: np.ndarray) -> str:
@@ -319,8 +318,9 @@ def optimizer_step(
 ) -> None:
     """One Adam update of the flat vector params by grads, in place.
 
-    Each operation is the per-array textbook update's, in its order, so
-    the result is bit for bit what that update gives each array.
+    The textbook update (Kingma & Ba, with Loshchilov & Hutter's decoupled
+    decay), written in the per-array form's order of operations, so the
+    result is bit for bit what that form gives each array.
     """
     if params.dtype != np.float64 or params.ndim != 1 or grads.shape != params.shape:
         raise InvalidArgumentError("parameters and gradients must be float64 vectors of one length")
@@ -332,30 +332,16 @@ def optimizer_step(
     lr = state.schedule.lr_at(epoch)
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
-        state.scratch = (np.empty_like(params), np.empty_like(params))
     state.step_count += 1
-    t = state.step_count
-    m, v = state.m, state.v
-    s1, s2 = state.scratch
-
-    # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
+    t, m, v = state.step_count, state.m, state.v
     m *= _ADAM_BETA1
-    np.multiply(grads, 1 - _ADAM_BETA1, out=s1)
-    m += s1
+    m += (1 - _ADAM_BETA1) * grads
     v *= _ADAM_BETA2
-    np.multiply(grads, 1 - _ADAM_BETA2, out=s1)
-    s1 *= grads
-    v += s1
-    # step = m_hat / (sqrt(v_hat) + eps), then p = (p - lr*step) - (lr*wd)*p
-    np.divide(m, 1 - _ADAM_BETA1**t, out=s1)
-    np.divide(v, 1 - _ADAM_BETA2**t, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += _ADAM_EPS
-    s1 /= s2
-    s1 *= lr
-    np.multiply(params, lr * state.weight_decay, out=s2)
-    params -= s1
-    params -= s2
+    v += ((1 - _ADAM_BETA2) * grads) * grads
+    step = (m / (1 - _ADAM_BETA1**t)) / (np.sqrt(v / (1 - _ADAM_BETA2**t)) + _ADAM_EPS)
+    decay = params * (lr * state.weight_decay)  # the parameters before this step
+    params -= step * lr
+    params -= decay
 
 
 # --- training ----------------------------------------------------------

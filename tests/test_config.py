@@ -1,4 +1,4 @@
-"""TrainConfig typing, the key = value text format, and removed keys."""
+"""TrainConfig typing and ranges, the key = value text format, and removed keys."""
 
 import dataclasses
 import json
@@ -134,3 +134,62 @@ def test_ill_typed_sidecar_value_exits_2(tmp_path, capsys, key, value):
     assert code == 2
     err = capsys.readouterr().err
     assert "corrupt sidecar" in err and key in err
+
+
+_FLOAT_KEYS = [f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=str)
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_a_float_key_rejects_a_non_finite_value(key, value):
+    with pytest.raises(ConfigError, match=rf"^{key}: expected finite float"):
+        TrainConfig(**{key: value})
+
+
+def test_a_float_key_rejects_an_int_too_large_for_a_float():
+    with pytest.raises(ConfigError, match="^gamma: expected finite float"):
+        TrainConfig(gamma=10**400)
+
+
+def test_set_of_an_infinite_temperature_exits_2(tmp_path, capsys):
+    code = main(["train", "--out", str(tmp_path), "--quiet", "--set", "temperature=inf"])
+    assert code == 2
+    assert "temperature" in capsys.readouterr().err
+    assert not (tmp_path / CHECKPOINT_FILE).exists()
+
+
+@pytest.mark.parametrize("key, value", [("temperature", float("inf")), ("gamma", 10**400)],
+                         ids=["Infinity", "int-too-large"])
+def test_sidecar_with_a_non_finite_float_exits_2(tmp_path, capsys, key, value):
+    ckpt = _checkpoint_with_sidecar_config(tmp_path, lambda c: c.update({key: value}))
+    with open(sidecar_path(ckpt), encoding="utf-8") as fh:
+        assert f'"{key}": {json.dumps(value)}' in fh.read()  # json writes and reads Infinity
+    code = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "corrupt sidecar" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "per_class, test_fraction",
+    [(3, 0.3), (2, 0.5), (1, 0.5), (9, 0.1), (10, 0.95)],
+    ids=["no-test-row", "one-train-row", "one-row", "floor-to-0", "one-train-row-of-10"],
+)
+def test_a_synthetic_split_a_known_class_cannot_fill_is_rejected(per_class, test_fraction):
+    with pytest.raises(ConfigError, match=r"per_class=.* test_fraction=.*not >= 1 and >= 2"):
+        TrainConfig(per_class=per_class, test_fraction=test_fraction)
+    # a saved split is read as it is; the config's shape keys do not describe it
+    TrainConfig(per_class=per_class, test_fraction=test_fraction, data_dir="saved")
+
+
+@pytest.mark.parametrize("per_class, test_fraction", [(3, 0.34), (4, 0.3), (10, 0.8)])
+def test_a_synthetic_split_with_one_test_and_two_training_rows_is_accepted(per_class, test_fraction):
+    TrainConfig(per_class=per_class, test_fraction=test_fraction)
+
+
+def test_set_of_a_split_without_two_training_rows_exits_2(tmp_path, capsys):
+    code = main(["train", "--out", str(tmp_path), "--quiet",
+                 "--set", "per_class=2", "--set", "test_fraction=0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "per_class" in err and "test_fraction" in err
