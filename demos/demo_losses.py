@@ -13,12 +13,8 @@ from dctau.verify import (
     decompose,
     hard_negative_weights,
     reassemble_anchor_partial,
+    unit_rows,
 )
-
-
-def _unit_rows(rng, n, d):
-    rows = rng.standard_normal((n, d))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def main() -> None:
@@ -27,9 +23,9 @@ def main() -> None:
     cfg = LossConfig(temperature=0.3, gamma=1.0)
     known_cfg = dataclasses.replace(cfg, gamma=0.0)
 
-    z = _unit_rows(rng, n, d)
+    z = unit_rows(rng, n, d)
     labels = np.array([1, 1, 2, 2, 3, 3, 1, 2])
-    u = _unit_rows(rng, n, d)
+    u = unit_rows(rng, n, d)
     u_targets = labels  # universum row r targets its anchor's class
 
     known = dc_total_loss_grad(z, labels, u, u_targets, known_cfg)

@@ -120,8 +120,12 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
 def _build_config(args: argparse.Namespace, base: TrainConfig | None = None) -> TrainConfig:
     values = dataclasses.asdict(base) if base is not None else {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read()))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config}: not UTF-8 ({exc})") from exc
+        values.update(parse_config_text(text))
     for key, raw in _flag_overrides(args).items():
         values[key] = coerce_value(key, raw)
     try:

@@ -2,9 +2,10 @@
 
 The config file is a flat ``key = value`` text format. Blank lines and
 lines starting with ``#`` are ignored; every other line must be a known
-key. Unknown keys are hard errors so sweep typos fail loudly instead of
-silently running defaults. Precedence (applied by the CLI): built-in
-defaults < file values < command-line flags.
+key, set on no other line. Unknown and repeated keys are hard errors so
+sweep typos fail loudly instead of silently running defaults. Precedence
+(applied by the CLI): built-in defaults < file values < command-line
+flags, and the last of repeated ``--set`` flags wins.
 
 Every value is checked against its field's declared type when a
 ``TrainConfig`` is built, so config files, ``--set`` flags, checkpoint
@@ -71,6 +72,9 @@ class TrainConfig:
             (self.spread >= 0, "spread must be >= 0"),
             (1 <= self.known_count < self.class_count,
              "known_count must be in 1..class_count-1"),
+            (self.data_dir or self.known_count >= 2 or self.contrastive_epochs == 0,
+             "known_count=1 on a synthetic split gives every contrastive batch a single "
+             "class; use known_count >= 2 or contrastive_epochs=0"),
             (0.0 < self.test_fraction < 1.0, "test_fraction must lie in (0, 1)"),
             (self.data_dir or 1 <= n_test <= self.per_class - 2,
              f"per_class={self.per_class} with test_fraction={self.test_fraction} leaves a known "
@@ -124,7 +128,8 @@ CONFIG_DOC = {
     "per_class": "rows generated per class; each known class needs >= 1 test and >= 2 training rows",
     "dim": "feature dimensionality of the blobs",
     "spread": "standard deviation of each class blob (controls overlap)",
-    "known_count": "how many classes are treated as known (the rest are unknown)",
+    "known_count": "how many classes are treated as known (the rest are unknown); "
+                   "1 needs contrastive_epochs = 0 on a synthetic split",
     "test_fraction": "fraction of each known class held out as test rows, floor(per_class * test_fraction)",
     "data_dir": "directory with train/test_known/test_unknown CSVs; empty = synthesize",
     "lam": "universum blend weight on the targeted anchor, in [0, 1]",
@@ -176,8 +181,11 @@ def coerce_value(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Read ``key = value`` lines into a typed dict (not yet validated)."""
-    values = {}
+    """Read ``key = value`` lines into a typed dict (not yet validated).
+
+    A key may appear on one line only.
+    """
+    values, lines = {}, {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -186,6 +194,9 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {ln}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key in lines:
+            raise ConfigError(f"line {ln}: {key!r} is already set on line {lines[key]}")
+        lines[key] = ln
         values[key] = coerce_value(key, raw.strip())
     return values
 

@@ -3,7 +3,22 @@
 Each check recomputes an expected value by an independent route (hand
 arithmetic, finite differences, brute-force counting) and compares the
 library against it. The suite is a fast release gate; the test suite
-runs the same families of checks at larger sample counts.
+runs the same families of checks at larger sample counts, with the
+oracles written once here:
+
+- `unit_rows`, `labels_with_positives` and `paired_labels` draw random
+  unit rows and labels;
+- `fd_grad` takes central finite differences of a zero-argument closure,
+  perturbing its array in place, and `rel_err` compares a gradient with
+  them;
+- `auroc_pairs`, `oscr_sweep` and `macro_f1_loops` score by brute-force
+  loops.
+
+None of these calls the `losses` or `metrics` code it checks. The module
+also exports the gradient decomposition (`decompose`,
+`reassemble_anchor_partial`, `hard_negative_weights`), the
+universum-anchored term `dc_universum_loss_grad`, the checks in
+`ALL_CHECKS`, their `CheckResult` and `run_all`.
 
 `inject_sign_error=True` flips the sign of the universum-side gradient
 before checking, as a self-test that the gradient oracles can actually
@@ -53,38 +68,102 @@ class CheckResult:
     detail: str
 
 
-def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+# --- oracles shared with the tests and demos ------------------------------
+
+
+def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n random rows of dimension d, each scaled to unit norm."""
     rows = rng.standard_normal((n, d))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def _labels_with_positives(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+def labels_with_positives(
+    rng: np.random.Generator, n: int, k: int, min_classes: int = 2
+) -> np.ndarray:
+    """Labels over 1..k, redrawn until every present class holds >= 2
+    rows (so every anchor has a positive) and >= min_classes are present."""
     while True:
         labels = rng.integers(1, k + 1, size=n)
-        counts = np.bincount(labels, minlength=k + 1)
-        if np.unique(labels).size >= 2 and (counts[counts > 0] >= 2).all():
+        counts = np.bincount(labels)
+        counts = counts[counts > 0]
+        if counts.size >= min_classes and (counts >= 2).all():
             return labels
 
 
-def _fd_grad(fn, x: np.ndarray, h: float = _FD_H) -> np.ndarray:
-    """Central finite differences of a scalar function of an array."""
+def paired_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Labels over 1..k, redrawn until >= 2 classes are present and at
+    least one of them holds >= 2 rows; other classes may hold one."""
+    while True:
+        labels = rng.integers(1, k + 1, size=n)
+        if np.unique(labels).size >= 2 and np.bincount(labels).max() >= 2:
+            return labels
+
+
+def fd_grad(fn, x: np.ndarray, h: float = _FD_H) -> np.ndarray:
+    """Central finite differences of the zero-argument scalar fn in every
+    entry of x, which fn reads and which is perturbed in place, in C order,
+    and restored exactly."""
     grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    out = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = fn(x)
-        flat[i] = orig - h
-        down = fn(x)
-        flat[i] = orig
-        out[i] = (up - down) / (2 * h)
+    for idx in np.ndindex(x.shape):
+        orig = x[idx]
+        x[idx] = orig + h
+        up = fn()
+        x[idx] = orig - h
+        down = fn()
+        x[idx] = orig
+        grad[idx] = (up - down) / (2 * h)
     return grad
 
 
-def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """|analytic - numeric| / |numeric| in the L2 norm, the divisor floored at 1e-12."""
     denom = max(np.linalg.norm(numeric), 1e-12)
     return float(np.linalg.norm(analytic - numeric) / denom)
+
+
+def auroc_pairs(known, unknown) -> float:
+    """AUROC as wins plus half ties over every (known, unknown) pair."""
+    total = 0.0
+    for a in known:
+        for b in unknown:
+            total += 1.0 if a > b else (0.5 if a == b else 0.0)
+    return total / (len(known) * len(unknown))
+
+
+def oscr_sweep(known_post, known_true, unknown_post) -> float:
+    """OSCR from a loop over every distinct confidence as the cutoff: the
+    best CCR per FPR, padded to FPR 0 and 1, trapezoid-integrated."""
+    known_conf = [max(row) for row in known_post]
+    correct = [int(np.argmax(r)) + 1 == t for r, t in zip(known_post, known_true)]
+    unknown_conf = [max(row) for row in unknown_post]
+    best = {}
+    for delta in sorted(set(known_conf) | set(unknown_conf)):
+        ccr = sum(1 for c, ok in zip(known_conf, correct) if ok and c >= delta)
+        fpr = sum(1 for c in unknown_conf if c >= delta)
+        ccr /= len(known_conf)
+        fpr /= len(unknown_conf)
+        best[fpr] = max(best.get(fpr, 0.0), ccr)
+    xs = sorted(best)
+    ys = [best[f] for f in xs]
+    if xs[0] > 0.0:
+        xs.insert(0, 0.0)
+        ys.insert(0, ys[0])
+    if xs[-1] < 1.0:
+        xs.append(1.0)
+        ys.append(ys[-1])
+    return sum((xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0 for i in range(1, len(xs)))
+
+
+def macro_f1_loops(pred, true, k: int) -> float:
+    """Mean F1 over the unknown label 0 and classes 1..k, counted by loops."""
+    f1s = []
+    for c in range(k + 1):
+        tp = sum(1 for p, t in zip(pred, true) if p == c and t == c)
+        fp = sum(1 for p, t in zip(pred, true) if p == c and t != c)
+        fn = sum(1 for p, t in zip(pred, true) if p != c and t == c)
+        denom = 2 * tp + fp + fn
+        f1s.append(2 * tp / denom if denom else 0.0)
+    return sum(f1s) / len(f1s)
 
 
 def _maybe_inject(result, inject: bool):
@@ -233,30 +312,30 @@ def check_gradient_fd(inject_sign_error: bool = False) -> CheckResult:
     known_cfg = dc_replace(cfg, gamma=0.0)
     for _ in range(3):
         n, d, k = 10, 6, 3
-        z = _unit_rows(rng, n, d)
-        labels = _labels_with_positives(rng, n, k)
-        u = _unit_rows(rng, n, d)
+        z = unit_rows(rng, n, d)
+        labels = labels_with_positives(rng, n, k)
+        u = unit_rows(rng, n, d)
 
         res = supcon_loss_grad(z, labels, cfg)
-        fd = _fd_grad(lambda zz: supcon_loss_grad(zz, labels, cfg).value, z.copy())
-        worst = max(worst, _rel_err(res.grad_z, fd))
+        fd = fd_grad(lambda: supcon_loss_grad(z, labels, cfg).value, z)
+        worst = max(worst, rel_err(res.grad_z, fd))
 
         res = dc_total_loss_grad(z, labels, u, labels, known_cfg)
         res = _maybe_inject(res, inject_sign_error)
-        fd_z = _fd_grad(lambda zz: dc_total_loss_grad(zz, labels, u, labels, known_cfg).value, z.copy())
-        fd_u = _fd_grad(lambda uu: dc_total_loss_grad(z, labels, uu, labels, known_cfg).value, u.copy())
-        worst = max(worst, _rel_err(res.grad_z, fd_z), _rel_err(res.grad_u, fd_u))
+        fd_z = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, known_cfg).value, z)
+        fd_u = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, known_cfg).value, u)
+        worst = max(worst, rel_err(res.grad_z, fd_z), rel_err(res.grad_u, fd_u))
 
         res = dc_universum_loss_grad(u, labels, z, labels, cfg)
-        fd_u = _fd_grad(lambda uu: dc_universum_loss_grad(uu, labels, z, labels, cfg).value, u.copy())
-        fd_z = _fd_grad(lambda zz: dc_universum_loss_grad(u, labels, zz, labels, cfg).value, z.copy())
-        worst = max(worst, _rel_err(res.grad_u, fd_u), _rel_err(res.grad_z, fd_z))
+        fd_u = fd_grad(lambda: dc_universum_loss_grad(u, labels, z, labels, cfg).value, u)
+        fd_z = fd_grad(lambda: dc_universum_loss_grad(u, labels, z, labels, cfg).value, z)
+        worst = max(worst, rel_err(res.grad_u, fd_u), rel_err(res.grad_z, fd_z))
 
         res = dc_total_loss_grad(z, labels, u, labels, cfg)
         res = _maybe_inject(res, inject_sign_error)
-        fd_z = _fd_grad(lambda zz: dc_total_loss_grad(zz, labels, u, labels, cfg).value, z.copy())
-        fd_u = _fd_grad(lambda uu: dc_total_loss_grad(z, labels, uu, labels, cfg).value, u.copy())
-        worst = max(worst, _rel_err(res.grad_z, fd_z), _rel_err(res.grad_u, fd_u))
+        fd_z = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, cfg).value, z)
+        fd_u = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, cfg).value, u)
+        worst = max(worst, rel_err(res.grad_z, fd_z), rel_err(res.grad_u, fd_u))
     ok = worst < _FD_RTOL
     return CheckResult("gradient_fd", ok, f"worst relative error {worst:.2e}")
 
@@ -266,30 +345,21 @@ def check_network_gradient_fd() -> CheckResult:
     rng = np.random.default_rng(4)
     params = init_params(dim=5, hidden=(7,), proj_dim=4, num_classes=3, seed=9)
     x = rng.standard_normal((8, 5))
-    labels = _labels_with_positives(rng, 8, 3)
+    labels = labels_with_positives(rng, 8, 3)
     cfg = LossConfig(temperature=0.5)
 
-    def loss_of(p) -> float:
-        z, _ = embed(p, x)
-        return supcon_loss_grad(z, labels, cfg).value
+    def loss() -> float:
+        return supcon_loss_grad(embed(params, x)[0], labels, cfg).value
 
     z, trace = embed(params, x)
     res = supcon_loss_grad(z, labels, cfg)
     grads = backprop_embedding(params, trace, res.grad_z)
 
-    layers, n_enc = params.encoder + params.projection, len(params.encoder)
     worst = 0.0
-    for li, grad in enumerate(grads):
+    for layer, grad in zip(params.encoder + params.projection, grads):
         for kind in ("weight", "bias"):
-
-            def fn(a, _li=li, _kind=kind):
-                chain = list(layers)
-                chain[_li] = dc_replace(chain[_li], **{_kind: a})
-                return loss_of(dc_replace(
-                    params, encoder=tuple(chain[:n_enc]), projection=tuple(chain[n_enc:])))
-
-            fd = _fd_grad(fn, getattr(layers[li], kind).copy())
-            worst = max(worst, _rel_err(getattr(grad, kind), fd))
+            fd = fd_grad(loss, getattr(layer, kind))
+            worst = max(worst, rel_err(getattr(grad, kind), fd))
     ok = worst < _FD_RTOL
     return CheckResult("network_gradient_fd", ok, f"worst relative error {worst:.2e}")
 
@@ -300,8 +370,8 @@ def check_reduction_identity() -> CheckResult:
     empty_u = np.zeros((0, 5))
     empty_labels = np.zeros(0, dtype=np.int64)
     for _ in range(20):
-        z = _unit_rows(rng, 12, 5)
-        labels = _labels_with_positives(rng, 12, 4)
+        z = unit_rows(rng, 12, 5)
+        labels = labels_with_positives(rng, 12, 4)
         plain = supcon_loss_grad(z, labels, cfg)
         dual = dc_total_loss_grad(z, labels, empty_u, empty_labels, cfg)
         if plain.value != dual.value or not np.array_equal(plain.grad_z, dual.grad_z):
@@ -315,9 +385,9 @@ def check_decomposition(inject_sign_error: bool = False) -> CheckResult:
     worst = 0.0
     shrink_ok = True
     for _ in range(20):
-        z = _unit_rows(rng, 10, 6)
-        labels = _labels_with_positives(rng, 10, 3)
-        u = _unit_rows(rng, 10, 6)
+        z = unit_rows(rng, 10, 6)
+        labels = labels_with_positives(rng, 10, 3)
+        u = unit_rows(rng, 10, 6)
         decomp = decompose(z, labels, u, labels, cfg)
         injected = dc_replace(decomp, g_tau=-decomp.g_tau) if inject_sign_error else decomp
         rebuilt = reassemble_anchor_partial(injected)
@@ -417,21 +487,7 @@ def check_metric_oracles() -> CheckResult:
     up = np.array([[0.55, 0.45], [0.3, 0.7]])
     labels = np.array([1, 2, 2])
     got = oscr(kp, labels, up)
-    # brute force: enumerate distinct confidences as cutoffs
-    confs = sorted(set(kp.max(axis=1)) | set(up.max(axis=1)))
-    correct = kp.argmax(axis=1) + 1 == labels
-    pts = {}
-    for delta in confs:
-        fpr = np.mean(up.max(axis=1) >= delta)
-        ccr = np.mean(correct & (kp.max(axis=1) >= delta))
-        pts[fpr] = max(pts.get(fpr, 0.0), ccr)
-    xs = sorted(pts)
-    ys = [pts[x] for x in xs]
-    if xs[0] > 0:
-        xs, ys = [0.0] + xs, [ys[0]] + ys
-    if xs[-1] < 1:
-        xs, ys = xs + [1.0], ys + [ys[-1]]
-    expected = float(np.trapezoid(ys, xs))
+    expected = oscr_sweep(kp, labels, up)
     oscr_ok = abs(got - expected) < 1e-12
 
     f1 = macro_f1([1, 2, 0, 1], [1, 0, 0, 2], 2)

@@ -1,8 +1,10 @@
 """Acceptance gate: the properties this library is contractually held to.
 
-Every test prints one PASS line with its measured margin; oracles here
-are local to this file (their own finite differences and brute-force
-loops) so a library bug cannot hide inside a shared helper.
+Every test prints one PASS line with its measured margin. The oracles
+(finite differences, random unit rows and labels, brute-force AUROC,
+OSCR and macro F1) come from `dctau.verify`, where each is written once
+from plain numpy and loops and calls none of the `losses` or `metrics`
+code it checks, so a library bug cannot hide inside it.
 """
 
 import dataclasses
@@ -17,95 +19,20 @@ from dctau.losses import LossConfig, dc_total_loss_grad, supcon_loss_grad
 from dctau.metrics import auroc, macro_f1, oscr
 from dctau.model import backprop_embedding, embed, init_params
 from dctau.verify import (
+    auroc_pairs,
     dc_universum_loss_grad,
     decompose,
+    fd_grad,
     hard_negative_weights,
+    macro_f1_loops,
+    oscr_sweep,
+    paired_labels,
     reassemble_anchor_partial,
+    rel_err,
+    unit_rows,
 )
 
-_FD_H = 1e-5
 _GRAD_RTOL = 1e-4
-
-
-# --- local oracles -------------------------------------------------------
-
-
-def _fd(fn, arr, h=_FD_H):
-    """Central differences of a scalar callable in every entry of arr."""
-    grad = np.zeros_like(arr)
-    flat = arr.ravel()
-    out = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = fn()
-        flat[i] = orig - h
-        down = fn()
-        flat[i] = orig
-        out[i] = (up - down) / (2 * h)
-    return grad
-
-
-def _rel(analytic, numeric):
-    return float(
-        np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
-    )
-
-
-def _unit_rows(rng, n, d):
-    rows = rng.standard_normal((n, d))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def _paired_labels(rng, n, k):
-    """Labels in 1..k where at least one class holds two or more rows."""
-    while True:
-        labels = rng.integers(1, k + 1, size=n)
-        if np.unique(labels).size >= 2 and np.bincount(labels).max() >= 2:
-            return labels
-
-
-def _auroc_pairs(known, unknown):
-    total = 0.0
-    for a in known:
-        for b in unknown:
-            total += 1.0 if a > b else (0.5 if a == b else 0.0)
-    return total / (len(known) * len(unknown))
-
-
-def _oscr_sweep(known_post, known_true, unknown_post):
-    known_conf = [max(row) for row in known_post]
-    correct = [int(np.argmax(r)) + 1 == t for r, t in zip(known_post, known_true)]
-    unknown_conf = [max(row) for row in unknown_post]
-    best = {}
-    for delta in sorted(set(known_conf) | set(unknown_conf)):
-        ccr = sum(1 for c, ok in zip(known_conf, correct) if ok and c >= delta)
-        fpr = sum(1 for c in unknown_conf if c >= delta)
-        ccr /= len(known_conf)
-        fpr /= len(unknown_conf)
-        best[fpr] = max(best.get(fpr, 0.0), ccr)
-    xs = sorted(best)
-    ys = [best[f] for f in xs]
-    if xs[0] > 0.0:
-        xs.insert(0, 0.0)
-        ys.insert(0, ys[0])
-    if xs[-1] < 1.0:
-        xs.append(1.0)
-        ys.append(ys[-1])
-    return sum(
-        (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0 for i in range(1, len(xs))
-    )
-
-
-def _macro_f1_loops(pred, true, k):
-    f1s = []
-    for c in [0] + list(range(1, k + 1)):
-        tp = sum(1 for p, t in zip(pred, true) if p == c and t == c)
-        fp = sum(1 for p, t in zip(pred, true) if p == c and t != c)
-        fn = sum(1 for p, t in zip(pred, true) if p != c and t == c)
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom else 0.0)
-    return sum(f1s) / len(f1s)
 
 
 # --- gradient correctness ------------------------------------------------
@@ -125,33 +52,33 @@ def test_analytic_gradients_match_finite_differences():
 
         n = int(rng.integers(6, 33))
         d = int(rng.integers(3, 17))
-        z = _unit_rows(rng, n, d)
-        labels = _paired_labels(rng, n, k)
+        z = unit_rows(rng, n, d)
+        labels = paired_labels(rng, n, k)
         res = supcon_loss_grad(z, labels, cfg)
-        fd = _fd(lambda: supcon_loss_grad(z, labels, cfg).value, z)
-        worst = max(worst, _rel(res.grad_z, fd))
+        fd = fd_grad(lambda: supcon_loss_grad(z, labels, cfg).value, z)
+        worst = max(worst, rel_err(res.grad_z, fd))
 
         m = int(rng.integers(5, 17))
-        zz = _unit_rows(rng, m, d)
-        zl = _paired_labels(rng, m, k)
-        u = _unit_rows(rng, m, d)
+        zz = unit_rows(rng, m, d)
+        zl = paired_labels(rng, m, k)
+        u = unit_rows(rng, m, d)
         ul = zl.copy()
 
         known_cfg = dataclasses.replace(cfg, gamma=0.0)
         res = dc_total_loss_grad(zz, zl, u, ul, known_cfg)
-        fd_z = _fd(lambda: dc_total_loss_grad(zz, zl, u, ul, known_cfg).value, zz)
-        fd_u = _fd(lambda: dc_total_loss_grad(zz, zl, u, ul, known_cfg).value, u)
-        worst = max(worst, _rel(res.grad_z, fd_z), _rel(res.grad_u, fd_u))
+        fd_z = fd_grad(lambda: dc_total_loss_grad(zz, zl, u, ul, known_cfg).value, zz)
+        fd_u = fd_grad(lambda: dc_total_loss_grad(zz, zl, u, ul, known_cfg).value, u)
+        worst = max(worst, rel_err(res.grad_z, fd_z), rel_err(res.grad_u, fd_u))
 
         res = dc_universum_loss_grad(u, ul, zz, zl, cfg)
-        fd_u = _fd(lambda: dc_universum_loss_grad(u, ul, zz, zl, cfg).value, u)
-        fd_z = _fd(lambda: dc_universum_loss_grad(u, ul, zz, zl, cfg).value, zz)
-        worst = max(worst, _rel(res.grad_u, fd_u), _rel(res.grad_z, fd_z))
+        fd_u = fd_grad(lambda: dc_universum_loss_grad(u, ul, zz, zl, cfg).value, u)
+        fd_z = fd_grad(lambda: dc_universum_loss_grad(u, ul, zz, zl, cfg).value, zz)
+        worst = max(worst, rel_err(res.grad_u, fd_u), rel_err(res.grad_z, fd_z))
 
         res = dc_total_loss_grad(zz, zl, u, ul, cfg)
-        fd_z = _fd(lambda: dc_total_loss_grad(zz, zl, u, ul, cfg).value, zz)
-        fd_u = _fd(lambda: dc_total_loss_grad(zz, zl, u, ul, cfg).value, u)
-        worst = max(worst, _rel(res.grad_z, fd_z), _rel(res.grad_u, fd_u))
+        fd_z = fd_grad(lambda: dc_total_loss_grad(zz, zl, u, ul, cfg).value, zz)
+        fd_u = fd_grad(lambda: dc_total_loss_grad(zz, zl, u, ul, cfg).value, u)
+        worst = max(worst, rel_err(res.grad_z, fd_z), rel_err(res.grad_u, fd_u))
 
     assert worst < _GRAD_RTOL
     elapsed = time.perf_counter() - start
@@ -165,7 +92,7 @@ def _smooth_network_case(seed):
     k = 3
     proj_dim = int(rng.integers(4, 17))
     n = int(rng.integers(5, 9))
-    labels = _paired_labels(rng, n, k)
+    labels = paired_labels(rng, n, k)
     for attempt in range(200):
         if attempt % 10 == 0:
             params = init_params(4, (7,), proj_dim, k, seed=int(rng.integers(2**31)))
@@ -213,7 +140,7 @@ def test_loss_through_network_gradient_matches_finite_differences():
         for layer in params.encoder + params.projection:
             arrays.extend([layer.weight, layer.bias])
         for arr, grad in zip(arrays, analytic):
-            worst = max(worst, _rel(grad, _fd(value, arr)))
+            worst = max(worst, rel_err(grad, fd_grad(value, arr)))
 
     assert worst < _GRAD_RTOL
     elapsed = time.perf_counter() - start
@@ -228,8 +155,8 @@ def test_known_term_with_no_universum_rows_is_bitwise_supcon():
         n = int(rng.integers(4, 24))
         d = int(rng.integers(3, 12))
         k = int(rng.integers(2, 5))
-        z = _unit_rows(rng, n, d)
-        labels = _paired_labels(rng, n, k)
+        z = unit_rows(rng, n, d)
+        labels = paired_labels(rng, n, k)
         cfg = LossConfig(temperature=float(rng.uniform(0.05, 1.0)))
 
         sup = supcon_loss_grad(z, labels, cfg)
@@ -252,9 +179,9 @@ def test_gradient_split_reassembles_and_universum_shrinks_weights():
         d = int(rng.integers(3, 10))
         k = int(rng.integers(2, 4))
         tau = float(rng.uniform(0.1, 0.9))
-        z = _unit_rows(rng, n, d)
-        labels = _paired_labels(rng, n, k)
-        u = _unit_rows(rng, n, d)
+        z = unit_rows(rng, n, d)
+        labels = paired_labels(rng, n, k)
+        u = unit_rows(rng, n, d)
         ul = labels.copy()
         decomp = decompose(z, labels, u, ul, LossConfig(temperature=tau))
 
@@ -338,18 +265,18 @@ def test_metrics_match_brute_force_oracles():
         n_u = int(rng.integers(20, 100))
         known = rng.integers(0, 15, n_k).astype(float) / 15.0
         unknown = rng.integers(0, 15, n_u).astype(float) / 15.0
-        worst = max(worst, abs(auroc(known, unknown) - _auroc_pairs(known, unknown)))
+        worst = max(worst, abs(auroc(known, unknown) - auroc_pairs(known, unknown)))
 
         k = int(rng.integers(2, 6))
         kp = rng.dirichlet(np.ones(k), size=n_k)
         up = rng.dirichlet(np.ones(k) * 0.8, size=n_u)
         true = rng.integers(1, k + 1, n_k)
-        worst = max(worst, abs(oscr(kp, true, up) - _oscr_sweep(kp, true, up)))
+        worst = max(worst, abs(oscr(kp, true, up) - oscr_sweep(kp, true, up)))
 
         pred = rng.integers(0, k + 1, n_k)
         truth = rng.integers(0, k + 1, n_k)
         worst = max(
-            worst, abs(macro_f1(pred, truth, k) - _macro_f1_loops(pred, truth, k))
+            worst, abs(macro_f1(pred, truth, k) - macro_f1_loops(pred, truth, k))
         )
     assert worst < 1e-9
 

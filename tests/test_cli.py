@@ -266,10 +266,10 @@ def test_config_file_and_set_precedence(tmp_path):
     out = tmp_path / "out"
     assert _run([
         "generate", "--config", str(cfg_file), "--out", str(out), "--quiet",
-        "--set", "known_count=4", "--seed", "21",
+        "--set", "known_count=2", "--set", "known_count=4", "--seed", "21",
     ]) == 0
     text = (out / EFFECTIVE_CONFIG_FILE).read_text(encoding="utf-8")
-    assert "known_count = 4" in text  # --set beats the file
+    assert "known_count = 4" in text  # --set beats the file, and the last --set wins
     assert "seed = 21" in text  # --seed beats the file
     assert "class_count = 5" in text
 
@@ -317,19 +317,39 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
     assert "batch_size must be >= 3" in capsys.readouterr().err
 
+    # one known class on a synthetic split: every contrastive batch holds one class
+    code = _run(["train", "--out", str(tmp_path), *_FAST, "--set", "known_count=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: known_count=1") and "contrastive_epochs" in err
+
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"seed = 1\n# caf\xe9\n")  # Latin-1, not UTF-8
+    code = _run(["generate", "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and str(cfg_file) in err and "UTF-8" in err
+
+    cfg_file.write_text("seed = 1\ndim = 4\n\nseed = 2\n", encoding="utf-8")
+    code = _run(["generate", "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 4: 'seed' is already set on line 1\n"
+
 
 def test_numeric_failure_exits_3(tmp_path, capsys):
-    # a single known class cannot feed batches that need a second class
+    # the dead start: at seed 1 every projection ReLU is off for some row
+    # of the first batch, which then projects to zero
     code = _run([
         "train", "--out", str(tmp_path), "--quiet",
-        "--set", "class_count=3", "--set", "known_count=1",
-        "--set", "per_class=16", "--set", "dim=4", "--set", "hidden=8",
+        "--set", "class_count=5", "--set", "per_class=20", "--set", "dim=4",
+        "--set", "spread=0.4", "--set", "known_count=3", "--set", "hidden=8",
         "--set", "proj_dim=4", "--set", "contrastive_epochs=1",
-        "--set", "classifier_epochs=1", "--set", "batch_size=8",
-        "--set", "warmup_epochs=0",
+        "--set", "classifier_epochs=1", "--set", "batch_size=16",
+        "--set", "warmup_epochs=1", "--seed", "1",
     ])
     assert code == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 0, batch 0:") and "zero norm" in err
 
 
 def test_missing_files_exit_codes(tmp_path, capsys):

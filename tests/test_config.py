@@ -67,6 +67,9 @@ def test_serialize_then_parse_round_trips_every_field(cfg):
     assert back == cfg
     for name, value in values.items():
         assert type(value) is type(getattr(cfg, name)), name
+    # a key set twice in one file is an error naming both lines
+    with pytest.raises(ConfigError, match=r"^line 24: 'gamma' is already set on line 11$"):
+        parse_config_text(serialize_config(cfg) + "# again\ngamma = 0.5\n")
 
 
 def test_declared_types_are_enforced_for_library_callers():
@@ -185,6 +188,13 @@ def test_a_synthetic_split_a_known_class_cannot_fill_is_rejected(per_class, test
 @pytest.mark.parametrize("per_class, test_fraction", [(3, 0.34), (4, 0.3), (10, 0.8)])
 def test_a_synthetic_split_with_one_test_and_two_training_rows_is_accepted(per_class, test_fraction):
     TrainConfig(per_class=per_class, test_fraction=test_fraction)
+
+
+def test_one_known_class_needs_a_saved_split_or_no_contrastive_step():
+    with pytest.raises(ConfigError, match=r"^known_count=1 on a synthetic split"):
+        TrainConfig(known_count=1, contrastive_epochs=1)
+    TrainConfig(known_count=1, contrastive_epochs=0)
+    TrainConfig(known_count=1, contrastive_epochs=1, data_dir="saved")
 
 
 def test_set_of_a_split_without_two_training_rows_exits_2(tmp_path, capsys):

@@ -4,8 +4,6 @@ Every key is drawn over tiny shapes and 0-2 epochs, and each value is out
 of range or non-finite with probability _BAD_SHARE. A draw may only
 - train and evaluate;
 - raise ConfigError from TrainConfig;
-- raise UnsatisfiableBatchError on a synthetic split with one known class,
-  whose every batch holds a single class;
 - raise the step-one NumericError of a projection with zero norm (the
   dead start: every bias starts at 0).
 Anything else, a numeric warning included, is an escape.
@@ -18,7 +16,7 @@ import warnings
 import numpy as np
 
 from dctau.config import PSEUDO_SCHEMES, TrainConfig
-from dctau.errors import ConfigError, NumericError, UnsatisfiableBatchError
+from dctau.errors import ConfigError, NumericError
 from dctau.experiment import make_split, run_experiment, save_split
 
 _DRAWS = 600
@@ -81,10 +79,6 @@ def _outcome(values) -> str:
         return "rejected"
     try:
         run_experiment(cfg)
-    except UnsatisfiableBatchError:
-        if cfg.known_count == 1 and not cfg.data_dir:
-            return "one known class"
-        raise
     except NumericError as exc:
         if "zero norm" in str(exc):
             return "dead start"

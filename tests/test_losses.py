@@ -2,9 +2,10 @@
 
 The reference implementations below are deliberate triple loops over
 the loss definition, and gradients are checked against central finite
-differences of those loop values. Nothing here reuses the library's
-vectorized paths. _reference_core keeps the allocating form of the
-vectorized core that the workspace core must match bit for bit.
+differences of those loop values (`dctau.verify.fd_grad`). Nothing here
+reuses the library's vectorized paths. _reference_core keeps the
+allocating form of the vectorized core that the workspace core must
+match bit for bit.
 """
 
 import dataclasses
@@ -26,26 +27,15 @@ from dctau.losses import (
 from dctau.verify import (
     dc_universum_loss_grad,
     decompose,
+    fd_grad,
     hard_negative_weights,
+    labels_with_positives,
     reassemble_anchor_partial,
+    rel_err,
+    unit_rows,
 )
 
-_FD_H = 1e-5
 _FD_RTOL = 1e-4
-
-
-def _unit_rows(rng, n, d):
-    rows = rng.standard_normal((n, d))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def _labels_with_positives(rng, n, k):
-    """Labels over 1..k where every present class has >= 2 members."""
-    while True:
-        labels = rng.integers(1, k + 1, size=n)
-        _, counts = np.unique(labels, return_counts=True)
-        if np.all(counts >= 2):
-            return labels.astype(np.int64)
 
 
 def _loop_reference(anchors, anchor_labels, cross, cross_match, tau):
@@ -116,28 +106,6 @@ def reference_dc_universum(u, u_targets, z, labels, tau):
     return _loop_reference(u, u_targets, z, labels, tau)
 
 
-def _fd_grad(f, x):
-    """Central finite differences of scalar f at x, coordinate by coordinate."""
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + _FD_H
-        hi = f()
-        x[idx] = orig - _FD_H
-        lo = f()
-        x[idx] = orig
-        g[idx] = (hi - lo) / (2 * _FD_H)
-        it.iternext()
-    return g
-
-
-def _rel_err(a, b):
-    denom = max(np.linalg.norm(b), 1e-12)
-    return np.linalg.norm(a - b) / denom
-
-
 def _known_only(cfg):
     """cfg at gamma 0: dc_total_loss_grad is then the known term."""
     return dataclasses.replace(cfg, gamma=0.0)
@@ -146,9 +114,9 @@ def _known_only(cfg):
 def _draw(seed, n=8, d=5, k=3):
     """Known rows, their labels, and universum rows targeting those labels."""
     rng = np.random.default_rng(seed)
-    z = _unit_rows(rng, n, d)
-    labels = _labels_with_positives(rng, n, k)
-    u = _unit_rows(rng, n, d)
+    z = unit_rows(rng, n, d)
+    labels = labels_with_positives(rng, n, k, min_classes=1)
+    u = unit_rows(rng, n, d)
     return z, labels, u, labels.copy()
 
 
@@ -182,20 +150,20 @@ def test_gradients_match_finite_differences_of_reference():
         z, labels, u, u_targets = _draw(seed, n=7, d=4)
 
         res = supcon_loss_grad(z, labels, cfg)
-        fd = _fd_grad(lambda: reference_supcon(z, labels, cfg.temperature), z)
-        assert _rel_err(res.grad_z, fd) < _FD_RTOL
+        fd = fd_grad(lambda: reference_supcon(z, labels, cfg.temperature), z)
+        assert rel_err(res.grad_z, fd) < _FD_RTOL
 
         known = dc_total_loss_grad(z, labels, u, u_targets, _known_only(cfg))
-        fd_z = _fd_grad(lambda: reference_dc_known(z, labels, u, u_targets, cfg.temperature), z)
-        fd_u = _fd_grad(lambda: reference_dc_known(z, labels, u, u_targets, cfg.temperature), u)
-        assert _rel_err(known.grad_z, fd_z) < _FD_RTOL
-        assert _rel_err(known.grad_u, fd_u) < _FD_RTOL
+        fd_z = fd_grad(lambda: reference_dc_known(z, labels, u, u_targets, cfg.temperature), z)
+        fd_u = fd_grad(lambda: reference_dc_known(z, labels, u, u_targets, cfg.temperature), u)
+        assert rel_err(known.grad_z, fd_z) < _FD_RTOL
+        assert rel_err(known.grad_u, fd_u) < _FD_RTOL
 
         dual = dc_universum_loss_grad(u, u_targets, z, labels, cfg)
-        fd_z = _fd_grad(lambda: reference_dc_universum(u, u_targets, z, labels, cfg.temperature), z)
-        fd_u = _fd_grad(lambda: reference_dc_universum(u, u_targets, z, labels, cfg.temperature), u)
-        assert _rel_err(dual.grad_z, fd_z) < _FD_RTOL
-        assert _rel_err(dual.grad_u, fd_u) < _FD_RTOL
+        fd_z = fd_grad(lambda: reference_dc_universum(u, u_targets, z, labels, cfg.temperature), z)
+        fd_u = fd_grad(lambda: reference_dc_universum(u, u_targets, z, labels, cfg.temperature), u)
+        assert rel_err(dual.grad_z, fd_z) < _FD_RTOL
+        assert rel_err(dual.grad_u, fd_u) < _FD_RTOL
 
         def ref_total():
             return reference_dc_known(
@@ -203,8 +171,8 @@ def test_gradients_match_finite_differences_of_reference():
             ) + cfg.gamma * reference_dc_universum(u, u_targets, z, labels, cfg.temperature)
 
         total = dc_total_loss_grad(z, labels, u, u_targets, cfg)
-        assert _rel_err(total.grad_z, _fd_grad(ref_total, z)) < _FD_RTOL
-        assert _rel_err(total.grad_u, _fd_grad(ref_total, u)) < _FD_RTOL
+        assert rel_err(total.grad_z, fd_grad(ref_total, z)) < _FD_RTOL
+        assert rel_err(total.grad_u, fd_grad(ref_total, u)) < _FD_RTOL
 
 
 def test_total_is_linear_combination():
@@ -260,30 +228,30 @@ def test_reduction_to_supcon_is_bitwise():
 def test_skipped_anchors_and_degenerate_batch():
     cfg = LossConfig()
     rng = np.random.default_rng(0)
-    z = _unit_rows(rng, 3, 4)
+    z = unit_rows(rng, 3, 4)
     res = supcon_loss_grad(z, np.array([1, 1, 2]), cfg)
     assert res.skipped_anchors == 1
     assert res.per_anchor[2] == 0.0
 
     with pytest.raises(DegenerateBatchError):
-        supcon_loss_grad(_unit_rows(rng, 3, 4), np.array([1, 2, 3]), cfg)
+        supcon_loss_grad(unit_rows(rng, 3, 4), np.array([1, 2, 3]), cfg)
     with pytest.raises(InvalidArgumentError):
-        supcon_loss_grad(_unit_rows(rng, 1, 4), np.array([1]), cfg)
+        supcon_loss_grad(unit_rows(rng, 1, 4), np.array([1]), cfg)
 
 
 def test_input_validation():
     cfg = LossConfig()
     rng = np.random.default_rng(1)
-    z = _unit_rows(rng, 6, 4)
+    z = unit_rows(rng, 6, 4)
     labels = np.array([1, 1, 2, 2, 3, 3])
-    u = _unit_rows(rng, 6, 4)
+    u = unit_rows(rng, 6, 4)
 
     with pytest.raises(InvalidArgumentError):
         supcon_loss_grad(z * 2.0, labels, cfg)  # not unit-norm
     with pytest.raises(InvalidArgumentError):
         supcon_loss_grad(z, labels[:-1], cfg)  # label misalignment
     with pytest.raises(InvalidArgumentError):
-        dc_total_loss_grad(z, labels, _unit_rows(rng, 6, 3), labels, cfg)  # dim mismatch
+        dc_total_loss_grad(z, labels, unit_rows(rng, 6, 3), labels, cfg)  # dim mismatch
     with pytest.raises(InvalidArgumentError):
         dc_total_loss_grad(z, labels, u, labels[:-1], cfg)  # target misalignment
     with pytest.raises(InvalidArgumentError):
@@ -295,9 +263,9 @@ def test_input_validation():
 def test_unaligned_universum_targets():
     cfg = LossConfig(temperature=0.4)
     rng = np.random.default_rng(6)
-    z = _unit_rows(rng, 6, 5)
+    z = unit_rows(rng, 6, 5)
     labels = np.array([1, 1, 2, 2, 3, 3])
-    u = _unit_rows(rng, 2, 5)
+    u = unit_rows(rng, 2, 5)
     u_targets = np.array([1, 3])
     res = dc_total_loss_grad(z, labels, u, u_targets, _known_only(cfg))
     ref = reference_dc_known(z, labels, u, u_targets, cfg.temperature)
@@ -364,11 +332,11 @@ def _core_case(seed):
     gamma = (0.0, 0.5, 1.0)[(seed // 9) % 3]
     k = int(rng.integers(2, 11))
     nb = int(rng.integers(3, 151))
-    y = _labels_with_positives(rng, nb, k)
+    y = labels_with_positives(rng, nb, k, min_classes=1)
     if seed % 4 == 0:
         y[y == 1] = 2
         y[0] = 1
-    x = _unit_rows(rng, 2 * nb, int(rng.integers(2, 33)))
+    x = unit_rows(rng, 2 * nb, int(rng.integers(2, 33)))
     if layout == "supcon":
         return x[:nb], y, y, nb, np.ones(nb), tau
     if layout == "k_plus_one":
@@ -455,9 +423,10 @@ def _strict_peak(fn):
 @pytest.mark.parametrize("tau", [1e-3, 0.2])
 def test_supcon_core_takes_any_int_labels(label_set, tau):
     rng = np.random.default_rng(abs(label_set[0]) % 1000)
-    labels = np.asarray(label_set, dtype=np.int64)[_labels_with_positives(rng, 60, 3) - 1]
+    codes = labels_with_positives(rng, 60, 3, min_classes=1) - 1
+    labels = np.asarray(label_set, dtype=np.int64)[codes]
     labels[0] = label_set[3]  # a class of one row: its anchor is skipped
-    z = _unit_rows(rng, 60, 8)
+    z = unit_rows(rng, 60, 8)
 
     res, peak = _strict_peak(lambda: supcon_loss_grad(z, labels, LossConfig(temperature=tau)))
     args = (z, labels, labels, 60, np.ones(60), tau)
@@ -469,7 +438,7 @@ def test_supcon_core_takes_any_int_labels(label_set, tau):
 
     # the dual loss tells the sides apart by row position, so universum
     # rows may target these same labels, 0 and 10**12 included
-    u = _unit_rows(rng, 60, 8)
+    u = unit_rows(rng, 60, 8)
     u_targets = rng.permutation(labels)
     cfg = LossConfig(temperature=tau, gamma=0.5)
     res, peak = _strict_peak(lambda: dc_total_loss_grad(z, labels, u, u_targets, cfg))
@@ -490,10 +459,10 @@ def test_supcon_core_takes_any_int_labels(label_set, tau):
 def test_k_plus_k_core_with_a_single_row_class(gamma, tau):
     rng = np.random.default_rng(int(gamma * 10) + 3)
     nb, k = 40, 4
-    y = _labels_with_positives(rng, nb, k)
+    y = labels_with_positives(rng, nb, k, min_classes=1)
     y[y == 1] = 2
     y[0] = 1
-    x = _unit_rows(rng, 2 * nb, 8)
+    x = unit_rows(rng, 2 * nb, 8)
     args = (x, np.concatenate([y, y + k]), np.concatenate([y, y]), nb,
             np.repeat([1.0, gamma], nb), tau)
 

@@ -1,4 +1,5 @@
-"""Metric implementations checked against brute-force pair and sweep oracles."""
+"""Metric implementations checked against the brute-force pair, sweep and
+loop oracles of `dctau.verify`."""
 
 import csv
 
@@ -15,60 +16,7 @@ from dctau.metrics import (
     oscr_curve,
     write_curve_csv,
 )
-
-
-def _auroc_pairs(known, unknown):
-    """Count wins and half-ties over every (known, unknown) pair."""
-    total = 0.0
-    for k in known:
-        for u in unknown:
-            if k > u:
-                total += 1.0
-            elif k == u:
-                total += 0.5
-    return total / (len(known) * len(unknown))
-
-
-def _oscr_sweep(known_post, known_true, unknown_post):
-    """Cutoff sweep with explicit loops, padded and trapezoid-integrated."""
-    known_conf = [max(row) for row in known_post]
-    correct = [
-        int(np.argmax(row)) + 1 == lab for row, lab in zip(known_post, known_true)
-    ]
-    unknown_conf = [max(row) for row in unknown_post]
-
-    best = {}
-    for delta in sorted(set(known_conf) | set(unknown_conf)):
-        ccr = sum(
-            1 for c, ok in zip(known_conf, correct) if ok and c >= delta
-        ) / len(known_conf)
-        fpr = sum(1 for c in unknown_conf if c >= delta) / len(unknown_conf)
-        best[fpr] = max(best.get(fpr, 0.0), ccr)
-
-    fprs = sorted(best)
-    xs = fprs[:]
-    ys = [best[f] for f in fprs]
-    if xs[0] > 0.0:
-        xs.insert(0, 0.0)
-        ys.insert(0, ys[0])
-    if xs[-1] < 1.0:
-        xs.append(1.0)
-        ys.append(ys[-1])
-    area = 0.0
-    for i in range(1, len(xs)):
-        area += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
-    return area
-
-
-def _macro_f1_loops(pred, true, k):
-    f1s = []
-    for c in [0] + list(range(1, k + 1)):
-        tp = sum(1 for p, t in zip(pred, true) if p == c and t == c)
-        fp = sum(1 for p, t in zip(pred, true) if p == c and t != c)
-        fn = sum(1 for p, t in zip(pred, true) if p != c and t == c)
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom else 0.0)
-    return sum(f1s) / len(f1s)
+from dctau.verify import auroc_pairs, macro_f1_loops, oscr_sweep
 
 
 def test_auroc_matches_pairwise_oracle_with_ties():
@@ -78,7 +26,7 @@ def test_auroc_matches_pairwise_oracle_with_ties():
         known = rng.integers(0, 12, size=rng.integers(5, 90)).astype(float) / 12.0
         unknown = rng.integers(0, 12, size=rng.integers(5, 90)).astype(float) / 12.0
         assert auroc(known, unknown) == pytest.approx(
-            _auroc_pairs(known, unknown), abs=1e-9
+            auroc_pairs(known, unknown), abs=1e-9
         )
 
 
@@ -121,7 +69,7 @@ def test_oscr_matches_sweep_oracle():
         up = rng.dirichlet(np.ones(k) * 0.7, size=n_u)
         true = rng.integers(1, k + 1, n_k)
         assert oscr(kp, true, up) == pytest.approx(
-            _oscr_sweep(kp, true, up), abs=1e-9
+            oscr_sweep(kp, true, up), abs=1e-9
         )
 
 
@@ -225,7 +173,7 @@ def test_macro_f1_matches_loop_oracle():
         n = int(rng.integers(4, 150))
         pred = rng.integers(0, k + 1, n)
         true = rng.integers(0, k + 1, n)
-        assert macro_f1(pred, true, k) == _macro_f1_loops(pred, true, k)
+        assert macro_f1(pred, true, k) == macro_f1_loops(pred, true, k)
 
 
 def test_macro_f1_hand_case():

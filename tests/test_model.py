@@ -32,6 +32,7 @@ from dctau.model import (
     train_classifier,
     train_contrastive,
 )
+from dctau.verify import fd_grad, rel_err
 
 _FD_H = 1e-6
 _FD_RTOL = 1e-4
@@ -142,22 +143,8 @@ def test_backprop_embedding_matches_finite_differences():
         return float((z2 * g).sum())
 
     arrays = _flat_params(params)[: len(analytic)]
-    worst = 0.0
-    for arr, grad in zip(arrays, analytic):
-        it = np.nditer(arr, flags=["multi_index"])
-        fd = np.zeros_like(arr)
-        while not it.finished:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + _FD_H
-            hi = value()
-            arr[idx] = orig - _FD_H
-            lo = value()
-            arr[idx] = orig
-            fd[idx] = (hi - lo) / (2 * _FD_H)
-            it.iternext()
-        denom = max(np.linalg.norm(fd), 1e-10)
-        worst = max(worst, np.linalg.norm(grad - fd) / denom)
+    worst = max(rel_err(grad, fd_grad(value, arr, h=_FD_H))
+                for arr, grad in zip(arrays, analytic))
     assert worst < _FD_RTOL
 
 
@@ -182,22 +169,8 @@ def test_classifier_backprop_matches_finite_differences():
         return v
 
     arrays = [probe.weight, probe.bias]
-    worst = 0.0
-    for arr, grad in zip(arrays, analytic):
-        it = np.nditer(arr, flags=["multi_index"])
-        fd = np.zeros_like(arr)
-        while not it.finished:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + _FD_H
-            hi = value()
-            arr[idx] = orig - _FD_H
-            lo = value()
-            arr[idx] = orig
-            fd[idx] = (hi - lo) / (2 * _FD_H)
-            it.iternext()
-        denom = max(np.linalg.norm(fd), 1e-10)
-        worst = max(worst, np.linalg.norm(grad - fd) / denom)
+    worst = max(rel_err(grad, fd_grad(value, arr, h=_FD_H))
+                for arr, grad in zip(arrays, analytic))
     assert worst < _FD_RTOL
 
 

@@ -1,6 +1,16 @@
 """The built-in oracle suite: all green, and the injection really trips it."""
 
+import ast
+from pathlib import Path
+
+import dctau.verify
 from dctau.verify import ALL_CHECKS, CheckResult, run_all
+
+_ROOT = Path(__file__).resolve().parents[1]
+_ORACLES = {
+    "unit_rows", "labels_with_positives", "paired_labels", "fd_grad", "rel_err",
+    "auroc_pairs", "oscr_sweep", "macro_f1_loops",
+}
 
 
 def test_all_checks_pass(capsys):
@@ -48,3 +58,18 @@ def test_failure_lines_printed_on_injection(capsys):
     assert "FAIL  gradient_fd:" in out
     assert "FAIL  decomposition:" in out
     assert "7/9 checks passed" in out
+
+
+def test_tests_and_demos_define_no_copy_of_an_oracle():
+    # the oracles are written once in dctau.verify; a test or demo that
+    # defines one of their names, with or without leading underscores,
+    # is a copy that can drift from it
+    assert all(callable(getattr(dctau.verify, name, None)) for name in _ORACLES)
+    copies = [
+        f"{path.relative_to(_ROOT)}:{node.lineno} {node.name}"
+        for path in sorted([*(_ROOT / "tests").glob("*.py"), *(_ROOT / "demos").glob("*.py")])
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.lstrip("_") in _ORACLES
+    ]
+    assert copies == []
