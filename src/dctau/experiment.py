@@ -121,9 +121,20 @@ def derive_seeds(seed: int) -> dict[str, int]:
 
 
 def make_split(cfg: TrainConfig) -> OpenSplit:
-    """Synthesize blobs and split them, or load CSVs from cfg.data_dir."""
+    """Synthesize blobs and split them, or load CSVs from cfg.data_dir.
+
+    A loaded split with one known class is rejected unless
+    contrastive_epochs is 0, as TrainConfig rejects known_count=1 on a
+    synthetic split: every contrastive batch would hold a single class.
+    """
     if cfg.data_dir:
-        return load_split(cfg.data_dir)
+        split = load_split(cfg.data_dir)
+        if split.num_known < 2 and cfg.contrastive_epochs > 0:
+            raise ConfigError(
+                f"{cfg.data_dir} holds one known class, so every contrastive batch would "
+                "hold a single class; use contrastive_epochs=0"
+            )
+        return split
     seeds = derive_seeds(cfg.seed)
     ds = generate_blobs(cfg.class_count, cfg.per_class, cfg.dim, cfg.spread, seeds["data"])
     chooser = np.random.default_rng(seeds["known_choice"])
@@ -158,9 +169,10 @@ def save_split(split: OpenSplit, out_dir) -> dict:
 def load_split(data_dir) -> OpenSplit:
     """Read the CSVs written by save_split (manifest optional).
 
-    When manifest.json is present, the num_known, row counts and dim it
-    records must match the CSVs, so a file cut at a row boundary is rejected
-    rather than evaluated on fewer rows.
+    Every label of test_unknown.csv must be the unknown label. When
+    manifest.json is present, the num_known, row counts and dim it records
+    must match the CSVs, so a file cut at a row boundary is rejected rather
+    than evaluated on fewer rows.
     """
     names = {"train": TRAIN_CSV, "test_known": TEST_KNOWN_CSV, "test_unknown": TEST_UNKNOWN_CSV}
     paths = {key: os.path.join(data_dir, name) for key, name in names.items()}
@@ -168,6 +180,10 @@ def load_split(data_dir) -> OpenSplit:
     train, test_known, test_unknown = read.values()
     if train.class_count < 1:
         raise InvalidArgumentError(f"{data_dir}/{TRAIN_CSV} has no known classes")
+    if test_unknown.class_count:
+        raise InvalidArgumentError(
+            f"{paths['test_unknown']}: every label must be {UNKNOWN_LABEL}, the unknown label"
+        )
     k = max(train.class_count, test_known.class_count)
     train = Dataset(train.features, train.labels, k)
     test_known = Dataset(test_known.features, test_known.labels, k)

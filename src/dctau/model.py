@@ -374,26 +374,23 @@ def _loss_step(params: ModelParams, view: Batch, num_known: int, cfg: TrainConfi
 
 
 def train_contrastive(
-    split: OpenSplit,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    initial: ModelParams | None = None,
+    split: OpenSplit, cfg: TrainConfig, rng: np.random.Generator
 ) -> tuple[ModelParams, list[float]]:
-    """Step one: fit encoder + projection with the contrastive loss.
+    """Step one: initialize from cfg and rng, then fit encoder + projection
+    with the contrastive loss.
 
     Returns the trained parameters and the per-epoch mean of
-    (batch loss / batch rows). A NumericError in a step's forward pass
-    or loss (a zero-norm projection, a non-finite loss) is re-raised
-    with the epoch and batch in front of its message. Encoder and
-    projection train as views into one flat copy of their parameters,
-    so initial is never changed.
+    (batch loss / batch rows). The steps run with numpy's overflow and
+    invalid-operation flags raising, so a temperature small enough to
+    overflow the loss or Adam's moments stops the run instead of
+    training on inf. That FloatingPointError, and a NumericError of a
+    step (a zero-norm projection, a non-finite loss or gradient), is
+    re-raised as NumericError with the epoch and batch in front of its
+    message. Encoder and projection train as views into one flat vector.
     """
     num_known = split.num_known
-    if initial is None:
-        init_seed = int(rng.integers(2**32))
-        params = init_params(split.train.dim, cfg.hidden, cfg.proj_dim, num_known, init_seed)
-    else:
-        params = initial
+    init_seed = int(rng.integers(2**32))
+    params = init_params(split.train.dim, cfg.hidden, cfg.proj_dim, num_known, init_seed)
 
     n_enc = len(params.encoder)
     flat, layers = _flatten(params.encoder + params.projection)
@@ -408,19 +405,20 @@ def train_contrastive(
 
     work = LossWorkspace()
     history: list[float] = []
-    for epoch in range(cfg.contrastive_epochs):
-        batch_means = []
-        for b_idx, batch in enumerate(epoch_batches(split.train, cfg.batch_size, rng)):
-            view = augment_gaussian(batch, cfg.sigma, rng)
-            try:
-                value, d_z_all, trace = _loss_step(
-                    params, view, num_known, cfg, loss_cfg, rng, work)
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}, batch {b_idx}: {exc}") from exc
-            backprop_embedding(params, trace, d_z_all, grad_layers)
-            optimizer_step(state, flat, grad, epoch)
-            batch_means.append(value / view.size)
-        history.append(float(np.mean(batch_means)))
+    with np.errstate(over="raise", invalid="raise"):
+        for epoch in range(cfg.contrastive_epochs):
+            batch_means = []
+            for b_idx, batch in enumerate(epoch_batches(split.train, cfg.batch_size, rng)):
+                try:
+                    view = augment_gaussian(batch, cfg.sigma, rng)
+                    value, d_z_all, trace = _loss_step(
+                        params, view, num_known, cfg, loss_cfg, rng, work)
+                    backprop_embedding(params, trace, d_z_all, grad_layers)
+                    optimizer_step(state, flat, grad, epoch)
+                except (NumericError, FloatingPointError) as exc:
+                    raise NumericError(f"epoch {epoch}, batch {b_idx}: {exc}") from exc
+                batch_means.append(value / view.size)
+            history.append(float(np.mean(batch_means)))
     return params, history
 
 

@@ -20,11 +20,6 @@ also exports the gradient decomposition (`decompose`,
 universum-anchored term `dc_universum_loss_grad`, the checks in
 `ALL_CHECKS`, their `CheckResult` and `run_all`.
 
-`inject_sign_error=True` flips the sign of the universum-side gradient
-before checking, as a self-test that the gradient oracles can actually
-fail: with it set, the finite-difference and reassembly checks must
-report failures.
-
 The gradient decomposition lives here, not in the losses, because
 training never builds it. `decompose` splits each known anchor's own
 partial gradient into an attractive positive term and two repulsive
@@ -166,12 +161,6 @@ def macro_f1_loops(pred, true, k: int) -> float:
     return sum(f1s) / len(f1s)
 
 
-def _maybe_inject(result, inject: bool):
-    if not inject or result.grad_u is None:
-        return result
-    return dc_replace(result, grad_u=-result.grad_u)
-
-
 # --- the gradient decomposition oracle ----------------------------------
 
 
@@ -304,7 +293,7 @@ def check_supcon_worked_example() -> CheckResult:
     )
 
 
-def check_gradient_fd(inject_sign_error: bool = False) -> CheckResult:
+def check_gradient_fd() -> CheckResult:
     """Analytic vs central-difference gradients for all four losses."""
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -321,7 +310,6 @@ def check_gradient_fd(inject_sign_error: bool = False) -> CheckResult:
         worst = max(worst, rel_err(res.grad_z, fd))
 
         res = dc_total_loss_grad(z, labels, u, labels, known_cfg)
-        res = _maybe_inject(res, inject_sign_error)
         fd_z = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, known_cfg).value, z)
         fd_u = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, known_cfg).value, u)
         worst = max(worst, rel_err(res.grad_z, fd_z), rel_err(res.grad_u, fd_u))
@@ -332,7 +320,6 @@ def check_gradient_fd(inject_sign_error: bool = False) -> CheckResult:
         worst = max(worst, rel_err(res.grad_u, fd_u), rel_err(res.grad_z, fd_z))
 
         res = dc_total_loss_grad(z, labels, u, labels, cfg)
-        res = _maybe_inject(res, inject_sign_error)
         fd_z = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, cfg).value, z)
         fd_u = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, cfg).value, u)
         worst = max(worst, rel_err(res.grad_z, fd_z), rel_err(res.grad_u, fd_u))
@@ -379,7 +366,7 @@ def check_reduction_identity() -> CheckResult:
     return CheckResult("reduction_identity", True, "20/20 draws bitwise equal")
 
 
-def check_decomposition(inject_sign_error: bool = False) -> CheckResult:
+def check_decomposition() -> CheckResult:
     rng = np.random.default_rng(37)
     cfg = LossConfig(temperature=0.2)
     worst = 0.0
@@ -389,8 +376,7 @@ def check_decomposition(inject_sign_error: bool = False) -> CheckResult:
         labels = labels_with_positives(rng, 10, 3)
         u = unit_rows(rng, 10, 6)
         decomp = decompose(z, labels, u, labels, cfg)
-        injected = dc_replace(decomp, g_tau=-decomp.g_tau) if inject_sign_error else decomp
-        rebuilt = reassemble_anchor_partial(injected)
+        rebuilt = reassemble_anchor_partial(decomp)
         worst = max(worst, float(np.abs(rebuilt - decomp.anchor_partial).max()))
         s_exact = decomp.known_exp.sum(axis=1) + decomp.tau_exp.sum(axis=1)
         if not np.array_equal(s_exact, decomp.normalizer):
@@ -540,15 +526,12 @@ ALL_CHECKS = (
 )
 
 
-def run_all(inject_sign_error: bool = False, quiet: bool = False) -> list[CheckResult]:
-    """Run every check; the injection flag only affects gradient checks."""
+def run_all(quiet: bool = False) -> list[CheckResult]:
+    """Run every check, printing a PASS or FAIL line for each unless quiet."""
     results = []
     start = time.perf_counter()
     for check in ALL_CHECKS:
-        if check in (check_gradient_fd, check_decomposition):
-            result = check(inject_sign_error)
-        else:
-            result = check()
+        result = check()
         results.append(result)
         if not quiet:
             flag = "PASS" if result.passed else "FAIL"

@@ -6,6 +6,7 @@ import json
 import os
 import struct
 import sys
+import warnings
 import zipfile
 
 import numpy as np
@@ -352,6 +353,36 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert err.startswith("error: epoch 0, batch 0:") and "zero norm" in err
 
 
+@pytest.mark.parametrize("scheme", ["k_plus_k", "k_plus_one", "none"])
+@pytest.mark.parametrize("temperature", ["1e-200", "1e-300", "1e-310", "5e-324"])
+def test_a_temperature_that_overflows_training_exits_3(tmp_path, capsys, temperature, scheme):
+    # 1e-200 and 1e-300 overflow Adam's second moment, the subnormal two
+    # the similarities divided by the temperature: neither may warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run(["train", "--out", str(tmp_path), "--quiet", *_FAST,
+                     "--set", f"temperature={temperature}", "--set", f"pseudo_scheme={scheme}"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: epoch 0, batch 0: overflow encountered")
+
+
+def test_a_saved_split_with_one_known_class_needs_contrastive_epochs_0(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert _run(["generate", "--out", str(data), "--quiet",
+                 "--set", "class_count=3", "--set", "known_count=1", "--set", "per_class=16",
+                 "--set", "dim=4", "--set", "contrastive_epochs=0"]) == 0
+    train = ["train", "--out", str(run), "--quiet", *_FAST, "--set", f"data_dir={data}"]
+    assert _run(train) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data} holds one known class") and "contrastive_epochs=0" in err
+    assert not (run / CHECKPOINT_FILE).exists()
+
+    assert _run([*train, "--set", "contrastive_epochs=0"]) == 0
+    assert _run(["eval", "--checkpoint", str(run / CHECKPOINT_FILE),
+                 "--out", str(tmp_path / "eval"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_files_exit_codes(tmp_path, capsys):
     code = _run(["eval", "--checkpoint", str(tmp_path / "absent.bin"),
                  "--out", str(tmp_path)])
@@ -416,6 +447,14 @@ def _first_feature(cell):
     return edit
 
 
+def _every_label(label):
+    """An edit of a generated CSV that sets every row's label to label."""
+    def edit(text):
+        header, *rows = text.splitlines()
+        return "\n".join([header, *(row[: row.rindex(",") + 1] + label for row in rows)]) + "\n"
+    return edit
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -426,9 +465,10 @@ def _first_feature(cell):
         ("test_known.csv", _first_feature("nan")),
         ("train.csv", _first_feature("inf")),
         ("test_unknown.csv", _first_feature("-inf")),
+        ("test_unknown.csv", _every_label("1")),
     ],
     ids=["empty", "feature-cell", "label-cell", "short-row", "nan-cell", "inf-cell",
-         "minus-inf-cell"],
+         "minus-inf-cell", "known-label"],
 )
 def test_malformed_split_csv_exits_2(tmp_path, capsys, name, text):
     data = tmp_path / "data"

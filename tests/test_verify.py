@@ -1,9 +1,13 @@
-"""The built-in oracle suite: all green, and the injection really trips it."""
+"""The built-in oracle suite: all green, and a sign error really trips it."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import dctau.verify
+from dctau.cli import main
 from dctau.verify import ALL_CHECKS, CheckResult, run_all
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -36,8 +40,26 @@ def test_check_names_are_stable():
     ]
 
 
-def test_injected_sign_error_is_caught():
-    results = run_all(inject_sign_error=True, quiet=True)
+@pytest.fixture
+def sign_error(monkeypatch):
+    """Inject a sign error into the universum-side gradient the checks read:
+    the loss's grad_u, and the decomposition's universum repulsion g_tau."""
+    real_loss, real_decompose = dctau.verify.dc_total_loss_grad, dctau.verify.decompose
+
+    def flipped_loss(*args, **kwargs):
+        res = real_loss(*args, **kwargs)
+        return res if res.grad_u is None else replace(res, grad_u=-res.grad_u)
+
+    def flipped_decompose(*args, **kwargs):
+        decomp = real_decompose(*args, **kwargs)
+        return replace(decomp, g_tau=-decomp.g_tau)
+
+    monkeypatch.setattr(dctau.verify, "dc_total_loss_grad", flipped_loss)
+    monkeypatch.setattr(dctau.verify, "decompose", flipped_decompose)
+
+
+def test_injected_sign_error_is_caught(sign_error):
+    results = run_all(quiet=True)
     failed = {r.name for r in results if not r.passed}
     # flipping the universum gradient must trip exactly the gradient checks
     assert failed == {"gradient_fd", "decomposition"}
@@ -52,12 +74,20 @@ def test_report_format(capsys):
     assert "9/9 checks passed" in out
 
 
-def test_failure_lines_printed_on_injection(capsys):
-    run_all(inject_sign_error=True, quiet=False)
+def test_failure_lines_printed_on_injection(sign_error, capsys):
+    run_all(quiet=False)
     out = capsys.readouterr().out
     assert "FAIL  gradient_fd:" in out
     assert "FAIL  decomposition:" in out
     assert "7/9 checks passed" in out
+
+
+def test_cli_verify_quiet_exits_3_and_names_the_failures_on_stderr(sign_error, capsys):
+    assert main(["verify", "--quiet"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FAIL  gradient_fd:" in captured.err
+    assert "FAIL  decomposition:" in captured.err
 
 
 def test_tests_and_demos_define_no_copy_of_an_oracle():
