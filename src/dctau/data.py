@@ -60,7 +60,11 @@ class Dataset:
                     f"labels must lie in 1..{self.class_count}, got {present[0]}..{present[-1]}"
                 )
             if present.size != self.class_count:
-                raise InvalidArgumentError("every class in 1..class_count needs at least one row")
+                missing = np.setdiff1d(np.arange(1, self.class_count + 1), present)
+                raise InvalidArgumentError(
+                    f"every class in 1..{self.class_count} needs at least one row; "
+                    f"missing: {', '.join(map(str, missing))}"
+                )
 
     @property
     def n_rows(self) -> int:
@@ -268,7 +272,15 @@ def read_dataset_csv(path) -> Dataset:
     if not np.isfinite(feats).all():
         raise InvalidArgumentError(f"{path}: non-finite feature value")
     class_count = 0 if np.all(labels == UNKNOWN_LABEL) else int(labels.max())
-    return Dataset(feats, labels, class_count)
+    return dataset_of(path, feats, labels, class_count)
+
+
+def dataset_of(path, features, labels, class_count: int) -> Dataset:
+    """``Dataset(features, labels, class_count)``, its errors naming ``path``."""
+    try:
+        return Dataset(features, labels, class_count)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from None
 
 
 def _sha256(data: bytes) -> str:

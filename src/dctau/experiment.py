@@ -19,8 +19,8 @@ import numpy as np
 from .config import PSEUDO_SCHEMES, TrainConfig
 from .data import (
     UNKNOWN_LABEL,
-    Dataset,
     OpenSplit,
+    dataset_of,
     generate_blobs,
     read_dataset_csv,
     split_open_set,
@@ -185,8 +185,8 @@ def load_split(data_dir) -> OpenSplit:
             f"{paths['test_unknown']}: every label must be {UNKNOWN_LABEL}, the unknown label"
         )
     k = max(train.class_count, test_known.class_count)
-    train = Dataset(train.features, train.labels, k)
-    test_known = Dataset(test_known.features, test_known.labels, k)
+    train = dataset_of(paths["train"], train.features, train.labels, k)
+    test_known = dataset_of(paths["test_known"], test_known.features, test_known.labels, k)
     original = tuple(range(1, k + 1))
     manifest_path = os.path.join(data_dir, MANIFEST_JSON)
     if os.path.exists(manifest_path):

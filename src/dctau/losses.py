@@ -8,18 +8,32 @@ set P(i) (the other rows on its side with its target), contributes
     w_i * (-1/|P(i)|) * sum_{p in P(i)} log[ exp(x_i.x_p/tau) / S_i ]
 
 where S_i sums exp(x_i.x_k/tau) over every other row k on the same side
-(known or universum) as i or targeting the same class. Anchors with
-empty P(i) are skipped and counted. From the one Gram matrix x x^T/tau
-with softmax W and row-normalized positive mask P, the gradient is
-(M + M^T) x / tau for M = diag(w)(W - P). The losses differ only in w:
+(known or universum) as i, and over the rows of the other side that
+target i's class. Anchors with empty P(i) are skipped and counted. With
+softmax W over those lanes and row-normalized positive mask P, the
+gradient is (M + M^T) x / tau for M = diag(w)(W - P). The losses differ
+only in w:
 
 * supcon: no universum rows, every weight 1.
 * dual-contrastive total (the training loss): 1 for known anchors and
   gamma for universum anchors (gamma 0 leaves the known term alone), so
   each universum row repels exactly the class it targets.
 
-Log-sum-exp uses max subtraction, and since every loss shares this code
-the known term with zero universum rows is bitwise identical to supcon.
+The core computes only the lanes the loss reads, by side blocks. A side
+that anchors gets one block of every stacked row's similarity to each of
+its anchors, one anchor per column, with the rows in stacked order. Its
+same-side rows are each a denominator lane but the diagonal; of its
+other side's rows, a 0/1 mask from one comparison of targets keeps the
+lanes that target the anchor's class. A side none of whose rows anchors,
+such as the universum side at gamma 0, has no block. Each block's exps E give
+E x and the denominators in one gemm and E^T x in another; P and the
+positive similarity sums come from per-(side, target) row sums instead
+of an n x n mask. The blocks live in a LossWorkspace that training
+reuses every step.
+
+Log-sum-exp shifts each anchor by its maximum over its denominator
+lanes, and since every loss shares this code the known term with zero
+universum rows is bitwise identical to supcon.
 """
 
 from __future__ import annotations
@@ -78,26 +92,25 @@ class LossResult:
 
 
 class LossWorkspace:
-    """The loss core's n x n buffers, kept between calls.
+    """The loss core's block buffers, kept between calls.
 
-    A training run makes one and passes it to every loss call, so the
-    core neither allocates nor page-faults in about 3 MB of temporaries
-    per step. Each buffer is flat and grows on demand; a call at n rows
-    works in contiguous views of its first n*n entries, so one workspace
-    serves every batch size. Nothing the core returns aliases these
-    buffers.
+    A training run makes one and passes it to every loss call. Each
+    buffer is flat and grows on demand; a call works in contiguous views
+    of its first entries, so one workspace serves every batch size.
+    Blocks made fresh on every call cost page faults instead: glibc hands
+    a large freed block back to the system, and the next call faults it
+    in again. Nothing the core returns aliases these buffers.
     """
 
-    _DTYPES = (np.float64, np.float64, bool, bool, bool)
-
     def __init__(self):
-        self._bufs = tuple(np.empty(0, dtype=dtype) for dtype in self._DTYPES)
+        self._bufs: dict[str, np.ndarray] = {}
 
-    def views(self, n: int):
-        """(sims, w, pos_mask, off_pos, off_den) as n x n views of the buffers."""
-        if self._bufs[0].size < n * n:
-            self._bufs = tuple(np.empty(n * n, dtype=dtype) for dtype in self._DTYPES)
-        return tuple(buf[: n * n].reshape(n, n) for buf in self._bufs)
+    def buffer(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """A rows x cols float view of the named buffer, grown if too small."""
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < rows * cols:
+            buf = self._bufs[name] = np.empty(rows * cols)
+        return buf[: rows * cols].reshape(rows, cols)
 
 
 def _check_rows(name: str, rows: np.ndarray) -> np.ndarray:
@@ -111,6 +124,92 @@ def _check_rows(name: str, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _check_labels(name: str, labels, rows: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidArgumentError(f"{name} must be integers, not {labels.dtype}")
+    if labels.shape != (rows,):
+        raise InvalidArgumentError(f"{name} must align with embedding rows")
+    return labels.astype(np.int64, copy=False)
+
+
+def _positive_terms(x: np.ndarray, group: np.ndarray, a_pos: np.ndarray, tau: float):
+    """Each row's positive similarity sum, and the positives' parts of
+    M x tau and M^T x tau: -a_pos P x and -P^T (a_pos x).
+
+    All three come from per-group row sums: a row's positives are the
+    other rows of its group.
+    """
+    members = np.equal.outer(group, np.arange(group.max() + 1)).astype(np.float64)
+    pos_ax = a_pos[:, None] * x
+    transposed = members @ (members.T @ pos_ax)
+    transposed -= pos_ax
+    np.negative(transposed, out=transposed)
+    pos_x = members @ (members.T @ x)
+    pos_x -= x
+    pos_sim = np.vecdot(x, pos_x) / tau
+    pos_x *= -a_pos[:, None]
+    return pos_sim, pos_x, transposed
+
+
+def _exp_side(work, name, x, xs, codes, side, other):
+    """The exps of one side's anchors' lanes, and the anchors' shifts.
+
+    The block holds every stacked row's lane against the side's anchors,
+    one anchor per column, with the rows in stacked order: block[side]
+    holds the same-side lanes and block[other] the cross lanes. Each
+    column is shifted by its maximum over the anchor's denominator
+    lanes. The diagonal, and the other side's rows that target another
+    class, are not denominator lanes and end as 0.
+    """
+    n, m = x.shape[0], side.stop - side.start
+    block = work.buffer(name, n, m)
+    np.matmul(x, xs[side].T, out=block)
+    same, cross = block[side], block[other]
+    diagonal = same.reshape(-1)[:: m + 1]  # a view: same is contiguous
+    diagonal[:] = -np.inf
+    shift = same.max(axis=0)  # finite: a side with an anchor has another row
+    mask = work.buffer(f"{name}.mask", n - m, m)
+    np.equal(codes[other, None], codes[None, side], out=mask)
+    # the other side's rows that target the anchor's class may lift its
+    # shift: with the rest masked to 0, a column's maximum of cross - shift,
+    # floored at 0, is the lift
+    cross -= shift
+    cross *= mask
+    lift = np.max(cross, axis=0, initial=0.0)
+    cross -= lift
+    shift += lift
+    same -= shift
+    # exp never sees the -inf diagonal, and an off-target lane holds
+    # -lift, at most about 2/tau below 0; both end as 0
+    diagonal[:] = 0.0
+    np.exp(block, out=block)
+    diagonal[:] = 0.0
+    cross *= mask
+    return block, shift
+
+
+def _exp_blocks(work, x, codes, n_known, valid, tau):
+    """The exp blocks of the sides that anchor, the shifts, and E [x | 1].
+
+    E [x | 1] stacks each anchor's exp-weighted sum of x and its
+    denominator, which rides on the same gemm as a column of ones.
+    """
+    n, d = x.shape
+    xs = x / tau
+    x_ones = np.hstack([x, np.ones((n, 1))])
+    shift = np.zeros(n)
+    e_x1 = np.zeros((n, d + 1))
+    blocks = []
+    known, univ = slice(0, n_known), slice(n_known, n)
+    for side, other, name in ((known, univ, "known"), (univ, known, "universum")):
+        if valid[side].any():
+            block, shift[side] = _exp_side(work, name, x, xs, codes, side, other)
+            np.matmul(block.T, x_ones, out=e_x1[side])
+            blocks.append((side, block))
+    return blocks, shift, e_x1
+
+
 def _stacked_core(
     x: np.ndarray,
     targets: np.ndarray,
@@ -119,86 +218,56 @@ def _stacked_core(
     tau: float,
     work: LossWorkspace | None = None,
 ) -> LossResult:
-    """One masked softmax over the stacked rows; see the module docstring.
+    """The masked softmax over the stacked rows, by blocks; see the module
+    docstring.
 
-    Rows before n_known are known, the rest universum. Two rows are
-    positives exactly when they are on the same side and target the same
-    class, so the positives and the denominator both come from one
-    comparison of the targets. Rows with zero weight do not anchor but
-    still enter other anchors' softmaxes. Without a workspace the core
-    makes a throwaway one.
+    Rows before n_known are known, the rest universum. Rows with zero
+    weight do not anchor but still enter other anchors' softmaxes, and a
+    side none of whose rows anchors gets no block. Without a workspace
+    the core makes a throwaway one.
     """
-    n = x.shape[0]
+    n, d = x.shape
     active = weight > 0
     if np.count_nonzero(active) < 2:
         raise InvalidArgumentError("need at least 2 anchor rows")
 
-    # targets as codes 0..n-1: a row's positives are the other rows of its
-    # (code, side) group, and the codes compare in a narrow integer type
-    _, codes = np.unique(targets, return_inverse=True)
+    # targets as codes 0..c-1, and a row's (side, target) group as a code,
+    # the known side's first
+    classes = np.unique(targets)
+    codes = np.searchsorted(classes, targets)
     group = codes.copy()
-    group[n_known:] += n
+    group[n_known:] += len(classes)
     pos_count = np.bincount(group)[group] - 1
-    codes = codes.astype(np.min_scalar_type(n))
     valid = (pos_count > 0) & active
     if not valid.any():
         raise DegenerateBatchError("every anchor lacks positives")
-    invalid = ~valid
+    n_pos = np.maximum(pos_count, 1)
+    a_pos = np.where(valid, weight / n_pos, 0.0)  # P's weight in M = diag(w)(W - P)
+    pos_sim, anchor_partial, transposed = _positive_terms(x, group, a_pos, tau)
 
     if work is None:
         work = LossWorkspace()
-    sims, w, pos_mask, off_pos, off_den = work.views(n)
-    # one target comparison gives both masks: positives share the target
-    # and the side, the denominator spans the same side or the same
-    # target. Each mask is also kept as its complement, because filling
-    # the lanes outside a mask with np.putmask is several times faster
-    # than a where= copy or a multiply by a bool mask.
-    np.equal(codes[:, None], codes[None, :], out=pos_mask)
-    np.logical_not(pos_mask, out=off_den)
-    off_den[:n_known, :n_known] = False
-    off_den[n_known:, n_known:] = False
-    pos_mask[:n_known, n_known:] = False
-    pos_mask[n_known:, :n_known] = False
-    np.fill_diagonal(pos_mask, False)
-    np.fill_diagonal(off_den, True)
-    np.logical_not(pos_mask, out=off_pos)
-
-    np.matmul(x, x.T, out=sims)
-    sims /= tau
-    # the row max over the denominator mask, with -inf outside it; the
-    # positives lie inside it, so zeroing the rest leaves their sum
-    np.copyto(w, sims)
-    np.putmask(w, off_den, -np.inf)
-    mx = w.max(axis=1)
-    mx[invalid] = 0.0
-    np.putmask(w, off_pos, 0.0)
-    pos_sim = w.sum(axis=1)
-    # every entry inside the mask is at most its row's max, so the clamp
-    # changes none of them; it only keeps exp off the masked-out lanes,
-    # which are then zeroed
-    np.subtract(sims, mx[:, None], out=w)
-    np.minimum(w, 0.0, out=w)
-    np.exp(w, out=w)
-    np.putmask(w, off_den, 0.0)
-    # rows that anchor nothing get an all-zero softmax row and a unit
-    # denominator, so their log stays finite
-    w[invalid] = 0.0
-    denom = w.sum(axis=1)
-    denom[invalid] = 1.0
-    log_s = mx + np.log(denom)
-
-    per_anchor = weight * np.where(valid, log_s - pos_sim / np.maximum(pos_count, 1), 0.0)
+    blocks, shift, e_x1 = _exp_blocks(work, x, codes, n_known, valid, tau)
+    denom = e_x1[:, d]
+    denom[~valid] = 1.0
+    per_anchor = weight * np.where(valid, shift + np.log(denom) - pos_sim / n_pos, 0.0)
     value = float(per_anchor.sum())
     if not np.isfinite(value):
         raise NumericError("contrastive loss is non-finite")
 
-    # M = diag(weight)(W - P) in place of W
-    w /= denom[:, None]
-    np.subtract(w, (valid / np.maximum(pos_count, 1))[:, None], out=w, where=pos_mask)
-    if np.any(weight != 1.0):  # x * 1.0 is x: supcon and gamma 1 skip the pass
-        w *= weight[:, None]
-    anchor_partial = (w @ x) / tau
-    grad = anchor_partial + (w.T @ x) / tau
+    # W = diag(1/denom) E, so with a_exp = weight/denom, M x adds a_exp E x
+    # and M^T x adds each block's share of E^T (a_exp x)
+    a_exp = np.where(valid, weight / denom, 0.0)
+    e_x = e_x1[:, :d]
+    e_x *= a_exp[:, None]
+    anchor_partial += e_x
+    anchor_partial /= tau
+    ax = a_exp[:, None] * x
+    for side, block in blocks:
+        transposed += block @ ax[side]
+    grad = transposed
+    grad /= tau
+    grad += anchor_partial
 
     return LossResult(
         value=value,
@@ -216,9 +285,7 @@ def supcon_loss_grad(
 ) -> LossResult:
     """Supervised contrastive loss summed over anchors, with gradient."""
     z = _check_rows("z", z)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (z.shape[0],):
-        raise InvalidArgumentError("labels must align with embedding rows")
+    labels = _check_labels("labels", labels, len(z))
     return _stacked_core(z, labels, len(z), np.ones(len(z)), cfg.temperature, work)
 
 
@@ -232,10 +299,8 @@ def _dc_core(z, labels, u, u_targets, tau, known_weight, universum_weight, work=
     u = _check_rows("u", u)
     if z.shape[1] != u.shape[1]:
         raise InvalidArgumentError("z and u must share the embedding dimension")
-    labels = np.asarray(labels, dtype=np.int64)
-    u_targets = np.asarray(u_targets, dtype=np.int64)
-    if labels.shape != (z.shape[0],) or u_targets.shape != (u.shape[0],):
-        raise InvalidArgumentError("labels must align with embedding rows")
+    labels = _check_labels("labels", labels, len(z))
+    u_targets = _check_labels("u_targets", u_targets, len(u))
 
     x = np.concatenate([z, u])
     weight = np.repeat([known_weight, universum_weight], [len(z), len(u)])

@@ -256,10 +256,11 @@ def posteriors(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 def cross_entropy_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean cross entropy over rows; labels are 1-based class ids."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     n, k = logits.shape
-    if labels.shape != (n,) or labels.min() < 1 or labels.max() > k:
-        raise InvalidArgumentError("labels must be 1-based class ids matching the logits")
+    if (not np.issubdtype(labels.dtype, np.integer) or labels.shape != (n,)
+            or labels.min() < 1 or labels.max() > k):
+        raise InvalidArgumentError("labels must be 1-based integer class ids matching the logits")
     idx = labels - 1
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

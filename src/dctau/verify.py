@@ -294,7 +294,8 @@ def check_supcon_worked_example() -> CheckResult:
 
 
 def check_gradient_fd() -> CheckResult:
-    """Analytic vs central-difference gradients for all four losses."""
+    """Analytic vs central-difference gradients for all four losses, and
+    for the dual loss with fewer universum rows than known rows."""
     rng = np.random.default_rng(11)
     worst = 0.0
     cfg = LossConfig(temperature=0.3, gamma=0.7)
@@ -323,6 +324,18 @@ def check_gradient_fd() -> CheckResult:
         fd_z = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, cfg).value, z)
         fd_u = fd_grad(lambda: dc_total_loss_grad(z, labels, u, labels, cfg).value, u)
         worst = max(worst, rel_err(res.grad_z, fd_z), rel_err(res.grad_u, fd_u))
+
+    # fewer universum rows than known rows, their targets permuted against
+    # the labels; a generator of its own leaves the draws above as they were
+    rng = np.random.default_rng(29)
+    z = unit_rows(rng, 10, 6)
+    labels = labels_with_positives(rng, 10, 3)
+    u = unit_rows(rng, 6, 6)
+    u_targets = rng.permutation(labels)[:6]
+    res = dc_total_loss_grad(z, labels, u, u_targets, cfg)
+    fd_z = fd_grad(lambda: dc_total_loss_grad(z, labels, u, u_targets, cfg).value, z)
+    fd_u = fd_grad(lambda: dc_total_loss_grad(z, labels, u, u_targets, cfg).value, u)
+    worst = max(worst, rel_err(res.grad_z, fd_z), rel_err(res.grad_u, fd_u))
     ok = worst < _FD_RTOL
     return CheckResult("gradient_fd", ok, f"worst relative error {worst:.2e}")
 

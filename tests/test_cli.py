@@ -532,6 +532,24 @@ def test_split_csv_missing_a_row_exits_2(tmp_path, capsys, name):
     assert name in err and "rows" in err
 
 
+@pytest.mark.parametrize("drop", [2, 3])  # 3 is the highest known class of _FAST
+def test_a_split_csv_without_a_known_class_names_the_file_and_class(tmp_path, capsys, drop):
+    # a middle class is missed when the CSV is read, the highest one only
+    # when load_split widens the split to the train set's class count
+    data = tmp_path / "data"
+    assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
+    path = data / "test_known.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    kept = [row for row in rows if not row.endswith(f",{drop}")]
+    assert len(kept) < len(rows)
+    path.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+    code = _run(["train", "--out", str(tmp_path / "run"), "--quiet", *_FAST,
+                 "--set", f"data_dir={data}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: every class in 1..3 needs at least one row; missing: {drop}\n")
+
+
 def _npy_header(text):
     """An npy member whose header is the dict literal ``text``, over 32 doubles."""
     header = text.encode("latin1")

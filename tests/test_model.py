@@ -192,6 +192,9 @@ def test_softmax_posteriors_and_cross_entropy():
         cross_entropy_loss_grad(logits, np.array([0]))
     with pytest.raises(InvalidArgumentError):
         cross_entropy_loss_grad(logits, np.array([3]))
+    # 2.5 would truncate to class 2
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        cross_entropy_loss_grad(logits, np.array([2.5]))
 
 
 def _with_random_biases(params, seed):
