@@ -59,7 +59,7 @@ EFFECTIVE_CONFIG_FILE = "effective_config.txt"
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="config file of 'key = value' lines")
-    sub.add_argument("--seed", type=int, metavar="N", help="override the master seed")
+    sub.add_argument("--seed", metavar="N", help="override the master seed")
     sub.add_argument("--out", default="out", metavar="DIR", help="output directory (default: out)")
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub.add_argument(
@@ -113,7 +113,7 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value.strip()
     if args.seed is not None:
-        overrides["seed"] = str(args.seed)
+        overrides["seed"] = args.seed.strip()
     return overrides
 
 

@@ -164,12 +164,15 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
 
 
 def coerce_value(key: str, raw: str):
-    """Convert one raw string to the field's declared type."""
+    """Convert one raw string to the field's declared type; a number is plain
+    ASCII, as in a split CSV (``int()`` alone takes ``1_28`` and Arabic digits)."""
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key {key!r}")
+    kind = _FIELDS[key].type
+    if kind != "str" and (not raw.isascii() or "_" in raw):
+        raise ConfigError(f"{key}: expected {kind}, got {raw!r}")
     if key == "hidden":
         return _parse_hidden(raw)
-    kind = _FIELDS[key].type
     try:
         if kind == "int":
             return int(raw)

@@ -28,13 +28,29 @@ _EPOCH_RESHUFFLE_LIMIT = 50
 _ASCII_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
+def int_labels(name: str, values, rows: int, low=None, high=None, *, align="rows") -> np.ndarray:
+    """``values`` as int64 labels of shape ``(rows,)`` within ``low..high``
+    (either bound optional), checked for every label array the package takes.
+    A float, bool or str dtype is rejected, never cast: 1.7 would become 1."""
+    labels = np.asarray(values)
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidArgumentError(f"{name} must be integers, not {labels.dtype}")
+    if labels.shape != (rows,):
+        raise InvalidArgumentError(f"{name} must align with {align}")
+    if labels.size and ((low is not None and labels.min() < low)
+                        or (high is not None and labels.max() > high)):
+        bounds = f"{low}..{'' if high is None else high}, got {labels.min()}..{labels.max()}"
+        raise InvalidArgumentError(f"{name} must lie in {bounds}")
+    return labels.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labeled feature vectors.
 
-    ``labels`` are positive class ids in 1..class_count for ordinary
-    datasets; a dataset of unknowns carries ``class_count == 0`` and all
-    labels equal to ``UNKNOWN_LABEL``.
+    ``labels`` are integers (a non-integer dtype is rejected, not cast),
+    one per row, with every class of 1..class_count present; a dataset of
+    unknowns carries ``class_count == 0`` and all labels ``UNKNOWN_LABEL``.
     """
 
     features: np.ndarray
@@ -43,24 +59,15 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if self.features.ndim != 2:
             raise InvalidArgumentError("features must be a 2-d matrix")
-        if self.labels.shape != (self.features.shape[0],):
-            raise InvalidArgumentError("labels must have one entry per feature row")
-        if self.class_count == 0:
-            if self.labels.size and not np.all(self.labels == UNKNOWN_LABEL):
-                raise InvalidArgumentError("class_count 0 requires all-unknown labels")
-        else:
+        object.__setattr__(self, "labels", int_labels("labels", self.labels, self.features.shape[0],
+                           min(1, self.class_count), self.class_count, align="feature rows"))
+        if self.class_count:
             if self.features.shape[1] < 1:
                 raise InvalidArgumentError("feature dimension must be >= 1")
-            present = np.unique(self.labels)
-            if present.size and (present[0] < 1 or present[-1] > self.class_count):
-                raise InvalidArgumentError(
-                    f"labels must lie in 1..{self.class_count}, got {present[0]}..{present[-1]}"
-                )
-            if present.size != self.class_count:
-                missing = np.setdiff1d(np.arange(1, self.class_count + 1), present)
+            if np.unique(self.labels).size != self.class_count:
+                missing = np.setdiff1d(np.arange(1, self.class_count + 1), self.labels)
                 raise InvalidArgumentError(
                     f"every class in 1..{self.class_count} needs at least one row; "
                     f"missing: {', '.join(map(str, missing))}"
@@ -96,16 +103,17 @@ class OpenSplit:
 
 @dataclass(frozen=True)
 class Batch:
-    """One training batch."""
+    """One training batch; labels are any integers, one per row, never cast."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
-            raise InvalidArgumentError("batch features/labels shapes are inconsistent")
+        if self.features.ndim != 2:
+            raise InvalidArgumentError("batch features must be a 2-d matrix")
+        object.__setattr__(self, "labels", int_labels(
+            "labels", self.labels, self.features.shape[0], align="feature rows"))
 
     @property
     def size(self) -> int:
@@ -139,17 +147,19 @@ def held_out_count(class_rows: int, test_fraction: float) -> int:
 def split_open_set(ds: Dataset, known_ids, test_fraction: float, seed: int) -> OpenSplit:
     """Partition a dataset into train / test_known / test_unknown.
 
+    ``known_ids`` are distinct integer class ids in 1..class_count, fewer
+    than class_count of them; a non-integer dtype is rejected, never cast.
     Known-class rows are split per class: floor(n_c * test_fraction) rows
     go to test_known and the remainder (including odd leftovers) to train.
     Every row of a non-known class lands in test_unknown with label
     ``UNKNOWN_LABEL``.
     """
-    known = sorted(set(int(k) for k in known_ids))
-    all_ids = set(range(1, ds.class_count + 1))
-    if not known:
-        raise InvalidArgumentError("known_ids must be non-empty")
-    if not set(known) < all_ids:
-        raise InvalidArgumentError("known_ids must be a strict subset of the dataset's classes")
+    ids = np.asarray(known_ids)
+    known = sorted(set(int_labels("known_ids", ids, ids.size, 1, ds.class_count).tolist()))
+    if len(known) < ids.size:
+        raise InvalidArgumentError("known_ids must be distinct")
+    if not 0 < len(known) < ds.class_count:
+        raise InvalidArgumentError("known_ids must be a non-empty strict subset of the classes")
     if not 0.0 < test_fraction < 1.0:
         raise InvalidArgumentError("test_fraction must lie in (0, 1)")
 

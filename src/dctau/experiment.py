@@ -233,6 +233,9 @@ def evaluate_params(params: ModelParams, split: OpenSplit, cfg: TrainConfig) -> 
     Each of the three row sets goes through the model once; the report
     keeps the two test posterior matrices.
     """
+    if cfg.data_dir and not split.test_unknown.n_rows:
+        path = os.path.join(cfg.data_dir, TEST_UNKNOWN_CSV)
+        raise InvalidArgumentError(f"{path}: no rows, and evaluation scores unknown rows")
     start = time.perf_counter()
     train_post = posteriors(params, split.train.features)
     table = fit_thresholds(train_post, split.train.labels, cfg.percentile)

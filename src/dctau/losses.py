@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import int_labels
 from .errors import DegenerateBatchError, InvalidArgumentError, NumericError
 
 _UNIT_NORM_ATOL = 1e-3
@@ -122,15 +123,6 @@ def _check_rows(name: str, rows: np.ndarray) -> np.ndarray:
         if np.any(np.abs(norms - 1.0) > _UNIT_NORM_ATOL):
             raise InvalidArgumentError(f"{name} rows must be (approximately) unit-norm")
     return rows
-
-
-def _check_labels(name: str, labels, rows: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size and not np.issubdtype(labels.dtype, np.integer):
-        raise InvalidArgumentError(f"{name} must be integers, not {labels.dtype}")
-    if labels.shape != (rows,):
-        raise InvalidArgumentError(f"{name} must align with embedding rows")
-    return labels.astype(np.int64, copy=False)
 
 
 def _positive_terms(x: np.ndarray, group: np.ndarray, a_pos: np.ndarray, tau: float):
@@ -285,7 +277,7 @@ def supcon_loss_grad(
 ) -> LossResult:
     """Supervised contrastive loss summed over anchors, with gradient."""
     z = _check_rows("z", z)
-    labels = _check_labels("labels", labels, len(z))
+    labels = int_labels("labels", labels, len(z), align="embedding rows")
     return _stacked_core(z, labels, len(z), np.ones(len(z)), cfg.temperature, work)
 
 
@@ -299,8 +291,8 @@ def _dc_core(z, labels, u, u_targets, tau, known_weight, universum_weight, work=
     u = _check_rows("u", u)
     if z.shape[1] != u.shape[1]:
         raise InvalidArgumentError("z and u must share the embedding dimension")
-    labels = _check_labels("labels", labels, len(z))
-    u_targets = _check_labels("u_targets", u_targets, len(u))
+    labels = int_labels("labels", labels, len(z), align="embedding rows")
+    u_targets = int_labels("u_targets", u_targets, len(u), align="embedding rows")
 
     x = np.concatenate([z, u])
     weight = np.repeat([known_weight, universum_weight], [len(z), len(u)])

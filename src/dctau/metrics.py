@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNKNOWN_LABEL
+from .data import int_labels
 from .errors import InvalidArgumentError
 
 
@@ -66,14 +66,14 @@ def oscr_curve(known_posteriors, known_true_labels, unknown_posteriors) -> OscrC
     At cutoff delta, ccr counts known rows that are correctly argmax
     classified with confidence >= delta (over all knowns) and fpr
     counts unknown rows with confidence >= delta (over all unknowns).
+    ``known_true_labels`` holds one integer class id per known row.
     """
     kp = np.asarray(known_posteriors, dtype=np.float64)
     up = np.asarray(unknown_posteriors, dtype=np.float64)
-    true_labels = np.asarray(known_true_labels, dtype=np.int64)
     if kp.ndim != 2 or kp.shape[0] == 0 or up.ndim != 2 or up.shape[0] == 0:
         raise InvalidArgumentError("need non-empty known and unknown posterior sets")
-    if true_labels.shape != (kp.shape[0],):
-        raise InvalidArgumentError("true labels must align with known posterior rows")
+    true_labels = int_labels("known_true_labels", known_true_labels, kp.shape[0],
+                             align="known posterior rows")
 
     known_conf = kp.max(axis=1)
     correct = kp.argmax(axis=1) + 1 == true_labels
@@ -112,37 +112,31 @@ def oscr(known_posteriors, known_true_labels, unknown_posteriors) -> float:
 def macro_f1(predicted, truth, num_known: int) -> float:
     """Unweighted mean F1 over the K known classes plus the unknown class.
 
-    Every label must lie in 0..num_known (0 is the unknown class). A
-    class absent from both prediction and truth scores 0 and still
-    counts toward the mean.
+    ``predicted`` and ``truth`` are 1-d integer arrays of one length,
+    every label in 0..num_known (0 is the unknown class); a non-integer
+    dtype is rejected, never cast. A class absent from both prediction
+    and truth scores 0 and still counts toward the mean.
     """
-    pred = np.asarray(predicted, dtype=np.int64)
-    true = np.asarray(truth, dtype=np.int64)
-    if pred.shape != true.shape:
-        raise InvalidArgumentError("predicted and truth must have equal length")
     if num_known < 1:
         raise InvalidArgumentError("num_known must be >= 1")
-    if np.any((pred < 0) | (pred > num_known) | (true < 0) | (true > num_known)):
-        raise InvalidArgumentError(f"labels must lie in 0..{num_known}")
+    true = int_labels("truth", truth, np.size(predicted), 0, num_known, align="predicted")
+    pred = int_labels("predicted", predicted, true.size, 0, num_known, align="truth")
 
     m = num_known + 1
     hits = np.bincount(pred[pred == true], minlength=m)
     # 2tp + fp + fn of a class is its predicted count plus its true count
-    denom = np.bincount(pred.ravel(), minlength=m) + np.bincount(true.ravel(), minlength=m)
+    denom = np.bincount(pred, minlength=m) + np.bincount(true, minlength=m)
     f1s = np.divide(2 * hits, denom, out=np.zeros(m), where=denom > 0)
     return float(np.mean(f1s))
 
 
 def closed_accuracy(predicted, truth) -> float:
-    """Fraction of exact matches; truth must not contain the unknown label."""
-    pred = np.asarray(predicted, dtype=np.int64)
-    true = np.asarray(truth, dtype=np.int64)
-    if pred.shape != true.shape:
-        raise InvalidArgumentError("predicted and truth must have equal length")
+    """Fraction of exact matches of two integer label arrays of one length
+    (a non-integer dtype is rejected, never cast); truth labels are >= 1."""
+    true = int_labels("truth", truth, np.size(predicted), 1, align="predicted")
+    pred = int_labels("predicted", predicted, true.size, align="truth")
     if true.size == 0:
         raise InvalidArgumentError("truth must be non-empty")
-    if np.any(true == UNKNOWN_LABEL):
-        raise InvalidArgumentError("truth labels must be known classes")
     return float(np.mean(pred == true))
 
 

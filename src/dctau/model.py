@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import TrainConfig
-from .data import Batch, OpenSplit, augment_gaussian, epoch_batches
+from .data import Batch, OpenSplit, augment_gaussian, epoch_batches, int_labels
 from .errors import InvalidArgumentError, NumericError
 from .losses import LossConfig, LossWorkspace, dc_total_loss_grad, supcon_loss_grad
 from .universum import make_universum
@@ -255,13 +255,11 @@ def posteriors(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Mean cross entropy over rows; labels are 1-based class ids."""
-    labels = np.asarray(labels)
+    """Mean cross entropy over rows; labels are integer class ids in 1..k."""
     n, k = logits.shape
-    if (not np.issubdtype(labels.dtype, np.integer) or labels.shape != (n,)
-            or labels.min() < 1 or labels.max() > k):
-        raise InvalidArgumentError("labels must be 1-based integer class ids matching the logits")
-    idx = labels - 1
+    if n == 0:
+        raise InvalidArgumentError("cross entropy needs at least one logit row")
+    idx = int_labels("labels", labels, n, 1, k, align="logit rows") - 1
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     value = float(-log_probs[np.arange(n), idx].mean())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNKNOWN_LABEL
+from .data import UNKNOWN_LABEL, int_labels
 from .errors import InvalidArgumentError
 
 _POSTERIOR_ATOL = 1e-6
@@ -62,7 +62,8 @@ def fit_thresholds(
 ) -> ThresholdTable:
     """Estimate rejection thresholds from training confidences.
 
-    Class i's threshold is the given percentile (linear interpolation)
+    ``train_labels`` are integer class ids in 1..k, never cast. Class i's
+    threshold is the given percentile (linear interpolation)
     of the max-posterior confidences of its correctly classified rows.
     A class with no correct rows falls back to the global percentile
     over the correct rows of every class (over all rows if none is
@@ -71,12 +72,9 @@ def fit_thresholds(
     if not 0.0 < percentile < 100.0:
         raise InvalidArgumentError("percentile must lie in (0, 100)")
     posteriors = _check_posteriors(train_posteriors)
-    labels = np.asarray(train_labels, dtype=np.int64)
-    if labels.shape != (posteriors.shape[0],):
-        raise InvalidArgumentError("labels must align with posterior rows")
     k = posteriors.shape[1]
-    if labels.min() < 1 or labels.max() > k:
-        raise InvalidArgumentError(f"labels must lie in 1..{k}")
+    labels = int_labels("train_labels", train_labels, posteriors.shape[0], 1, k,
+                        align="posterior rows")
 
     conf = posteriors.max(axis=1)
     predicted = posteriors.argmax(axis=1) + 1
@@ -104,8 +102,7 @@ def predict_open_many(posteriors: np.ndarray, table: ThresholdTable) -> np.ndarr
         raise InvalidArgumentError("posterior width must match the threshold table")
     best = posteriors.argmax(axis=1)
     conf = posteriors[np.arange(posteriors.shape[0]), best]
-    labels = np.where(conf >= table.thresholds[best], best + 1, UNKNOWN_LABEL)
-    return labels.astype(np.int64)
+    return np.where(conf >= table.thresholds[best], best + 1, UNKNOWN_LABEL)
 
 
 def write_thresholds_csv(table: ThresholdTable, path) -> None:

@@ -383,6 +383,23 @@ def test_a_saved_split_with_one_known_class_needs_contrastive_epochs_0(tmp_path,
     assert capsys.readouterr().err == ""
 
 
+def test_an_empty_test_unknown_csv_trains_but_eval_names_the_file(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert _run(["generate", "--out", str(data), "--quiet", *_FAST]) == 0
+    path = data / "test_unknown.csv"
+    path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    for stale in (data / "test_unknown.csv.npz", data / "manifest.json"):
+        stale.unlink()
+    assert _run(["train", "--out", str(run), "--quiet", *_FAST,
+                 "--set", f"data_dir={data}"]) == 0
+    out = tmp_path / "eval"
+    code = _run(["eval", "--checkpoint", str(run / CHECKPOINT_FILE), "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: no rows, and evaluation scores unknown rows\n"
+    assert not (out / REPORT_FILE).exists()
+
+
 def test_missing_files_exit_codes(tmp_path, capsys):
     code = _run(["eval", "--checkpoint", str(tmp_path / "absent.bin"),
                  "--out", str(tmp_path)])

@@ -203,3 +203,37 @@ def test_set_of_a_split_without_two_training_rows_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "per_class" in err and "test_fraction" in err
+
+
+# int() and float() alone take these; a split CSV's reader does not
+_NOT_PLAIN_ASCII = [("batch_size", "1_28"), ("seed", "١٢"), ("lam", "０.5"),
+                    ("hidden", "6_4,8")]
+
+
+@pytest.mark.parametrize("key, raw", _NOT_PLAIN_ASCII, ids=["underscore", "arabic-indic",
+                                                          "fullwidth", "hidden-underscore"])
+def test_a_config_number_must_be_plain_ascii(tmp_path, capsys, key, raw):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    for flags in (["--config", str(cfg_file)], ["--set", f"{key}={raw}"]):
+        code = main(["generate", "--out", str(tmp_path / "out"), "--quiet", *flags])
+        assert code == 2, flags
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected"), flags
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--seed", "١٢"], ["--seed", "1_2"],
+                                   ["--sweep", "lambda", "--values", "0_5"],
+                                   ["--sweep", "lambda", "--seeds", "1,٢"]],
+                         ids=["seed-digits", "seed-underscore", "values", "seeds"])
+def test_a_number_flag_must_be_plain_ascii(tmp_path, capsys, flags):
+    command = "ablate" if "--sweep" in flags else "generate"
+    code = main([command, "--out", str(tmp_path), "--quiet", *flags])
+    assert code == 2
+    assert "expected" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep_*.csv")) and not list(tmp_path.glob("*.csv"))
+
+
+def test_plain_numbers_still_parse():
+    assert parse_config_text("batch_size = +16\nlam = 1e-1\nseed = 007\nhidden = 8, 4\n") == {
+        "batch_size": 16, "lam": 0.1, "seed": 7, "hidden": (8, 4)}

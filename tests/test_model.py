@@ -195,6 +195,9 @@ def test_softmax_posteriors_and_cross_entropy():
     # 2.5 would truncate to class 2
     with pytest.raises(InvalidArgumentError, match="integer"):
         cross_entropy_loss_grad(logits, np.array([2.5]))
+    # zero rows: no mean to take, and no RuntimeWarning either
+    with pytest.raises(InvalidArgumentError, match="at least one logit row"):
+        cross_entropy_loss_grad(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
 
 def _with_random_biases(params, seed):
