@@ -28,14 +28,18 @@ _EPOCH_RESHUFFLE_LIMIT = 50
 _ASCII_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def int_labels(name: str, values, rows: int, low=None, high=None, *, align="rows") -> np.ndarray:
+def int_labels(name: str, values, rows, low=None, high=None, *, align="rows") -> np.ndarray:
     """``values`` as int64 labels of shape ``(rows,)`` within ``low..high``
     (either bound optional), checked for every label array the package takes.
-    A float, bool or str dtype is rejected, never cast: 1.7 would become 1."""
-    labels = np.asarray(values)
+    ``rows`` None takes a 1-d array of any length. A float, bool or str
+    dtype is rejected, never cast: 1.7 would become 1. So are ragged rows."""
+    try:
+        labels = np.asarray(values)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise InvalidArgumentError(f"{name} must be integers, not ragged rows") from exc
     if labels.size and not np.issubdtype(labels.dtype, np.integer):
         raise InvalidArgumentError(f"{name} must be integers, not {labels.dtype}")
-    if labels.shape != (rows,):
+    if labels.ndim != 1 or (rows is not None and labels.size != rows):
         raise InvalidArgumentError(f"{name} must align with {align}")
     if labels.size and ((low is not None and labels.min() < low)
                         or (high is not None and labels.max() > high)):
@@ -154,8 +158,8 @@ def split_open_set(ds: Dataset, known_ids, test_fraction: float, seed: int) -> O
     Every row of a non-known class lands in test_unknown with label
     ``UNKNOWN_LABEL``.
     """
-    ids = np.asarray(known_ids)
-    known = sorted(set(int_labels("known_ids", ids, ids.size, 1, ds.class_count).tolist()))
+    ids = int_labels("known_ids", known_ids, None, 1, ds.class_count)
+    known = sorted(set(ids.tolist()))
     if len(known) < ids.size:
         raise InvalidArgumentError("known_ids must be distinct")
     if not 0 < len(known) < ds.class_count:

@@ -28,7 +28,10 @@ lanes that target the anchor's class. A side none of whose rows anchors,
 such as the universum side at gamma 0, has no block. Each block's exps E give
 E x and the denominators in one gemm and E^T x in another; P and the
 positive similarity sums come from per-(side, target) row sums instead
-of an n x n mask. The blocks live in a LossWorkspace that training
+of an n x n mask. One side is finished, its share of E^T x included,
+before the other's block is built, so the two sides share one block
+buffer, and the cross mask is built once: the universum side reads the
+known side's mask transposed. Both live in a LossWorkspace that training
 reuses every step.
 
 Log-sum-exp shifts each anchor by its maximum over its denominator
@@ -38,6 +41,7 @@ universum rows is bitwise identical to supcon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +49,8 @@ import numpy as np
 from .data import int_labels
 from .errors import DegenerateBatchError, InvalidArgumentError, NumericError
 
-_UNIT_NORM_ATOL = 1e-3
+# a row is unit-norm when | |row| - 1 | <= 1e-3, checked on its squared norm
+_UNIT_SQ_NORM = ((1 - 1e-3) ** 2, (1 + 1e-3) ** 2)
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,11 @@ class LossConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise InvalidArgumentError("temperature must be > 0")
-        if self.gamma < 0:
-            raise InvalidArgumentError("gamma must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise InvalidArgumentError(
+                f"temperature must be a finite number > 0, got {self.temperature}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise InvalidArgumentError(f"gamma must be a finite number >= 0, got {self.gamma}")
 
     @property
     def include_universum_term(self) -> bool:
@@ -93,14 +99,17 @@ class LossResult:
 
 
 class LossWorkspace:
-    """The loss core's block buffers, kept between calls.
+    """The training step's large buffers, kept between calls: the loss
+    core's block and cross mask, and the forward pass's layer outputs.
 
-    A training run makes one and passes it to every loss call. Each
-    buffer is flat and grows on demand; a call works in contiguous views
-    of its first entries, so one workspace serves every batch size.
-    Blocks made fresh on every call cost page faults instead: glibc hands
-    a large freed block back to the system, and the next call faults it
-    in again. Nothing the core returns aliases these buffers.
+    A training run makes one and passes it to every embed and loss call,
+    so a step's arrays stay within a core's L2 cache. Each buffer is flat
+    and grows on demand; a call works in contiguous views of its first
+    entries, so one workspace serves every batch size. Arrays made fresh
+    on every call cost page faults instead: glibc hands a large freed
+    block back to the system, and the next call faults it in again.
+    Nothing the loss core returns aliases these buffers; what embed
+    returns does, until the next embed on the same workspace.
     """
 
     def __init__(self):
@@ -118,10 +127,10 @@ def _check_rows(name: str, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise InvalidArgumentError(f"{name} must be a 2-d matrix")
-    if rows.shape[0]:
-        norms = np.linalg.norm(rows, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_NORM_ATOL):
-            raise InvalidArgumentError(f"{name} rows must be (approximately) unit-norm")
+    sq_norms = np.vecdot(rows, rows)
+    # accept only within the tolerance, so a NaN row is rejected too
+    if not np.all((sq_norms >= _UNIT_SQ_NORM[0]) & (sq_norms <= _UNIT_SQ_NORM[1])):
+        raise InvalidArgumentError(f"{name} rows must be (approximately) unit-norm")
     return rows
 
 
@@ -144,25 +153,25 @@ def _positive_terms(x: np.ndarray, group: np.ndarray, a_pos: np.ndarray, tau: fl
     return pos_sim, pos_x, transposed
 
 
-def _exp_side(work, name, x, xs, codes, side, other):
+def _exp_side(work, x, xs, mask, side, other):
     """The exps of one side's anchors' lanes, and the anchors' shifts.
 
     The block holds every stacked row's lane against the side's anchors,
     one anchor per column, with the rows in stacked order: block[side]
-    holds the same-side lanes and block[other] the cross lanes. Each
-    column is shifted by its maximum over the anchor's denominator
-    lanes. The diagonal, and the other side's rows that target another
-    class, are not denominator lanes and end as 0.
+    holds the same-side lanes and block[other] the cross lanes, which
+    mask, 1 where the row targets the anchor's class, keeps. Each column
+    is shifted by its maximum over the anchor's denominator lanes. The
+    diagonal, and the other side's rows that target another class, are
+    not denominator lanes and end as 0. Both sides share the block
+    buffer.
     """
     n, m = x.shape[0], side.stop - side.start
-    block = work.buffer(name, n, m)
+    block = work.buffer("block", n, m)
     np.matmul(x, xs[side].T, out=block)
     same, cross = block[side], block[other]
     diagonal = same.reshape(-1)[:: m + 1]  # a view: same is contiguous
     diagonal[:] = -np.inf
     shift = same.max(axis=0)  # finite: a side with an anchor has another row
-    mask = work.buffer(f"{name}.mask", n - m, m)
-    np.equal(codes[other, None], codes[None, side], out=mask)
     # the other side's rows that target the anchor's class may lift its
     # shift: with the rest masked to 0, a column's maximum of cross - shift,
     # floored at 0, is the lift
@@ -179,27 +188,6 @@ def _exp_side(work, name, x, xs, codes, side, other):
     diagonal[:] = 0.0
     cross *= mask
     return block, shift
-
-
-def _exp_blocks(work, x, codes, n_known, valid, tau):
-    """The exp blocks of the sides that anchor, the shifts, and E [x | 1].
-
-    E [x | 1] stacks each anchor's exp-weighted sum of x and its
-    denominator, which rides on the same gemm as a column of ones.
-    """
-    n, d = x.shape
-    xs = x / tau
-    x_ones = np.hstack([x, np.ones((n, 1))])
-    shift = np.zeros(n)
-    e_x1 = np.zeros((n, d + 1))
-    blocks = []
-    known, univ = slice(0, n_known), slice(n_known, n)
-    for side, other, name in ((known, univ, "known"), (univ, known, "universum")):
-        if valid[side].any():
-            block, shift[side] = _exp_side(work, name, x, xs, codes, side, other)
-            np.matmul(block.T, x_ones, out=e_x1[side])
-            blocks.append((side, block))
-    return blocks, shift, e_x1
 
 
 def _stacked_core(
@@ -239,24 +227,41 @@ def _stacked_core(
 
     if work is None:
         work = LossWorkspace()
-    blocks, shift, e_x1 = _exp_blocks(work, x, codes, n_known, valid, tau)
+    known, univ = slice(0, n_known), slice(n_known, n)
+    # 1 where a universum row targets a known row's class
+    mask = work.buffer("cross mask", n - n_known, n_known)
+    np.equal(codes[univ, None], codes[None, known], out=mask)
+    xs = x / tau
+    x_ones = np.hstack([x, np.ones((n, 1))])
+    # E [x | 1] stacks each anchor's exp-weighted sum of x and its
+    # denominator, which rides on the same gemm as a column of ones
+    e_x1 = np.zeros((n, d + 1))
     denom = e_x1[:, d]
-    denom[~valid] = 1.0
-    per_anchor = weight * np.where(valid, shift + np.log(denom) - pos_sim / n_pos, 0.0)
+    per_anchor = np.zeros(n)
+    a_exp = np.zeros(n)
+    for side, other, side_mask in ((known, univ, mask), (univ, known, mask.T)):
+        ok = valid[side]
+        if not ok.any():
+            continue
+        block, shift = _exp_side(work, x, xs, side_mask, side, other)
+        np.matmul(block.T, x_ones, out=e_x1[side])
+        denom[side][~ok] = 1.0
+        per_anchor[side] = weight[side] * np.where(
+            ok, shift + np.log(denom[side]) - pos_sim[side] / n_pos[side], 0.0)
+        if not np.isfinite(per_anchor[side]).all():
+            raise NumericError("contrastive loss is non-finite")
+        # W = diag(1/denom) E, so with a_exp = weight/denom, M x adds
+        # a_exp E x, and M^T x adds this side's E^T (a_exp x)
+        a_exp[side] = np.where(ok, weight[side] / denom[side], 0.0)
+        transposed += block @ (a_exp[side, None] * x[side])
     value = float(per_anchor.sum())
     if not np.isfinite(value):
         raise NumericError("contrastive loss is non-finite")
 
-    # W = diag(1/denom) E, so with a_exp = weight/denom, M x adds a_exp E x
-    # and M^T x adds each block's share of E^T (a_exp x)
-    a_exp = np.where(valid, weight / denom, 0.0)
     e_x = e_x1[:, :d]
     e_x *= a_exp[:, None]
     anchor_partial += e_x
     anchor_partial /= tau
-    ax = a_exp[:, None] * x
-    for side, block in blocks:
-        transposed += block @ ax[side]
     grad = transposed
     grad /= tau
     grad += anchor_partial

@@ -119,7 +119,7 @@ def macro_f1(predicted, truth, num_known: int) -> float:
     """
     if num_known < 1:
         raise InvalidArgumentError("num_known must be >= 1")
-    true = int_labels("truth", truth, np.size(predicted), 0, num_known, align="predicted")
+    true = int_labels("truth", truth, None, 0, num_known)
     pred = int_labels("predicted", predicted, true.size, 0, num_known, align="truth")
 
     m = num_known + 1
@@ -133,7 +133,7 @@ def macro_f1(predicted, truth, num_known: int) -> float:
 def closed_accuracy(predicted, truth) -> float:
     """Fraction of exact matches of two integer label arrays of one length
     (a non-integer dtype is rejected, never cast); truth labels are >= 1."""
-    true = int_labels("truth", truth, np.size(predicted), 1, align="predicted")
+    true = int_labels("truth", truth, None, 1)
     pred = int_labels("predicted", predicted, true.size, align="truth")
     if true.size == 0:
         raise InvalidArgumentError("truth must be non-empty")

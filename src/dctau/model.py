@@ -61,11 +61,16 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Each layer's input and pre-activation in embed's chain of encoder
-    then projection layers, for exact backprop."""
+    """What exact backprop needs of embed's chain of encoder then
+    projection layers: each layer's input, the projection's row norms
+    and z.
+
+    The first input is embed's input and each later one a ReLU output,
+    whose sign is that ReLU's mask. backprop_embedding consumes the
+    trace: it overwrites z and every layer input but the first.
+    """
 
     inputs: list[np.ndarray]
-    pres: list[np.ndarray]
     p_norm: np.ndarray
     z: np.ndarray
 
@@ -98,32 +103,44 @@ def init_params(dim: int, hidden, proj_dim: int, num_classes: int, seed: int) ->
     return ModelParams(tuple(encoder), projection, (make_layer(width, num_classes),))
 
 
-def _chain_forward(layers, x):
-    """Run x through dense layers with a ReLU between consecutive ones."""
-    inputs, pres = [], []
-    for layer in layers:
-        if pres:
-            x = np.maximum(pres[-1], 0.0)
+def _chain_forward(layers, x, work=None):
+    """Run x through dense layers with a ReLU between consecutive ones;
+    returns the output and each layer's input.
+
+    Each layer's product is written into its buffer of the workspace
+    (without one, of a throwaway one), and its bias and ReLU are applied
+    in place, so the output and every input but x are workspace views.
+    """
+    if work is None:
+        work = LossWorkspace()
+    inputs = []
+    for idx, layer in enumerate(layers):
+        if idx:
+            np.maximum(x, 0.0, out=x)
         inputs.append(x)
-        pres.append(x @ layer.weight + layer.bias)
-    return (pres[-1] if pres else x), inputs, pres
+        x = np.matmul(x, layer.weight, out=work.buffer(f"layer {idx}", len(x), layer.bias.size))
+        x += layer.bias
+    return x, inputs
 
 
-def _chain_backward(layers, inputs, pres, d_out, grads) -> None:
+def _chain_backward(layers, inputs, d_out, grads) -> None:
     """Backward through _chain_forward, whose chains never end in a ReLU;
     writes each layer's d_weight and d_bias into the matching layer of
     grads.
 
+    Consumes inputs: once layer idx has its d_weight, its input is needed
+    only for the sign that is the previous ReLU's mask, so the mask is
+    taken and the delta for layer idx - 1 is written over that input.
     No caller needs the gradient with respect to the chain's input, so
-    it is never computed.
+    it is never computed and inputs[0] is left alone.
     """
-    last = len(layers) - 1
-    for idx in range(last, -1, -1):
-        ds = d_out if idx == last else d_out * (pres[idx] > 0)
-        np.matmul(inputs[idx].T, ds, out=grads[idx].weight)
-        ds.sum(axis=0, out=grads[idx].bias)
+    for idx in range(len(layers) - 1, -1, -1):
+        np.matmul(inputs[idx].T, d_out, out=grads[idx].weight)
+        d_out.sum(axis=0, out=grads[idx].bias)
         if idx:
-            d_out = ds @ layers[idx].weight.T
+            mask = inputs[idx] > 0
+            d_out = np.matmul(d_out, layers[idx].weight.T, out=inputs[idx])
+            d_out *= mask
 
 
 def _flatten(layers, copy: bool = True):
@@ -168,17 +185,24 @@ def _check_inputs(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def embed(params: ModelParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Encoder + projection + L2 normalization; rows of z are unit-norm."""
+def embed(
+    params: ModelParams, inputs: np.ndarray, work: LossWorkspace | None = None
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Encoder + projection + L2 normalization; rows of z are unit-norm.
+
+    z and the trace's layer outputs are views into the workspace (a
+    throwaway one without it), valid until the next embed on it.
+    """
     inputs = _check_inputs(params, inputs)
-    p, layer_inputs, pres = _chain_forward(params.encoder + params.projection, inputs)
+    p, layer_inputs = _chain_forward(params.encoder + params.projection, inputs, work)
     if not np.isfinite(p).all():
         raise NumericError("projection output is non-finite")
     norms = np.linalg.norm(p, axis=1)
     if np.any(norms < _NORM_FLOOR):
         raise NumericError("projection output has (near-)zero norm; cannot normalize")
-    z = p / norms[:, None]
-    return z, ForwardTrace(layer_inputs, pres, norms, z)
+    z = p
+    z /= norms[:, None]
+    return z, ForwardTrace(layer_inputs, norms, z)
 
 
 def backprop_embedding(
@@ -192,39 +216,41 @@ def backprop_embedding(
     one DenseLayer per encoder and projection layer. The normalization
     Jacobian (I - z z^T)/|p| is applied first, so any gradient component
     parallel to z is discarded.
+
+    The trace is consumed: d(loss)/d(p) is written over trace.z, and each
+    layer's delta over the layer input that the pass no longer needs, so
+    a trace backs one call only, and z is spent after it.
     """
     d_z = np.asarray(d_z, dtype=np.float64)
     if d_z.shape != trace.z.shape:
         raise InvalidArgumentError("d_z shape must match the embedding rows")
-    d_p = (d_z - (d_z * trace.z).sum(axis=1, keepdims=True) * trace.z) / trace.p_norm[:, None]
+    d_p = trace.z
+    d_p *= (d_z * d_p).sum(axis=1, keepdims=True)
+    np.subtract(d_z, d_p, out=d_p)
+    d_p /= trace.p_norm[:, None]
     layers = params.encoder + params.projection
     if grads is None:
         grads = _flatten(layers, copy=False)[1]
-    _chain_backward(layers, trace.inputs, trace.pres, d_p, grads)
+    _chain_backward(layers, trace.inputs, d_p, grads)
     return grads
 
 
 def _encode(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Encoder features E(x) of checked inputs.
-
-    The bits embed's chain feeds the first projection layer, but with
-    nothing kept for backprop: each layer makes one array and adds its
-    bias and applies its ReLU in place.
-    """
+    """Encoder features E(x) of checked inputs: the encoder's chain and
+    its last ReLU, the bits embed's chain feeds the first projection layer."""
     x = _check_inputs(params, inputs)
-    for layer in params.encoder:
-        s = x @ layer.weight
-        s += layer.bias
-        x = np.maximum(s, 0.0, out=s)
+    if params.encoder:
+        x = _chain_forward(params.encoder, x)[0]
+        np.maximum(x, 0.0, out=x)
     return x
 
 
 def _classify(classifier, feats: np.ndarray):
-    """Classifier forward on encoder features; returns (logits, inputs, pres)."""
-    logits, cls_in, cls_pre = _chain_forward(classifier, feats)
+    """Classifier forward on encoder features; returns (logits, inputs)."""
+    logits, cls_in = _chain_forward(classifier, feats)
     if not np.isfinite(logits).all():
         raise NumericError("classifier logits are non-finite")
-    return logits, cls_in, cls_pre
+    return logits, cls_in
 
 
 def forward_classifier(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
@@ -233,8 +259,10 @@ def forward_classifier(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax; logits are left unchanged."""
+    """Row-wise stable softmax of a 2-d array; logits are left unchanged."""
     logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2:
+        raise InvalidArgumentError(f"logits must be a 2-d matrix, got {logits.ndim}-d")
     e = logits - logits.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
@@ -291,8 +319,8 @@ class Schedule:
 class OptimizerState:
     """Adam over one flat float64 parameter vector, updated in place.
 
-    The moments m and v are created at the first step, shaped like the
-    vector. Weight decay is decoupled: applied directly to parameters,
+    The moments m and v, and two rows of scratch for the update's
+    temporaries, are created at the first step, shaped like the vector. Weight decay is decoupled: applied directly to parameters,
     scaled by the current learning rate, never entering the moments.
     names holds each array's name and end offset in the vector, so a
     non-finite gradient is reported by layer.
@@ -304,6 +332,7 @@ class OptimizerState:
     names: tuple[tuple[str, int], ...] = ()
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    scratch: np.ndarray | None = None
 
 
 def _locate(names, grads: np.ndarray) -> str:
@@ -331,16 +360,26 @@ def optimizer_step(
     lr = state.schedule.lr_at(epoch)
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+        state.scratch = np.empty((2, params.size))
     state.step_count += 1
     t, m, v = state.step_count, state.m, state.v
+    step, tmp = state.scratch
     m *= _ADAM_BETA1
-    m += (1 - _ADAM_BETA1) * grads
+    m += np.multiply(grads, 1 - _ADAM_BETA1, out=tmp)
     v *= _ADAM_BETA2
-    v += ((1 - _ADAM_BETA2) * grads) * grads
-    step = (m / (1 - _ADAM_BETA1**t)) / (np.sqrt(v / (1 - _ADAM_BETA2**t)) + _ADAM_EPS)
-    decay = params * (lr * state.weight_decay)  # the parameters before this step
-    params -= step * lr
-    params -= decay
+    np.multiply(grads, 1 - _ADAM_BETA2, out=tmp)
+    tmp *= grads
+    v += tmp
+    np.divide(m, 1 - _ADAM_BETA1**t, out=step)
+    np.divide(v, 1 - _ADAM_BETA2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += _ADAM_EPS
+    step /= tmp
+    step *= lr
+    # decoupled decay, of the parameters before this step
+    np.multiply(params, lr * state.weight_decay, out=tmp)
+    params -= step
+    params -= tmp
 
 
 # --- training ----------------------------------------------------------
@@ -351,12 +390,12 @@ def _loss_step(params: ModelParams, view: Batch, num_known: int, cfg: TrainConfi
     """Forward + loss for one batch; returns (loss value, d_z for all rows, trace)."""
     nb = view.size
     if cfg.pseudo_scheme == "none":
-        z, trace = embed(params, view.features)
+        z, trace = embed(params, view.features, work=work)
         res = supcon_loss_grad(z, view.labels, loss_cfg, work=work)
         return res.value, res.grad / nb, trace
 
     u = make_universum(view, cfg.lam, rng)
-    z_all, trace = embed(params, np.vstack([view.features, u]))
+    z_all, trace = embed(params, np.vstack([view.features, u]), work=work)
     if cfg.pseudo_scheme == "k_plus_one":
         # one collapsed pseudo class: the batch and its universum rows are
         # a single supervised-contrastive problem over K+1 labels
@@ -452,13 +491,13 @@ def train_classifier(
         epoch_losses = []
         for lo in range(0, train.n_rows, cfg.batch_size):
             rows = perm[lo : lo + cfg.batch_size]
-            logits, cls_in, cls_pre = _classify(classifier, feats[rows])
+            logits, cls_in = _classify(classifier, feats[rows])
             value, d_logits = cross_entropy_loss_grad(logits, train.labels[rows])
             if not np.isfinite(value):
                 raise NumericError(
                     f"non-finite classifier loss at epoch {epoch}, batch {lo // cfg.batch_size}"
                 )
-            _chain_backward(classifier, cls_in, cls_pre, d_logits, grad_layers)
+            _chain_backward(classifier, cls_in, d_logits, grad_layers)
             optimizer_step(state, flat, grad, epoch)
             epoch_losses.append(value)
         history.append(float(np.mean(epoch_losses)))

@@ -50,7 +50,8 @@ def _check_posteriors(posteriors: np.ndarray) -> np.ndarray:
     if posteriors.ndim != 2 or posteriors.shape[0] < 1:
         raise InvalidArgumentError("posteriors must be a non-empty 2-d matrix")
     sums = posteriors.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > _POSTERIOR_ATOL):
+    # accept only within the tolerance, so a row holding NaN is rejected too
+    if not np.all(np.abs(sums - 1.0) <= _POSTERIOR_ATOL):
         raise InvalidArgumentError("posterior rows must sum to 1 within 1e-6")
     return posteriors
 

@@ -103,8 +103,11 @@ def _smooth_network_case(seed):
             _, tu = embed(params, xu)
         except Exception:
             continue
+        # the hidden pre-activations, recomputed from the layer inputs
+        layers = params.encoder + params.projection
         margin = min(
-            min(np.abs(p).min() for p in t.pres[:-1])
+            min(np.abs(x @ layer.weight + layer.bias).min()
+                for x, layer in zip(t.inputs[:-1], layers[:-1]))
             for t in (tz, tu)
         )
         if margin > 2e-3 and min(tz.p_norm.min(), tu.p_norm.min()) > 1e-2:

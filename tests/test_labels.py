@@ -44,9 +44,11 @@ _ENTRY_POINTS = [
 ]
 
 _NON_INTEGER = {
-    "float": [1.7, 1.2, 2.9, 2.0],  # truncates to 1, 1, 2, 2
-    "bool": [True, True, False, True],
-    "str": ["1", "1", "2", "2"],
+    "float": np.array([1.7, 1.2, 2.9, 2.0]),  # truncates to 1, 1, 2, 2
+    "bool": np.array([True, True, False, True]),
+    "str": np.array(["1", "1", "2", "2"]),
+    # no array at all: numpy's asarray raises a plain ValueError
+    "ragged": [[1], [1, 2], [2], [2]],
 }
 
 
@@ -57,7 +59,7 @@ _NON_INTEGER = {
 )
 def test_a_non_integer_label_array_is_rejected_naming_its_argument(name, call, kind):
     with pytest.raises(InvalidArgumentError, match=rf"^{name} must be integers, not "):
-        call(np.array(_NON_INTEGER[kind]))
+        call(_NON_INTEGER[kind])
 
 
 @pytest.mark.parametrize(

@@ -262,6 +262,26 @@ def test_input_validation():
         LossConfig(temperature=0.0)
     with pytest.raises(InvalidArgumentError):
         LossConfig(gamma=-0.1)
+    # gamma inf used to reach the core and warn "invalid value in multiply"
+    for field in ("temperature", "gamma"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidArgumentError, match=rf"^{field} must be a finite number"):
+                LossConfig(**{field: value})
+
+    # rows within 1e-3 of unit norm pass, and only those: a NaN row used
+    # to pass and end as "loss is non-finite"
+    for scale in (1 - 0.9e-3, 1 + 0.9e-3):
+        supcon_loss_grad(z * scale, labels, cfg)
+    for scale in (1 - 1.1e-3, 1 + 1.1e-3):
+        with pytest.raises(InvalidArgumentError, match="unit-norm"):
+            supcon_loss_grad(z * scale, labels, cfg)
+    for bad in (math.nan, math.inf):
+        bad_rows = z.copy()
+        bad_rows[1, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="^z rows must be .* unit-norm"):
+            supcon_loss_grad(bad_rows, labels, cfg)
+        with pytest.raises(InvalidArgumentError, match="^u rows must be .* unit-norm"):
+            dc_total_loss_grad(z, labels, bad_rows, labels, cfg)
 
 
 def test_the_shift_reads_only_denominator_lanes():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from dctau.model import (
     train_classifier,
     train_contrastive,
 )
-from dctau.verify import fd_grad, rel_err
+from dctau.verify import fd_grad, labels_with_positives, rel_err
 
 _FD_H = 1e-6
 _FD_RTOL = 1e-4
@@ -106,10 +107,12 @@ def test_embed_unit_norm_and_validation():
         assert trace.z is z and trace.p_norm.shape == (7,)
         # one chain of encoder then projection layers, a ReLU between each two
         n_layers = len(params.encoder + params.projection)
-        assert len(trace.inputs) == len(trace.pres) == n_layers
+        layers = params.encoder + params.projection
+        assert len(trace.inputs) == n_layers
         assert trace.inputs[0].tobytes() == x.tobytes()
         for k in range(n_layers - 1):
-            assert trace.inputs[k + 1].tobytes() == np.maximum(trace.pres[k], 0).tobytes()
+            want = np.maximum(trace.inputs[k] @ layers[k].weight + layers[k].bias, 0)
+            assert trace.inputs[k + 1].tobytes() == want.tobytes()
 
     with pytest.raises(InvalidArgumentError):
         embed(params, np.zeros((3, 5)))
@@ -157,11 +160,11 @@ def test_classifier_backprop_matches_finite_differences():
     feats = _encode(params, x)
     (probe,) = params.classifier
 
-    logits, cls_in, cls_pre = _chain_forward(params.classifier, feats)
+    logits, cls_in = _chain_forward(params.classifier, feats)
     assert np.array_equal(logits, forward_classifier(params, x))
     _, d_logits = cross_entropy_loss_grad(logits, labels)
     _, (probe_grad,) = _flatten(params.classifier, copy=False)
-    _chain_backward(params.classifier, cls_in, cls_pre, d_logits, (probe_grad,))
+    _chain_backward(params.classifier, cls_in, d_logits, (probe_grad,))
     analytic = (probe_grad.weight, probe_grad.bias)
 
     def value():
@@ -187,6 +190,10 @@ def test_softmax_posteriors_and_cross_entropy():
     params = init_params(3, (), 2, 2, seed=0)
     post = posteriors(params, np.random.default_rng(0).standard_normal((5, 3)))
     assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
+    # numpy's AxisError used to escape from a 1-d array
+    for shape in [(), (4,), (2, 3, 4)]:
+        with pytest.raises(InvalidArgumentError, match="logits must be a 2-d matrix"):
+            softmax(np.zeros(shape))
 
     with pytest.raises(InvalidArgumentError):
         cross_entropy_loss_grad(logits, np.array([0]))
@@ -214,7 +221,7 @@ def _reference_inference(params, x):
     """Probe features, logits and posteriors from _chain_forward and the
     allocating softmax."""
     feats = np.maximum(_chain_forward(params.encoder, x)[0], 0.0) if params.encoder else x
-    logits, _, _ = _chain_forward(params.classifier, feats)
+    logits, _ = _chain_forward(params.classifier, feats)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return feats, logits, e / e.sum(axis=1, keepdims=True)
@@ -382,6 +389,44 @@ def test_training_step_pseudo_label_schemes(monkeypatch):
     assert all(isinstance(kw["work"], LossWorkspace) for kw in keywords.pop("supcon"))
 
 
+def test_a_warm_training_step_allocates_no_activation():
+    """With one run workspace, a warm k_plus_k step (embed, the dual loss,
+    backprop and Adam) allocates no array as large as one hidden activation.
+
+    The layer outputs, the deltas written over them, the loss block and
+    Adam's temporaries all live in buffers kept between steps; fresh ones
+    cost page faults, as glibc hands large freed blocks back to the
+    system. The rows are many enough that one 1024 x 256 activation
+    (2 MiB) dwarfs numpy's ufunc buffers of up to 64 KiB per operand.
+    """
+    rng = np.random.default_rng(6)
+    nb, dim, hidden, proj_dim = 512, 8, (256, 256), 8
+    params = init_params(dim, hidden, proj_dim, 4, seed=1)
+    n_enc = len(params.encoder)
+    flat, layers = _flatten(params.encoder + params.projection)
+    grad, grad_layers = _flatten(layers, copy=False)
+    params = replace(params, encoder=layers[:n_enc], projection=layers[n_enc:])
+    state, work, cfg = OptimizerState(), LossWorkspace(), LossConfig(temperature=0.2)
+    labels = labels_with_positives(rng, nb, 4)
+    x = rng.standard_normal((2 * nb, dim))
+
+    def step():
+        z, trace = embed(params, x, work=work)
+        res = dc_total_loss_grad(z[:nb], labels, z[nb:], labels, cfg, work=work)
+        backprop_embedding(params, trace, res.grad / nb, grad_layers)
+        optimizer_step(state, flat, grad)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    activation = 2 * nb * hidden[0] * 8
+    assert peak < activation, (peak, activation)
+
+
 def test_train_classifier_freezes_encoder():
     split = _easy_split()
     cfg = _tiny_cfg(classifier_epochs=5)
@@ -425,8 +470,8 @@ def test_non_finite_gradient_names_the_layer_and_step(monkeypatch):
     with pytest.raises(NumericError, match=r"in projection layer 1 weight at step 3$"):
         train_contrastive(split, cfg, np.random.default_rng(0))
 
-    def poisoned_backward(layers, inputs, pres, d_out, grads):
-        real_backward(layers, inputs, pres, d_out, grads)
+    def poisoned_backward(layers, inputs, d_out, grads):
+        real_backward(layers, inputs, d_out, grads)
         grads[0].bias[1] = np.inf
 
     monkeypatch.setattr(dctau.model, "_chain_backward", poisoned_backward)
@@ -468,7 +513,10 @@ class _ReferenceAdam:
         return out
 
 
-def _reference_backward(layers, inputs, pres, d_out):
+def _reference_backward(layers, inputs, d_out):
+    """Per-layer gradients, each ReLU's mask taken from pre-activations
+    recomputed from the layer inputs and the weights."""
+    pres = [x @ layer.weight + layer.bias for x, layer in zip(inputs, layers)]
     grads = [None] * len(layers)
     for idx in range(len(layers) - 1, -1, -1):
         ds = d_out if idx == len(layers) - 1 else d_out * (pres[idx] > 0)
@@ -517,8 +565,7 @@ def _reference_train_contrastive(split, cfg, rng, params):
             value, d_z, trace = _reference_loss_step(
                 params, view, split.num_known, cfg, loss_cfg, rng, work)
             d_p = (d_z - (d_z * trace.z).sum(axis=1, keepdims=True) * trace.z) / trace.p_norm[:, None]
-            grads = _reference_backward(
-                params.encoder + params.projection, trace.inputs, trace.pres, d_p)
+            grads = _reference_backward(params.encoder + params.projection, trace.inputs, d_p)
             arrays = adam.step(_arrays(params.encoder + params.projection),
                                [a for pair in grads for a in pair], epoch)
             params = replace(
@@ -539,9 +586,9 @@ def _reference_train_classifier(params, split, cfg, rng, history):
         losses = []
         for lo in range(0, train.n_rows, cfg.batch_size):
             rows = perm[lo : lo + cfg.batch_size]
-            logits, cls_in, cls_pre = _chain_forward(classifier, feats[rows])
+            logits, cls_in = _chain_forward(classifier, feats[rows])
             value, d_logits = cross_entropy_loss_grad(logits, train.labels[rows])
-            grads = _reference_backward(classifier, cls_in, cls_pre, d_logits)
+            grads = _reference_backward(classifier, cls_in, d_logits)
             classifier = _layers(
                 adam.step(_arrays(classifier), [a for pair in grads for a in pair], epoch))
             losses.append(value)
