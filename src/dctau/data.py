@@ -8,6 +8,9 @@ the reserved ``UNKNOWN_LABEL`` (0).
 
 All randomized operations are pure functions of their inputs and the
 seed / generator passed in.
+
+Every label array the package takes passes ``int_labels`` and every float
+array ``float_array``; neither casts a dtype that changes a value's meaning.
 """
 
 from __future__ import annotations
@@ -48,10 +51,35 @@ def int_labels(name: str, values, rows, low=None, high=None, *, align="rows") ->
     return labels.astype(np.int64, copy=False)
 
 
+def float_array(name: str, values, ndim: int, *, rows=None, cols=None) -> np.ndarray:
+    """``values`` as a finite float64 array of ``ndim`` (1 or 2) axes, ``rows``
+    long and (a matrix) ``cols`` wide where given: the one check of every
+    float array the package takes. Int and narrower floats widen; a float64
+    array comes back as is. A str, bool, complex or object dtype is
+    rejected, never cast, as are ragged rows, NaN and inf."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise InvalidArgumentError(f"{name} must be real numbers, not ragged rows") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{name} must be real numbers, not {arr.dtype}")
+    if arr.ndim != ndim:
+        raise InvalidArgumentError(
+            f"{name} must be a {ndim}-d {'matrix' if ndim == 2 else 'vector'}, got {arr.ndim}-d")
+    if (rows is not None and arr.shape[0] != rows) or (cols is not None and arr.shape[1] != cols):
+        want = ", ".join("n" if n is None else str(n) for n in (rows, cols)[:ndim])
+        raise InvalidArgumentError(f"{name} must be ({want}), got {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"{name} must be finite, not NaN or inf")
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labeled feature vectors.
 
+    ``features`` is a finite 2-d float array (see ``float_array``) and
     ``labels`` are integers (a non-integer dtype is rejected, not cast),
     one per row, with every class of 1..class_count present; a dataset of
     unknowns carries ``class_count == 0`` and all labels ``UNKNOWN_LABEL``.
@@ -62,9 +90,7 @@ class Dataset:
     class_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        if self.features.ndim != 2:
-            raise InvalidArgumentError("features must be a 2-d matrix")
+        object.__setattr__(self, "features", float_array("features", self.features, 2))
         object.__setattr__(self, "labels", int_labels("labels", self.labels, self.features.shape[0],
                            min(1, self.class_count), self.class_count, align="feature rows"))
         if self.class_count:
@@ -107,15 +133,14 @@ class OpenSplit:
 
 @dataclass(frozen=True)
 class Batch:
-    """One training batch; labels are any integers, one per row, never cast."""
+    """One training batch: finite 2-d float features, and labels that are
+    any integers, one per row, never cast."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        if self.features.ndim != 2:
-            raise InvalidArgumentError("batch features must be a 2-d matrix")
+        object.__setattr__(self, "features", float_array("features", self.features, 2))
         object.__setattr__(self, "labels", int_labels(
             "labels", self.labels, self.features.shape[0], align="feature rows"))
 
@@ -132,7 +157,7 @@ def generate_blobs(class_count: int, per_class: int, dim: int, spread: float, se
     """
     if class_count < 2 or per_class < 1 or dim < 2:
         raise InvalidArgumentError("need class_count >= 2, per_class >= 1, dim >= 2")
-    if spread < 0:
+    if not spread >= 0:  # so NaN is rejected too
         raise InvalidArgumentError("spread must be >= 0")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((class_count, dim))
@@ -230,7 +255,7 @@ def epoch_batches(train: Dataset, batch_size: int, rng: np.random.Generator) -> 
 
 def augment_gaussian(batch: Batch, sigma: float, rng: np.random.Generator) -> Batch:
     """Add i.i.d. zero-mean Gaussian noise of std ``sigma``; labels unchanged."""
-    if sigma < 0:
+    if not sigma >= 0:  # so NaN is rejected too
         raise InvalidArgumentError("sigma must be >= 0")
     if sigma == 0:
         return Batch(batch.features.copy(), batch.labels.copy())
@@ -267,9 +292,9 @@ def read_dataset_csv(path) -> Dataset:
     (2-d float64), ``labels`` (int64, one per row) and ``csv_sha256``, and
     that digest is the SHA-256 of these bytes, the arrays come from it and
     no cell is parsed. Any other companion (missing, stale, torn, bit-flipped) is
-    ignored and the CSV is parsed. Either way the same finite-feature
-    check, ``class_count`` rule and ``Dataset`` checks follow, so the
-    outcome is the one parsing gives.
+    ignored and the CSV is parsed. Either way the same ``class_count``
+    rule and ``Dataset`` checks (finite features among them) follow, so
+    the outcome is the one parsing gives.
 
     Parsing: the header's last cell must be ``label``. Body rows are parsed
     by numpy's C reader: features as floats, labels as integers (``1.0`` is
@@ -283,8 +308,6 @@ def read_dataset_csv(path) -> Dataset:
         data = fh.read()
     arrays = _read_companion(path, data)
     feats, labels = _parse_csv(path, data) if arrays is None else arrays
-    if not np.isfinite(feats).all():
-        raise InvalidArgumentError(f"{path}: non-finite feature value")
     class_count = 0 if np.all(labels == UNKNOWN_LABEL) else int(labels.max())
     return dataset_of(path, feats, labels, class_count)
 

@@ -37,6 +37,9 @@ reuses every step.
 Log-sum-exp shifts each anchor by its maximum over its denominator
 lanes, and since every loss shares this code the known term with zero
 universum rows is bitwise identical to supcon.
+
+Both losses take z and u as finite float matrices (``data.float_array``)
+of rows within 1e-3 of unit norm, and integer labels (``data.int_labels``).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import int_labels
+from .data import float_array, int_labels
 from .errors import DegenerateBatchError, InvalidArgumentError, NumericError
 
 # a row is unit-norm when | |row| - 1 | <= 1e-3, checked on its squared norm
@@ -123,12 +126,9 @@ class LossWorkspace:
         return buf[: rows * cols].reshape(rows, cols)
 
 
-def _check_rows(name: str, rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise InvalidArgumentError(f"{name} must be a 2-d matrix")
+def _check_rows(name: str, rows: np.ndarray, cols=None) -> np.ndarray:
+    rows = float_array(name, rows, 2, cols=cols)
     sq_norms = np.vecdot(rows, rows)
-    # accept only within the tolerance, so a NaN row is rejected too
     if not np.all((sq_norms >= _UNIT_SQ_NORM[0]) & (sq_norms <= _UNIT_SQ_NORM[1])):
         raise InvalidArgumentError(f"{name} rows must be (approximately) unit-norm")
     return rows
@@ -293,9 +293,7 @@ def _dc_core(z, labels, u, u_targets, tau, known_weight, universum_weight, work=
     targets work.
     """
     z = _check_rows("z", z)
-    u = _check_rows("u", u)
-    if z.shape[1] != u.shape[1]:
-        raise InvalidArgumentError("z and u must share the embedding dimension")
+    u = _check_rows("u", u, z.shape[1])
     labels = int_labels("labels", labels, len(z), align="embedding rows")
     u_targets = int_labels("u_targets", u_targets, len(u), align="embedding rows")
 

@@ -13,7 +13,8 @@ Three views of the same test run:
 
 auroc and macro_f1 are exact counts divided once, and oscr integrates
 the curve it sweeps at every distinct score, so there is no binning to
-argue about.
+argue about. Scores and posteriors pass ``data.float_array``, so a NaN
+is a bad argument, and auroc's scores are 1-d, never a flattened matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import int_labels
+from .data import float_array, int_labels
 from .errors import InvalidArgumentError
 
 
@@ -42,19 +43,13 @@ class OscrCurve:
         return self.delta.size
 
 
-def _scores(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise InvalidArgumentError(f"{name} must be non-empty")
-    if not np.isfinite(arr).all():
-        raise InvalidArgumentError(f"{name} must be finite")
-    return arr
-
-
 def auroc(known_scores, unknown_scores) -> float:
-    """P(known score > unknown score), counting ties as half."""
-    known = _scores("known_scores", known_scores)
-    unknown = np.sort(_scores("unknown_scores", unknown_scores))
+    """P(known score > unknown score), counting ties as half, of two
+    non-empty 1-d score vectors."""
+    known = float_array("known_scores", known_scores, 1)
+    unknown = np.sort(float_array("unknown_scores", unknown_scores, 1))
+    if not (known.size and unknown.size):
+        raise InvalidArgumentError("need non-empty known and unknown scores")
     below = np.searchsorted(unknown, known, side="left").sum()
     at_or_below = np.searchsorted(unknown, known, side="right").sum()
     return float((below + at_or_below) / (2 * known.size * unknown.size))
@@ -68,9 +63,9 @@ def oscr_curve(known_posteriors, known_true_labels, unknown_posteriors) -> OscrC
     counts unknown rows with confidence >= delta (over all unknowns).
     ``known_true_labels`` holds one integer class id per known row.
     """
-    kp = np.asarray(known_posteriors, dtype=np.float64)
-    up = np.asarray(unknown_posteriors, dtype=np.float64)
-    if kp.ndim != 2 or kp.shape[0] == 0 or up.ndim != 2 or up.shape[0] == 0:
+    kp = float_array("known_posteriors", known_posteriors, 2)
+    up = float_array("unknown_posteriors", unknown_posteriors, 2)
+    if not (kp.size and up.size):
         raise InvalidArgumentError("need non-empty known and unknown posterior sets")
     true_labels = int_labels("known_true_labels", known_true_labels, kp.shape[0],
                              align="known posterior rows")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import TrainConfig
-from .data import Batch, OpenSplit, augment_gaussian, epoch_batches, int_labels
+from .data import Batch, OpenSplit, augment_gaussian, epoch_batches, float_array, int_labels
 from .errors import InvalidArgumentError, NumericError
 from .losses import LossConfig, LossWorkspace, dc_total_loss_grad, supcon_loss_grad
 from .universum import make_universum
@@ -174,17 +174,6 @@ def _array_names(**sections) -> tuple[tuple[str, int], ...]:
     return tuple(names)
 
 
-def _check_inputs(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != params.input_dim:
-        raise InvalidArgumentError(
-            f"inputs must be (rows, {params.input_dim}), got {inputs.shape}"
-        )
-    if not np.isfinite(inputs).all():
-        raise NumericError("inputs contain non-finite values")
-    return inputs
-
-
 def embed(
     params: ModelParams, inputs: np.ndarray, work: LossWorkspace | None = None
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -193,7 +182,7 @@ def embed(
     z and the trace's layer outputs are views into the workspace (a
     throwaway one without it), valid until the next embed on it.
     """
-    inputs = _check_inputs(params, inputs)
+    inputs = float_array("inputs", inputs, 2, cols=params.input_dim)
     p, layer_inputs = _chain_forward(params.encoder + params.projection, inputs, work)
     if not np.isfinite(p).all():
         raise NumericError("projection output is non-finite")
@@ -221,9 +210,7 @@ def backprop_embedding(
     layer's delta over the layer input that the pass no longer needs, so
     a trace backs one call only, and z is spent after it.
     """
-    d_z = np.asarray(d_z, dtype=np.float64)
-    if d_z.shape != trace.z.shape:
-        raise InvalidArgumentError("d_z shape must match the embedding rows")
+    d_z = float_array("d_z", d_z, 2, rows=trace.z.shape[0], cols=trace.z.shape[1])
     d_p = trace.z
     d_p *= (d_z * d_p).sum(axis=1, keepdims=True)
     np.subtract(d_z, d_p, out=d_p)
@@ -238,7 +225,7 @@ def backprop_embedding(
 def _encode(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Encoder features E(x) of checked inputs: the encoder's chain and
     its last ReLU, the bits embed's chain feeds the first projection layer."""
-    x = _check_inputs(params, inputs)
+    x = float_array("inputs", inputs, 2, cols=params.input_dim)
     if params.encoder:
         x = _chain_forward(params.encoder, x)[0]
         np.maximum(x, 0.0, out=x)
@@ -260,10 +247,8 @@ def forward_classifier(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of a 2-d array; logits are left unchanged."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise InvalidArgumentError(f"logits must be a 2-d matrix, got {logits.ndim}-d")
-    e = logits - logits.max(axis=1, keepdims=True)
+    logits = float_array("logits", logits, 2)
+    e = logits - logits.max(axis=1, keepdims=True, initial=-np.inf)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -283,11 +268,17 @@ def posteriors(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Mean cross entropy over rows; labels are integer class ids in 1..k."""
+    """Mean cross entropy over rows of finite float logits; labels are class ids in 1..k."""
+    logits = float_array("logits", logits, 2)
     n, k = logits.shape
     if n == 0:
         raise InvalidArgumentError("cross entropy needs at least one logit row")
-    idx = int_labels("labels", labels, n, 1, k, align="logit rows") - 1
+    return _cross_entropy(logits, int_labels("labels", labels, n, 1, k, align="logit rows") - 1)
+
+
+def _cross_entropy(logits: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
+    """cross_entropy_loss_grad of checked logits and 0-based class ids."""
+    n = len(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     value = float(-log_probs[np.arange(n), idx].mean())
@@ -477,6 +468,7 @@ def train_classifier(
     """
     train = split.train
     feats = _encode(params, train.features)
+    classes = int_labels("labels", train.labels, None, 1, params.classifier[-1].bias.size) - 1
     flat, classifier = _flatten(params.classifier)
     grad, grad_layers = _flatten(classifier, copy=False)
     state = OptimizerState(
@@ -492,7 +484,7 @@ def train_classifier(
         for lo in range(0, train.n_rows, cfg.batch_size):
             rows = perm[lo : lo + cfg.batch_size]
             logits, cls_in = _classify(classifier, feats[rows])
-            value, d_logits = cross_entropy_loss_grad(logits, train.labels[rows])
+            value, d_logits = _cross_entropy(logits, classes[rows])
             if not np.isfinite(value):
                 raise NumericError(
                     f"non-finite classifier loss at epoch {epoch}, batch {lo // cfg.batch_size}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNKNOWN_LABEL, int_labels
+from .data import UNKNOWN_LABEL, float_array, int_labels
 from .errors import InvalidArgumentError
 
 _POSTERIOR_ATOL = 1e-6
@@ -32,27 +32,19 @@ class ThresholdTable:
     percentile: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "thresholds", np.asarray(self.thresholds, dtype=np.float64)
-        )
-        if self.thresholds.ndim != 1 or self.thresholds.size < 1:
-            raise InvalidArgumentError("thresholds must be a non-empty vector")
-        if np.any(self.thresholds < 0) or np.any(self.thresholds > 1):
-            raise InvalidArgumentError("thresholds must lie in [0, 1]")
+        object.__setattr__(self, "thresholds", float_array("thresholds", self.thresholds, 1))
+        if not (self.thresholds.size and np.all((self.thresholds >= 0) & (self.thresholds <= 1))):
+            raise InvalidArgumentError("thresholds must be a non-empty vector in [0, 1]")
 
     @property
     def num_classes(self) -> int:
         return self.thresholds.size
 
 
-def _check_posteriors(posteriors: np.ndarray) -> np.ndarray:
-    posteriors = np.asarray(posteriors, dtype=np.float64)
-    if posteriors.ndim != 2 or posteriors.shape[0] < 1:
-        raise InvalidArgumentError("posteriors must be a non-empty 2-d matrix")
-    sums = posteriors.sum(axis=1)
-    # accept only within the tolerance, so a row holding NaN is rejected too
-    if not np.all(np.abs(sums - 1.0) <= _POSTERIOR_ATOL):
-        raise InvalidArgumentError("posterior rows must sum to 1 within 1e-6")
+def _check_posteriors(name: str, posteriors: np.ndarray) -> np.ndarray:
+    posteriors = float_array(name, posteriors, 2)
+    if not (posteriors.size and np.all(np.abs(posteriors.sum(axis=1) - 1.0) <= _POSTERIOR_ATOL)):
+        raise InvalidArgumentError(f"{name} must be non-empty, its rows summing to 1 within 1e-6")
     return posteriors
 
 
@@ -72,7 +64,7 @@ def fit_thresholds(
     """
     if not 0.0 < percentile < 100.0:
         raise InvalidArgumentError("percentile must lie in (0, 100)")
-    posteriors = _check_posteriors(train_posteriors)
+    posteriors = _check_posteriors("train_posteriors", train_posteriors)
     k = posteriors.shape[1]
     labels = int_labels("train_labels", train_labels, posteriors.shape[0], 1, k,
                         align="posterior rows")
@@ -98,7 +90,7 @@ def predict_open_many(posteriors: np.ndarray, table: ThresholdTable) -> np.ndarr
     if that confidence meets the class's threshold; otherwise it is
     UNKNOWN_LABEL.
     """
-    posteriors = _check_posteriors(posteriors)
+    posteriors = _check_posteriors("posteriors", posteriors)
     if posteriors.shape[1] != table.num_classes:
         raise InvalidArgumentError("posterior width must match the threshold table")
     best = posteriors.argmax(axis=1)

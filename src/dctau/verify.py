@@ -50,7 +50,7 @@ from .metrics import auroc, macro_f1, oscr
 from .model import backprop_embedding, embed, init_params
 from .openset import ThresholdTable, fit_thresholds, predict_open_many
 from .universum import make_universum
-from .data import Batch
+from .data import Batch, float_array
 
 _FD_H = 1e-5
 _FD_RTOL = 1e-4
@@ -209,7 +209,7 @@ def decompose(
     """
     tau = cfg.temperature
     anchor_partial = _dc_core(z, labels, u, u_targets, tau, 1.0, 0.0).anchor_partial[: len(z)]
-    z, u = np.asarray(z, dtype=np.float64), np.asarray(u, dtype=np.float64)
+    z, u = float_array("z", z, 2), float_array("u", u, 2)
     # a known row's target is its label; a universum row counts in a
     # known anchor's denominator when it targets the anchor's class
     z_targets = np.asarray(labels, dtype=np.int64)

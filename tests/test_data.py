@@ -1,6 +1,7 @@
 """Blob generation, open splits, epoch batching, augmentation, CSV round trips."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -102,6 +103,9 @@ def test_blobs_validation():
         generate_blobs(3, 5, 1, 1.0, seed=0)
     with pytest.raises(InvalidArgumentError):
         generate_blobs(3, 5, 3, -0.1, seed=0)
+    # NaN used to pass "spread < 0" and give noise-free centers
+    with pytest.raises(InvalidArgumentError, match="^spread must be >= 0$"):
+        generate_blobs(3, 2, 2, float("nan"), 0)
 
 
 def test_split_remap_partition_and_counts():
@@ -227,6 +231,9 @@ def test_augment_gaussian():
 
     with pytest.raises(InvalidArgumentError):
         augment_gaussian(batch, -0.1, np.random.default_rng(0))
+    # NaN used to pass "sigma < 0" and give all-NaN features
+    with pytest.raises(InvalidArgumentError, match="^sigma must be >= 0$"):
+        augment_gaussian(batch, float("nan"), np.random.default_rng(0))
 
 
 def test_csv_roundtrip_bitwise(tmp_path):
@@ -362,14 +369,31 @@ def _counting_parses(monkeypatch):
     return parsed
 
 
+def _write_nan_csv(path):
+    """The edge dataset's CSV with feature 1 of row 2 made ``nan``, and a
+    companion that matches it; Dataset rejects NaN, so write_dataset_csv
+    cannot write them."""
+    ds = _edge_dataset()
+    write_dataset_csv(ds, path)
+    lines = path.read_bytes().split(b"\n")
+    cells = lines[3].split(b",")  # line 0 is the header
+    cells[1] = b"nan"
+    lines[3] = b",".join(cells)
+    data = b"\n".join(lines)
+    path.write_bytes(data)
+    feats = ds.features.copy()
+    feats[2, 1] = np.nan
+    np.savez(f"{path}.npz", features=feats, labels=ds.labels,
+             csv_sha256=hashlib.sha256(data).hexdigest())
+
+
 @pytest.mark.parametrize("name", ["edge", "unknown", "empty", "featureless", "nan"])
 def test_the_companion_reads_as_the_parse(tmp_path, monkeypatch, name):
-    datasets = _edge_datasets()
-    nan = _edge_dataset().features.copy()
-    nan[2, 1] = np.nan
-    datasets["nan"] = Dataset(nan, _edge_dataset().labels, 3)
     path = tmp_path / "ds.csv"
-    write_dataset_csv(datasets[name], path)
+    if name == "nan":
+        _write_nan_csv(path)
+    else:
+        write_dataset_csv(_edge_datasets()[name], path)
     parsed = _counting_parses(monkeypatch)
     from_companion = _read_or_error(path)
     assert parsed == []
@@ -378,7 +402,7 @@ def test_the_companion_reads_as_the_parse(tmp_path, monkeypatch, name):
     assert parsed == [path]
     if name == "nan":
         assert from_companion[0] is InvalidArgumentError
-        assert "non-finite feature value" in from_companion[1]
+        assert from_companion[1] == f"{path}: features must be finite, not NaN or inf"
 
 
 def test_a_torn_or_flipped_companion_reads_as_the_parse(tmp_path, monkeypatch):

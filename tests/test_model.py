@@ -116,7 +116,7 @@ def test_embed_unit_norm_and_validation():
 
     with pytest.raises(InvalidArgumentError):
         embed(params, np.zeros((3, 5)))
-    with pytest.raises(NumericError):
+    with pytest.raises(InvalidArgumentError, match="^inputs must be finite"):
         embed(params, np.array([[np.nan, 0, 0, 0]]))
 
 

@@ -86,10 +86,9 @@ def test_fit_validation():
         fit_thresholds(post, np.array([0, 2]), 50.0)
     with pytest.raises(InvalidArgumentError):
         fit_thresholds(post * 2.0, labels, 50.0)
-    # a row holding NaN used to pass: the sum check now accepts only
-    # sums within 1e-6 of 1
+    # a row holding NaN is rejected as not finite before its sum is looked at
     post[1, 0] = np.nan
-    with pytest.raises(InvalidArgumentError, match="sum to 1"):
+    with pytest.raises(InvalidArgumentError, match="^train_posteriors must be finite"):
         fit_thresholds(post, labels, 50.0)
 
 
@@ -127,7 +126,7 @@ def test_predict_validation():
         predict_open_many(np.array([[0.9, 0.9]]), table)
     with pytest.raises(InvalidArgumentError):
         predict_open_many(np.ones((2, 3)) / 3.0, table)
-    with pytest.raises(InvalidArgumentError, match="sum to 1"):
+    with pytest.raises(InvalidArgumentError, match="^posteriors must be finite"):
         predict_open_many(np.array([[np.nan, 0.5]]), table)
 
 
