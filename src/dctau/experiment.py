@@ -230,8 +230,8 @@ def run_training(
 def evaluate_params(params: ModelParams, split: OpenSplit, cfg: TrainConfig) -> EvalReport:
     """Fit thresholds on training rows, score the two test sets.
 
-    Each of the three row sets goes through the model once; the report
-    keeps the two test posterior matrices.
+    posteriors scores each of the three row sets by blocks of rows; the
+    report keeps the two test posterior matrices.
     """
     if cfg.data_dir and not split.test_unknown.n_rows:
         path = os.path.join(cfg.data_dir, TEST_UNKNOWN_CSV)
@@ -246,8 +246,7 @@ def evaluate_params(params: ModelParams, split: OpenSplit, cfg: TrainConfig) -> 
     oscr_val = oscr(known_post, split.test_known.labels, unknown_post)
     closed = closed_accuracy(known_post.argmax(axis=1) + 1, split.test_known.labels)
 
-    all_post = np.vstack([known_post, unknown_post])
-    predicted = predict_open_many(all_post, table)
+    predicted = np.concatenate([predict_open_many(p, table) for p in (known_post, unknown_post)])
     truth = np.concatenate(
         [split.test_known.labels, np.full(split.test_unknown.n_rows, UNKNOWN_LABEL)]
     )

@@ -37,6 +37,8 @@ _NORM_FLOOR = 1e-12
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# rows per posteriors block: a 2,048 x 64 float64 layer output is 1 MiB, inside L2
+_EVAL_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -222,10 +224,9 @@ def backprop_embedding(
     return grads
 
 
-def _encode(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+def _encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Encoder features E(x) of checked inputs: the encoder's chain and
     its last ReLU, the bits embed's chain feeds the first projection layer."""
-    x = float_array("inputs", inputs, 2, cols=params.input_dim)
     if params.encoder:
         x = _chain_forward(params.encoder, x)[0]
         np.maximum(x, 0.0, out=x)
@@ -242,13 +243,21 @@ def _classify(classifier, feats: np.ndarray):
 
 def forward_classifier(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Logits = classifier(E(x)); the projection head is not involved."""
-    return _classify(params.classifier, _encode(params, inputs))[0]
+    x = float_array("inputs", inputs, 2, cols=params.input_dim)
+    return _classify(params.classifier, _encode(params, x))[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of a 2-d array; logits are left unchanged."""
-    logits = float_array("logits", logits, 2)
-    e = logits - logits.max(axis=1, keepdims=True, initial=-np.inf)
+    """Row-wise stable softmax of a 2-d array; logits are left unchanged.
+    A lane whose shift overflows gets exactly 0, with no warning."""
+    return _softmax(float_array("logits", logits, 2))
+
+
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """softmax of checked logits, written into out if given."""
+    # logits - max <= 0, so a shift can overflow only to -inf, whose exp is 0
+    with np.errstate(over="ignore"):
+        e = np.subtract(logits, logits.max(axis=1, keepdims=True, initial=-np.inf), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -257,23 +266,37 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def posteriors(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Class posterior matrix; rows sum to 1.
 
-    Weights large enough to overflow the forward pass (a corrupt
-    checkpoint, say) raise NumericError, not a RuntimeWarning.
+    Rows are scored in blocks of _EVAL_BLOCK_ROWS. A lane whose softmax
+    shift overflows gets exactly 0, as in softmax; weights large enough
+    to overflow the forward pass (a corrupt checkpoint, say) raise
+    NumericError, not a RuntimeWarning.
     """
+    inputs = float_array("inputs", inputs, 2, cols=params.input_dim)
+    out = np.empty((len(inputs), params.classifier[-1].bias.size))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return softmax(forward_classifier(params, inputs))
+            for lo in range(0, len(inputs), _EVAL_BLOCK_ROWS):
+                block = slice(lo, lo + _EVAL_BLOCK_ROWS)
+                logits = _classify(params.classifier, _encode(params, inputs[block]))[0]
+                _softmax(logits, out=out[block])
     except FloatingPointError as exc:
         raise NumericError(f"posteriors: {exc}") from exc
+    return out
 
 
 def cross_entropy_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Mean cross entropy over rows of finite float logits; labels are class ids in 1..k."""
+    """Mean cross entropy over rows of finite float logits; labels are class ids in 1..k.
+    A loss that is not finite (logits far enough apart to overflow) raises NumericError."""
     logits = float_array("logits", logits, 2)
     n, k = logits.shape
     if n == 0:
         raise InvalidArgumentError("cross entropy needs at least one logit row")
-    return _cross_entropy(logits, int_labels("labels", labels, n, 1, k, align="logit rows") - 1)
+    idx = int_labels("labels", labels, n, 1, k, align="logit rows") - 1
+    with np.errstate(over="ignore"):
+        value, grad = _cross_entropy(logits, idx)
+    if not np.isfinite(value):
+        raise NumericError("cross entropy loss is non-finite")
+    return value, grad
 
 
 def _cross_entropy(logits: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
@@ -467,7 +490,7 @@ def train_classifier(
     trains as views into one flat copy of its parameters.
     """
     train = split.train
-    feats = _encode(params, train.features)
+    feats = _encode(params, float_array("inputs", train.features, 2, cols=params.input_dim))
     classes = int_labels("labels", train.labels, None, 1, params.classifier[-1].bias.size) - 1
     flat, classifier = _flatten(params.classifier)
     grad, grad_layers = _flatten(classifier, copy=False)

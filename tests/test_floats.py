@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from dctau.data import Batch, Dataset, augment_gaussian, float_array
-from dctau.errors import InvalidArgumentError
+from dctau.errors import InvalidArgumentError, NumericError
 from dctau.losses import LossConfig, dc_total_loss_grad, supcon_loss_grad
 from dctau.metrics import auroc, oscr, oscr_curve
 from dctau.model import (
+    DenseLayer,
     backprop_embedding,
     cross_entropy_loss_grad,
     embed,
@@ -158,6 +159,19 @@ def test_auroc_takes_1d_scores_and_never_flattens_a_matrix():
     with pytest.raises(InvalidArgumentError, match="^need non-empty known and unknown scores$"):
         auroc([], [0.1])
     assert auroc([0.5], [0.1]) == 1.0
+
+
+def test_logits_whose_shift_overflows_give_exact_zeros_and_no_warning():
+    # the shift 1e308 - (-1e308) overflows to -inf, whose exp is exactly 0
+    wide = np.array([[1e308, -1e308]])
+    assert softmax(wide).tobytes() == np.array([[1.0, 0.0]]).tobytes()
+    params = init_params(1, (), 1, 2, seed=0)
+    params = dataclasses.replace(params, classifier=(DenseLayer(wide, np.zeros(2)),))
+    assert posteriors(params, [[1.0]]).tobytes() == np.array([[1.0, 0.0]]).tobytes()
+    value, grad = cross_entropy_loss_grad(wide, [1])
+    assert value == 0.0 and not grad.any()
+    with pytest.raises(NumericError, match="^cross entropy loss is non-finite$"):
+        cross_entropy_loss_grad(wide, [2])
 
 
 # (file, function) pairs allowed to cast an argument to float64: float_array

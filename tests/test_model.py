@@ -13,6 +13,7 @@ import dctau.verify
 from dctau.config import TrainConfig
 from dctau.data import Dataset, OpenSplit, augment_gaussian, epoch_batches
 from dctau.errors import InvalidArgumentError, NumericError
+from dctau.experiment import make_split
 from dctau.losses import LossConfig, LossWorkspace, dc_total_loss_grad, supcon_loss_grad
 from dctau.model import (
     DenseLayer,
@@ -259,6 +260,46 @@ def test_overflowing_weights_raise_numeric_error():
     x = np.random.default_rng(0).standard_normal((5, 3))
     with pytest.raises(NumericError):
         posteriors(huge, x)
+
+
+def test_posteriors_scores_rows_by_blocks():
+    block = dctau.model._EVAL_BLOCK_ROWS
+    params = _with_random_biases(init_params(4, (7, 6), 3, 5, seed=2), seed=2)
+    x = np.random.default_rng(2).standard_normal((2 * block + 1, 4)) * 3.0
+    post = posteriors(params, x)
+    want = [softmax(forward_classifier(params, x[lo : lo + block]))
+            for lo in range(0, len(x), block)]
+    assert [len(w) for w in want] == [block, block, 1]
+    assert post.tobytes() == np.vstack(want).tobytes()
+    assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
+    assert posteriors(params, x[:0]).shape == (0, 5)
+
+
+def test_an_overflowing_row_in_the_last_block_raises_numeric_error(recwarn):
+    params = init_params(3, (4,), 2, 2, seed=0)
+    ones = replace(
+        params,
+        encoder=tuple(DenseLayer(np.ones_like(l.weight), l.bias) for l in params.encoder),
+        classifier=tuple(DenseLayer(np.ones_like(l.weight), l.bias) for l in params.classifier),
+    )
+    x = np.random.default_rng(0).standard_normal((2 * dctau.model._EVAL_BLOCK_ROWS + 1, 3))
+    x[-1] = 1e308  # finite, but the encoder's sum of three of it is not
+    with pytest.raises(NumericError, match="^posteriors: overflow|^classifier logits"):
+        posteriors(ones, x)
+    assert not recwarn.list
+
+
+def test_each_acceptance_evaluation_set_is_one_block():
+    """At the acceptance data shape every set is scored by one forward
+    pass, bit for bit what the unblocked softmax of the logits gives."""
+    cfg = TrainConfig()
+    split = make_split(cfg)
+    params = _with_random_biases(
+        init_params(split.train.dim, cfg.hidden, cfg.proj_dim, split.num_known, seed=3), seed=3)
+    for rows in (split.train, split.test_known, split.test_unknown):
+        assert rows.n_rows <= dctau.model._EVAL_BLOCK_ROWS
+        want = softmax(forward_classifier(params, rows.features))
+        assert posteriors(params, rows.features).tobytes() == want.tobytes()
 
 
 def test_schedule_warmup_and_cosine():
