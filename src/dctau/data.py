@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import zipfile
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ import numpy as np
 from .errors import InvalidArgumentError, UnsatisfiableBatchError
 
 UNKNOWN_LABEL = 0
+# rows per block wherever a whole row set is worked through: a 2,048 x 64
+# float64 layer output is 1 MiB, inside L2
+BLOCK_ROWS = 2048
 
 _EPOCH_RESHUFFLE_LIMIT = 50
 _ASCII_SEPARATORS = "\x1c\x1d\x1e\x1f"
@@ -266,6 +270,8 @@ def augment_gaussian(batch: Batch, sigma: float, rng: np.random.Generator) -> Ba
 def write_dataset_csv(ds: Dataset, path) -> None:
     """Write ``f0,...,f{d-1},label`` rows; UTF-8, LF line endings.
 
+    Rows are formatted, written and hashed a block of BLOCK_ROWS at a
+    time; the bytes are those of formatting the whole set at once.
     Beside the CSV goes its binary companion ``<path>.npz`` (``np.savez``):
     ``features`` (float64), ``labels`` (int64) and ``csv_sha256``, the
     SHA-256 hex digest of the CSV bytes just written. ``read_dataset_csv``
@@ -273,15 +279,27 @@ def write_dataset_csv(ds: Dataset, path) -> None:
     matches. The CSV stays the interchange format; deleting the companion
     is always safe.
     """
-    lines = [",".join([f"f{j}" for j in range(ds.dim)] + ["label"])]
-    lines += [
-        ",".join(map(repr, row + [label]))
-        for row, label in zip(ds.features.tolist(), ds.labels.tolist())
-    ]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+
+    def lines(block):
+        rows = zip(ds.features[block].tolist(), ds.labels[block].tolist())
+        return [",".join(map(repr, row + [label])) for row, label in rows]
+
+    header = ",".join([f"f{j}" for j in range(ds.dim)] + ["label"])
+    digest = write_csv_rows(path, header, ds.n_rows, lines)
+    np.savez(f"{path}.npz", features=ds.features, labels=ds.labels, csv_sha256=digest)
+
+
+def write_csv_rows(path, header: str, n_rows: int, lines) -> str:
+    """Write ``header``, then ``lines(block)`` for each BLOCK_ROWS slice of ``n_rows``
+    rows, as LF-ended UTF-8 lines; returns the SHA-256 hex digest of the bytes."""
+    digest = _sha256()
+    blocks = (lines(slice(lo, lo + BLOCK_ROWS)) for lo in range(0, n_rows, BLOCK_ROWS))
     with open(path, "wb") as fh:
-        fh.write(data)
-    np.savez(f"{path}.npz", features=ds.features, labels=ds.labels, csv_sha256=_sha256(data))
+        for chunk in itertools.chain([[header]], blocks):
+            data = ("\n".join(chunk) + "\n").encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -320,10 +338,10 @@ def dataset_of(path, features, labels, class_count: int) -> Dataset:
         raise InvalidArgumentError(f"{path}: {exc}") from None
 
 
-def _sha256(data: bytes) -> str:
+def _sha256(data: bytes = b""):
     import hashlib  # here, not at module level: importing dctau should not pay for it
 
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(data)
 
 
 def read_npz(path) -> dict[str, np.ndarray]:
@@ -384,7 +402,7 @@ def _read_companion(path, data: bytes):
         and labels.dtype == np.int64 and labels.shape == (feats.shape[0],)
     ):
         return None
-    if str(digest) != _sha256(data):
+    if str(digest) != _sha256(data).hexdigest():
         return None
     return np.ascontiguousarray(feats), labels
 

@@ -230,15 +230,16 @@ def run_training(
 def evaluate_params(params: ModelParams, split: OpenSplit, cfg: TrainConfig) -> EvalReport:
     """Fit thresholds on training rows, score the two test sets.
 
-    posteriors scores each of the three row sets by blocks of rows; the
-    report keeps the two test posterior matrices.
+    posteriors scores each of the three row sets by blocks of rows. The
+    train posteriors are dropped once fit_thresholds has them; the report
+    keeps the two test posterior matrices.
     """
     if cfg.data_dir and not split.test_unknown.n_rows:
         path = os.path.join(cfg.data_dir, TEST_UNKNOWN_CSV)
         raise InvalidArgumentError(f"{path}: no rows, and evaluation scores unknown rows")
     start = time.perf_counter()
-    train_post = posteriors(params, split.train.features)
-    table = fit_thresholds(train_post, split.train.labels, cfg.percentile)
+    table = fit_thresholds(
+        posteriors(params, split.train.features), split.train.labels, cfg.percentile)
     known_post = posteriors(params, split.test_known.features)
     unknown_post = posteriors(params, split.test_unknown.features)
 

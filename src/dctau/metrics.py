@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import float_array, int_labels
+from .data import float_array, int_labels, write_csv_rows
 from .errors import InvalidArgumentError
 
 
@@ -144,8 +144,12 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 
 def write_curve_csv(curve: OscrCurve, path) -> None:
-    """Export `delta,ccr,fpr` rows for external plotting, values as repr."""
-    rows = zip(map(repr, curve.delta.tolist()), _reprs(curve.ccr), _reprs(curve.fpr))
-    lines = ["delta,ccr,fpr"] + [",".join(row) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Export `delta,ccr,fpr` rows for external plotting, values as repr, a
+    block of rows at a time: the bytes of formatting the whole curve at once."""
+
+    def lines(block):
+        rows = zip(map(repr, curve.delta[block].tolist()),
+                   _reprs(curve.ccr[block]), _reprs(curve.fpr[block]))
+        return [",".join(row) for row in rows]
+
+    write_csv_rows(path, "delta,ccr,fpr", len(curve), lines)

